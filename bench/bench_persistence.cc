@@ -10,7 +10,7 @@
 //   4. cold open (WAL tail)   — restore segments + replay the commits
 //                               logged after the checkpoint
 //   5. concurrent committers  — N sessions committing through
-//                               EngineApi with group commit on/off;
+//                               EngineApi (always group-committed);
 //                               the group-commit speedup headline
 //   6. dirty-fraction sweep   — re-checkpoint cost with k of 8 tables
 //                               dirty, incremental vs full rewrite;
@@ -90,7 +90,6 @@ Result<int64_t> CheckpointFootprint(const std::string& dir) {
 // One point of the concurrent-committers sweep (phase 5).
 struct GroupCommitPoint {
   int sessions = 0;
-  bool group_commit = false;
   int commits = 0;          // total across sessions
   double seconds = 0;
   double commits_per_sec = 0;
@@ -98,19 +97,16 @@ struct GroupCommitPoint {
   int64_t wal_syncs = 0;    // fdatasyncs it cost
 };
 
-// N sessions, each checkout+commit-ing `ops` times over EngineApi with
-// group commit on or off. Small rows: the point is sync cost, not
-// chunk encoding. Returns throughput + the records/syncs the WAL saw.
+// N sessions, each checkout+commit-ing `ops` times over EngineApi.
+// Small rows: the point is sync cost, not chunk encoding. Returns
+// throughput + the records/syncs the WAL saw.
 Result<GroupCommitPoint> RunGroupCommitPoint(int sessions, int ops,
-                                             bool group_commit,
                                              const std::string& dir) {
   GroupCommitPoint point;
   point.sessions = sessions;
-  point.group_commit = group_commit;
   point.commits = sessions * ops;
 
   core::EngineApi api;
-  api.set_group_commit(group_commit);
   ORPHEUS_RETURN_NOT_OK(api.orpheus()->Open(dir));
   rel::Schema schema;
   schema.AddColumn("k", rel::DataType::kInt64);
@@ -346,8 +342,7 @@ std::string ToJson(const std::vector<Numbers>& phases,
       << ",\n  \"group_commit_sweep\": [\n";
   for (size_t i = 0; i < sweep.size(); ++i) {
     const GroupCommitPoint& p = sweep[i];
-    out << "    {\"sessions\": " << p.sessions << ", \"group_commit\": "
-        << (p.group_commit ? "true" : "false")
+    out << "    {\"sessions\": " << p.sessions
         << ", \"commits\": " << p.commits << ", \"seconds\": " << p.seconds
         << ", \"commits_per_sec\": " << p.commits_per_sec
         << ", \"wal_records\": " << p.wal_records
@@ -421,9 +416,9 @@ int main(int argc, char** argv) {
             << " full-size commits; open(snap+WAL) replays " << commits
             << " commits logged after the checkpoint.\n";
 
-  // Phase 5: concurrent committers, group commit off vs on.
+  // Phase 5: concurrent committers.
   std::cout << "\n=== Group commit: concurrent committers ===\n\n";
-  std::cout << "sessions  group  commits/s   syncs/records   wall s\n";
+  std::cout << "sessions  commits/s   syncs/records   wall s\n";
   std::vector<GroupCommitPoint> sweep;
   std::vector<int> sweep_sessions;
   for (const std::string& piece :
@@ -431,34 +426,28 @@ int main(int argc, char** argv) {
     sweep_sessions.push_back(std::atoi(std::string(Trim(piece)).c_str()));
   }
   for (int sessions : sweep_sessions) {
-    for (bool group : {false, true}) {
-      auto tmp = storage::MakeTempDir("orpheus_bench_gc_");
-      if (!tmp.ok()) {
-        std::cerr << "error: " << tmp.status().ToString() << "\n";
-        return 1;
-      }
-      auto point =
-          RunGroupCommitPoint(sessions, gc_ops, group, tmp.value() + "/db");
-      (void)storage::RemoveDirRecursive(tmp.value());
-      if (!point.ok()) {
-        std::cerr << "error: gc sweep " << sessions << "x"
-                  << (group ? "on" : "off") << ": "
-                  << point.status().ToString() << "\n";
-        return 1;
-      }
-      sweep.push_back(point.value());
-      const GroupCommitPoint& p = sweep.back();
-      std::printf("%8d  %5s  %9.1f  %6lld / %-6lld  %7.3f\n", p.sessions,
-                  p.group_commit ? "on" : "off", p.commits_per_sec,
-                  static_cast<long long>(p.wal_syncs),
-                  static_cast<long long>(p.wal_records), p.seconds);
+    auto tmp = storage::MakeTempDir("orpheus_bench_gc_");
+    if (!tmp.ok()) {
+      std::cerr << "error: " << tmp.status().ToString() << "\n";
+      return 1;
     }
+    auto point = RunGroupCommitPoint(sessions, gc_ops, tmp.value() + "/db");
+    (void)storage::RemoveDirRecursive(tmp.value());
+    if (!point.ok()) {
+      std::cerr << "error: gc sweep " << sessions << " sessions: "
+                << point.status().ToString() << "\n";
+      return 1;
+    }
+    sweep.push_back(point.value());
+    const GroupCommitPoint& p = sweep.back();
+    std::printf("%8d  %9.1f  %6lld / %-6lld  %7.3f\n", p.sessions,
+                p.commits_per_sec, static_cast<long long>(p.wal_syncs),
+                static_cast<long long>(p.wal_records), p.seconds);
   }
-  std::cout << "\nExpected shape: with group commit on, N concurrent\n"
-               "committers share leaders' fdatasyncs (syncs well below\n"
-               "records), so commits/s scales past the 1-session fsync\n"
-               "line; off, every record pays its own sync regardless of\n"
-               "concurrency.\n";
+  std::cout << "\nExpected shape: N concurrent committers share leaders'\n"
+               "fdatasyncs (syncs well below records), so commits/s\n"
+               "scales past the 1-session line, where every record is a\n"
+               "group of one and pays its own sync.\n";
 
   // Phase 6: checkpoint cost vs dirty fraction (incremental headline).
   std::cout << "\n=== Incremental checkpoint: cost vs dirty fraction ===\n\n";
@@ -494,7 +483,7 @@ int main(int argc, char** argv) {
                "rewritten anyway.\n";
 
   // Phase 7: the observability tax. Same committer loop as phase 5
-  // (4 sessions, group commit on), once with the registry live and
+  // (4 sessions), once with the registry live and
   // once with every Inc/Observe no-op'd; best-of-3 interleaved so a
   // scheduler hiccup can't be charged to either side.
   std::cout << "\n=== Metrics overhead: registry live vs no-op ===\n\n";
@@ -509,7 +498,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       obs::SetMetricsEnabled(enabled);
-      auto point = RunGroupCommitPoint(4, gc_ops, true, tmp.value() + "/db");
+      auto point = RunGroupCommitPoint(4, gc_ops, tmp.value() + "/db");
       obs::SetMetricsEnabled(true);
       (void)storage::RemoveDirRecursive(tmp.value());
       if (!point.ok()) {

@@ -25,11 +25,6 @@
 // once the WAL grows past either bound, the next logged verb folds it
 // into a fresh snapshot.
 //
-// --group-commit={on,off} (default on) controls WAL group commit:
-// concurrent mutating statements batch their log records into one
-// write + one fdatasync, led by the first waiter (docs/PERSISTENCE.md
-// §Group commit). "off" restores a private fdatasync per statement.
-//
 // --serve=<port> (0 = ephemeral; the bound port is printed) turns the
 // process into a loopback TCP server speaking the framed protocol of
 // docs/SERVER.md. --connect runs the same shell/script/-c front-ends
@@ -52,10 +47,12 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "cli/command_processor.h"
 #include "common/flags.h"
+#include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/procstats.h"
@@ -71,34 +68,25 @@ volatile std::sig_atomic_t g_shutdown = 0;
 
 void HandleSignal(int) { g_shutdown = 1; }
 
-// Parses --group-commit={on,off,true,false,1,0}; anything else is a
-// usage error reported by the caller via the false return.
-bool ParseGroupCommit(const orpheus::Flags& flags, bool* on) {
-  std::string text = flags.GetString("group-commit", "on");
-  if (text == "on" || text == "true" || text == "1" || text.empty()) {
-    *on = true;
-    return true;
-  }
-  if (text == "off" || text == "false" || text == "0") {
-    *on = false;
-    return true;
-  }
-  std::cerr << "error: --group-commit expects on or off, got '" << text
-            << "'\n";
-  return false;
-}
-
 // Applies the observability flags (engine-hosting modes only; a
-// --connect client's metrics live in the server process). Returns the
-// --metrics-dump path, empty when no dump was requested.
-std::string ApplyObsFlags(const orpheus::Flags& flags) {
-  double slow_ms = flags.GetDouble("slow-op-ms", 100.0);
-  orpheus::obs::GlobalTraceLog().SetSlowOpThresholdMs(slow_ms < 0 ? 0
-                                                                  : slow_ms);
+// --connect client's metrics live in the server process). Sets the
+// --metrics-dump path, empty when no dump was requested; false on a
+// malformed flag.
+bool ApplyObsFlags(const orpheus::Flags& flags, std::string* metrics_dump) {
+  std::optional<double> slow_ms =
+      orpheus::ParseNumber<double>(flags.GetString("slow-op-ms", "100"), 0,
+                                   orpheus::obs::kMaxSlowOpThresholdMs);
+  if (!slow_ms) {
+    std::cerr << "error: --slow-op-ms expects a number of ms in [0, "
+              << orpheus::obs::kMaxSlowOpThresholdMs << "]\n";
+    return false;
+  }
+  orpheus::obs::GlobalTraceLog().SetSlowOpThresholdMs(*slow_ms);
   int64_t procstats_ms = flags.GetInt("procstats-interval-ms", 1000);
   orpheus::obs::ProcStatsSampler::Instance().Start(static_cast<int>(
       std::min<int64_t>(std::max<int64_t>(procstats_ms, 0), 1 << 30)));
-  return flags.GetString("metrics-dump", "");
+  *metrics_dump = flags.GetString("metrics-dump", "");
+  return true;
 }
 
 void MaybeDumpMetrics(const std::string& path) {
@@ -158,10 +146,8 @@ int RunFrontEnd(Target* target, const std::vector<std::string>& args,
 
 int ServeMain(const orpheus::Flags& flags) {
   orpheus::core::EngineApi api;
-  const std::string metrics_dump = ApplyObsFlags(flags);
-  bool group_commit = true;
-  if (!ParseGroupCommit(flags, &group_commit)) return 1;
-  api.set_group_commit(group_commit);
+  std::string metrics_dump;
+  if (!ApplyObsFlags(flags, &metrics_dump)) return 1;
   std::string db_dir = flags.GetString("db", "");
   if (!db_dir.empty()) {
     orpheus::Status st = api.orpheus()->Open(db_dir);
@@ -240,10 +226,8 @@ int main(int argc, char** argv) {
   if (flags.Has("serve")) return ServeMain(flags);
 
   orpheus::cli::CommandProcessor processor;
-  const std::string metrics_dump = ApplyObsFlags(flags);
-  bool group_commit = true;
-  if (!ParseGroupCommit(flags, &group_commit)) return 1;
-  processor.api()->set_group_commit(group_commit);
+  std::string metrics_dump;
+  if (!ApplyObsFlags(flags, &metrics_dump)) return 1;
   std::string db_dir = flags.GetString("db", "");
   if (!db_dir.empty()) {
     orpheus::Status st = processor.orpheus()->Open(db_dir);

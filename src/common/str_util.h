@@ -4,7 +4,9 @@
 #ifndef ORPHEUS_COMMON_STR_UTIL_H_
 #define ORPHEUS_COMMON_STR_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +32,18 @@ std::string_view Trim(std::string_view text);
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+// Strict parse of a user-typed number: all of `text`, within [lo, hi]
+// (so never NaN or infinite); no surrounding whitespace, '+' or suffix.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  if (!(lo <= value && value <= hi)) return std::nullopt;
+  return value;
+}
 
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -9,11 +9,12 @@
 //    (SELECTs, ls, graph, diff, pin) run under the shared side and may
 //    overlap freely; every mutating verb (init/checkout/commit/
 //    discard/drop/optimize/DDL-SQL/checkpoint) takes the exclusive
-//    side. With group commit (the default on durable engines) the
-//    exclusive hold covers only the in-memory apply plus the WAL
-//    *enqueue* — enqueue order under the lock is what fixes the log's
-//    total order — while the write + fdatasync happen after release,
-//    batched across sessions by a group leader (storage_manager.h).
+//    side (the verb table in engine_api.cc fixes each verb's side).
+//    Over EngineApi the exclusive hold covers only the in-memory apply
+//    plus the WAL *enqueue* — enqueue order under the lock fixes the
+//    log's total order — while the write + fdatasync happen after
+//    release, batched across sessions by a group leader
+//    (storage_manager.h).
 //    The epoch is bumped once per successful exclusive statement.
 //
 //  * SnapshotRegistry — which sessions have pinned which CVD at which

@@ -1,9 +1,9 @@
 #include "core/engine_api.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <mutex>
+#include <limits>
+#include <map>
+#include <optional>
 #include <shared_mutex>
 
 #include "common/csv.h"
@@ -20,33 +20,12 @@ namespace orpheus::core {
 
 namespace {
 
-constexpr char kHelp[] =
-    "OrpheusDB commands:\n"
-    "  init <cvd> -f <file.csv> [-pk a,b] [-model rlist|vlist|combined|delta|tpv]\n"
-    "  checkout <cvd> -v <vid>[,<vid>...] (-t <table> | -f <file.csv>)\n"
-    "  commit (-t <table> | -f <file.csv>) -m <message>\n"
-    "  discard -t <table>         drop a staged table without committing\n"
-    "  diff <cvd> <v1> <v2>\n"
-    "  run <sql>                 versioned SQL (VERSION n OF CVD c)\n"
-    "  sql <sql>                 raw SQL against the backing database\n"
-    "  ls                        list CVDs\n"
-    "  graph <cvd>               version graph as Graphviz dot\n"
-    "  drop <cvd>\n"
-    "  optimize <cvd> [-gamma <factor>]   partition with LYRESPLIT\n"
-    "  pin <cvd> [-v <vid>]      pin a version snapshot for this session\n"
-    "  unpin <cvd> | pins        release / list this session's pins\n"
-    "  open <dir>                open/create a durable database directory\n"
-    "  checkpoint                fold the WAL into segment files (incremental)\n"
-    "  save <dir>                one-shot snapshot export (no WAL)\n"
-    "  threads [<n>]             show or set scan parallelism (0 = hardware)\n"
-    "  metrics                   Prometheus text exposition of all metrics\n"
-    "  stats                     human-readable metrics + recent/slow ops\n"
-    "  explain analyze <sql>     run the SQL, return its operator profile\n"
-    "  profile [-json] <sql>     same as explain analyze (JSON with -json)\n"
-    "  traces [recent|slow] [<n>]  recent-op ring / slow-op log as JSON lines\n"
-    "  slowlog [<ms>]            show or set the slow-op threshold\n"
-    "  create_user <name> | config <name> | whoami\n"
-    "  help | exit\n";
+// Largest `optimize -gamma` storage factor (times the CVD's records).
+constexpr double kMaxGammaFactor = 1e6;
+
+Status UsageError(const char* usage) {
+  return Status::InvalidArgument(std::string("usage: ") + usage);
+}
 
 // Extracts "-flag value" from an argument vector; empty if absent.
 std::string FlagValue(const std::vector<std::string>& args,
@@ -57,25 +36,11 @@ std::string FlagValue(const std::vector<std::string>& args,
   return "";
 }
 
-Result<std::vector<VersionId>> ParseVidList(const std::string& text) {
-  std::vector<VersionId> vids;
-  for (const std::string& piece : Split(text, ',')) {
-    if (Trim(piece).empty()) continue;
-    vids.push_back(std::strtoll(std::string(Trim(piece)).c_str(), nullptr, 10));
-  }
-  if (vids.empty()) return Status::InvalidArgument("no version ids given");
-  return vids;
-}
-
-bool TokenEqualsIgnoreCase(std::string_view token, std::string_view word) {
-  if (token.size() != word.size()) return false;
-  for (size_t i = 0; i < token.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(token[i])) !=
-        std::toupper(static_cast<unsigned char>(word[i]))) {
-      return false;
-    }
-  }
-  return true;
+Result<VersionId> ParseVid(std::string_view text, const char* usage) {
+  std::optional<int64_t> vid =
+      ParseNumber<int64_t>(text, 1, std::numeric_limits<int64_t>::max());
+  if (!vid) return UsageError(usage);
+  return *vid;
 }
 
 // A statement may run under the shared lock iff it can only read:
@@ -83,32 +48,35 @@ bool TokenEqualsIgnoreCase(std::string_view token, std::string_view word) {
 // other form — DML, DDL, or anything unparsed — is treated as a write.
 bool IsReadOnlySql(const std::string& sql) {
   std::vector<std::string> tokens = SplitWhitespace(sql);
-  if (tokens.empty() || !TokenEqualsIgnoreCase(tokens[0], "SELECT")) {
-    return false;
-  }
-  for (const std::string& token : tokens) {
-    if (TokenEqualsIgnoreCase(token, "INTO")) return false;
-  }
-  return true;
+  return !tokens.empty() && EqualsIgnoreCase(tokens[0], "SELECT") &&
+         std::none_of(tokens.begin(), tokens.end(), [](const std::string& t) {
+           return EqualsIgnoreCase(t, "INTO");
+         });
 }
 
-// Label value for the per-verb metric families. Only known verbs get
-// their own label so a typo-spamming client can't blow up the label
-// cardinality (or inject quotes into the exposition).
-std::string VerbLabel(const std::string& trimmed) {
-  static const char* kVerbs[] = {
-      "init",    "checkout", "commit",     "discard", "diff",   "run",
-      "sql",     "ls",       "graph",      "drop",    "optimize", "pin",
-      "unpin",   "pins",     "open",       "checkpoint", "save", "threads",
-      "metrics", "stats",    "create_user", "config", "whoami", "help",
-      "exit",    "quit",     "script",     "explain", "profile", "traces",
-      "slowlog"};
-  size_t end = trimmed.find_first_of(" \t");
-  std::string verb = trimmed.substr(0, end);
-  for (const char* known : kVerbs) {
-    if (verb == known) return verb;
+// The SQL operand of a by-SQL verb: the statement text after the verb
+// and the keywords its usage puts before "<sql>" ("explain analyze
+// <sql>"; a bracketed "[-json]" is optional).
+Result<std::string> SqlOperand(const std::string& line,
+                               const std::vector<std::string>& args,
+                               const char* usage) {
+  std::vector<std::string> words = SplitWhitespace(usage);
+  size_t pos = args[0].size();
+  size_t next = 1;  // next statement token to match
+  for (size_t w = 1; words[w] != "<sql>"; ++w) {
+    const bool optional = words[w][0] == '[';
+    std::string word =
+        optional ? words[w].substr(1, words[w].size() - 2) : words[w];
+    if (next < args.size() && EqualsIgnoreCase(args[next], word)) {
+      pos = line.find(args[next], pos) + args[next].size();
+      ++next;
+    } else if (!optional) {
+      return UsageError(usage);
+    }
   }
-  return "unknown";
+  std::string sql(Trim(std::string_view(line).substr(pos)));
+  if (sql.empty()) return UsageError(usage);
+  return sql;
 }
 
 obs::Histogram* LockWaitHist(bool exclusive) {
@@ -125,75 +93,535 @@ obs::Histogram* LockWaitHist(bool exclusive) {
 
 }  // namespace
 
-Result<std::string> EngineApi::Metrics() {
-  // Gauges sampled at scrape time; also registers the family so the
-  // very first scrape of a quiet engine is never empty.
-  obs::GlobalMetrics()
-      .GetGauge("orpheus_commit_epoch",
-                "Engine commit epoch (bumped per successful mutation).")
-      ->Set(static_cast<int64_t>(lock_.epoch()));
-  return obs::GlobalMetrics().RenderPrometheus();
+// --- The verb table ---------------------------------------------------------
+
+struct EngineApi::Verb {
+  LockMode lock;
+  // Synopsis for `help` and usage errors; its first word is the verb.
+  const char* usage;
+  const char* what;  // one-line description for `help`
+  Result<std::string> (*run)(const Call& c);
+};
+
+const EngineApi::Verb EngineApi::kVerbs[] = {
+    // --- Versioning ---------------------------------------------------------
+    {LockMode::kExclusive,
+     "init <cvd> -f <file.csv> [-pk a,b] [-model rlist|vlist|combined|delta|tpv]",
+     "create a CVD from a CSV file",
+     [](const Call& c) { return c.api->Init(c); }},
+    {LockMode::kExclusive,
+     "checkout <cvd> -v <vid>[,<vid>...] (-t <table> | -f <file.csv>)",
+     "stage versions as a table or CSV file",
+     [](const Call& c) { return c.api->Checkout(c); }},
+    {LockMode::kExclusive, "commit (-t <table> | -f <file.csv>) -m <message>",
+     "commit a staged table or file as a new version",
+     [](const Call& c) { return c.api->Commit(c); }},
+    {LockMode::kExclusive, "discard -t <table>",
+     "drop a staged table without committing",
+     [](const Call& c) -> Result<std::string> {
+       std::string table = FlagValue(c.args, "-t");
+       if (table.empty() && c.args.size() >= 2 && c.args[1][0] != '-') {
+         table = c.args[1];
+       }
+       if (table.empty()) return UsageError(c.usage);
+       ORPHEUS_ASSIGN_OR_RETURN(std::string cvd,
+                                c.api->ResolveStagedCvd(*c.session, table));
+       ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.DiscardStaged(cvd, table));
+       c.session->RemoveStagedTable(table);
+       return "discarded staged table " + table;
+     }},
+    {LockMode::kShared, "diff <cvd> <v1> <v2>",
+     "records only in one of two versions",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 4) return UsageError(c.usage);
+       ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, c.api->orpheus_.GetCvd(c.args[1]));
+       ORPHEUS_ASSIGN_OR_RETURN(VersionId v1, ParseVid(c.args[2], c.usage));
+       ORPHEUS_ASSIGN_OR_RETURN(VersionId v2, ParseVid(c.args[3], c.usage));
+       ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk fwd, cvd->Diff(v1, v2));
+       ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk bwd, cvd->Diff(v2, v1));
+       return "records only in v" + std::to_string(v1) + " (" +
+              std::to_string(fwd.num_rows()) + "):\n" + fwd.ToString(20) +
+              "records only in v" + std::to_string(v2) + " (" +
+              std::to_string(bwd.num_rows()) + "):\n" + bwd.ToString(20);
+     }},
+    {LockMode::kShared, "ls", "list CVDs",
+     [](const Call& c) -> Result<std::string> {
+       std::vector<std::string> names = c.api->orpheus_.ListCvds();
+       return names.empty() ? "(no CVDs)" : Join(names, "\n");
+     }},
+    {LockMode::kShared, "graph <cvd>", "version graph as Graphviz dot",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, c.api->orpheus_.GetCvd(c.args[1]));
+       return cvd->graph().ToDot();
+     }},
+    {LockMode::kExclusive, "drop <cvd>", "delete a CVD (refused while pinned)",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       const std::string& name = c.args[1];
+       int others = c.api->registry_.PinsByOthers(name, c.session->id());
+       if (others > 0) {
+         return Status::FailedPrecondition(
+             "cannot drop " + name + ": pinned by " + std::to_string(others) +
+             " other session(s)");
+       }
+       ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.DropCvd(name));
+       c.api->registry_.ForgetCvd(name);
+       c.session->RemovePin(name);
+       return "dropped " + name;
+     }},
+    {LockMode::kExclusive, "optimize <cvd> [-gamma <factor>]",
+     "partition with LYRESPLIT",
+     [](const Call& c) { return c.api->Optimize(c); }},
+    // --- SQL: shared for a SELECT without INTO, else exclusive ---------------
+    {LockMode::kBySql, "run <sql>", "versioned SQL (VERSION n OF CVD c)",
+     [](const Call& c) -> Result<std::string> {
+       ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk out, c.api->orpheus_.Run(c.sql));
+       return out.ToString(50);
+     }},
+    {LockMode::kBySql, "sql <sql>", "raw SQL against the backing database",
+     [](const Call& c) -> Result<std::string> {
+       ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk out,
+                                c.api->orpheus_.db()->Execute(c.sql));
+       return out.ToString(50);
+     }},
+    {LockMode::kBySql, "explain analyze <sql>",
+     "run the SQL, return its operator profile",
+     [](const Call& c) { return c.api->ProfileSql(c.sql, /*json=*/false); }},
+    {LockMode::kBySql, "profile [-json] <sql>",
+     "same as explain analyze (JSON with -json)",
+     [](const Call& c) {
+       return c.api->ProfileSql(c.sql, EqualsIgnoreCase(c.args[1], "-json"));
+     }},
+    // --- Session snapshots ---------------------------------------------------
+    {LockMode::kShared, "pin <cvd> [-v <vid>]",
+     "pin a version snapshot for this session",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       const std::string& name = c.args[1];
+       ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, c.api->orpheus_.GetCvd(name));
+       VersionId vid = cvd->latest_version();
+       std::string vid_text = FlagValue(c.args, "-v");
+       if (!vid_text.empty()) {
+         ORPHEUS_ASSIGN_OR_RETURN(vid, ParseVid(vid_text, c.usage));
+       }
+       if (!cvd->graph().GetNode(vid).ok()) {
+         return Status::NotFound("no version " + std::to_string(vid) +
+                                 " in CVD " + name);
+       }
+       SessionPin pin{vid, c.api->lock_.epoch()};
+       c.api->registry_.Pin(c.session->id(), name, pin);
+       c.session->RecordPin(name, pin);
+       return "pinned " + name + " at version " + std::to_string(vid) +
+              " (epoch " + std::to_string(pin.epoch) + ")";
+     }},
+    {LockMode::kNone, "unpin <cvd>", "release this session's pin",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       if (!c.api->registry_.Unpin(c.session->id(), c.args[1])) {
+         return Status::NotFound("no pin on CVD " + c.args[1] +
+                                 " held by this session");
+       }
+       c.session->RemovePin(c.args[1]);
+       return "unpinned " + c.args[1];
+     }},
+    {LockMode::kNone, "pins", "list this session's pins",
+     [](const Call& c) -> Result<std::string> {
+       std::vector<std::string> lines;
+       for (const auto& [cvd, pin] : c.session->Pins()) {
+         lines.push_back(cvd + " v" + std::to_string(pin.vid) + " (epoch " +
+                         std::to_string(pin.epoch) + ")");
+       }
+       return lines.empty() ? "(no pins)" : Join(lines, "\n");
+     }},
+    // --- Storage -------------------------------------------------------------
+    {LockMode::kExclusive, "open <dir>",
+     "open/create a durable database directory",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       OrpheusDB& db = c.api->orpheus_;
+       ORPHEUS_RETURN_NOT_OK(db.Open(c.args[1]));
+       // Recovery may have replayed a login; mirror it into the session
+       // so whoami matches the restored engine state.
+       c.session->set_user(db.WhoAmI());
+       return "opened durable database at " + c.args[1] + " (" +
+              std::to_string(db.ListCvds().size()) + " CVDs)";
+     }},
+    {LockMode::kExclusive, "checkpoint",
+     "fold the WAL into segment files (incremental)",
+     [](const Call& c) -> Result<std::string> {
+       OrpheusDB& db = c.api->orpheus_;
+       ORPHEUS_RETURN_NOT_OK(db.Checkpoint());
+       const storage::StorageManager::CheckpointStats& stats =
+           db.storage()->last_checkpoint_stats();
+       return "checkpointed " + db.storage_dir() + " (" +
+              std::to_string(stats.segments_written) + " segments written, " +
+              std::to_string(stats.segments_reused) + " reused)";
+     }},
+    {LockMode::kExclusive, "save <dir>", "one-shot snapshot export (no WAL)",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.SaveSnapshot(c.args[1]));
+       return "saved snapshot to " + c.args[1];
+     }},
+    // Exclusive so that no query is running while the pool is resized.
+    {LockMode::kExclusive, "threads [<n>]",
+     "show or set scan parallelism (0 = hardware)",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() >= 2) {
+         std::optional<int64_t> n =
+             ParseNumber<int64_t>(c.args[1], 0, kMaxExecThreads);
+         if (!n) return UsageError(c.usage);
+         SetExecThreads(static_cast<int>(*n));
+       }
+       return "exec threads: " + std::to_string(ExecThreads());
+     }},
+    // --- Observability (the registry and trace log synchronize) ------------
+    {LockMode::kNone, "metrics", "Prometheus text exposition of all metrics",
+     [](const Call& c) -> Result<std::string> {
+       // Sampled at scrape time; also registers the family so the very
+       // first scrape of a quiet engine is never empty.
+       obs::GlobalMetrics()
+           .GetGauge("orpheus_commit_epoch",
+                     "Engine commit epoch (bumped per successful mutation).")
+           ->Set(static_cast<int64_t>(c.api->lock_.epoch()));
+       return obs::GlobalMetrics().RenderPrometheus();
+     }},
+    {LockMode::kNone, "stats", "human-readable metrics + recent/slow ops",
+     [](const Call& c) { return c.api->Stats(c); }},
+    {LockMode::kNone, "traces [recent|slow] [<n>]",
+     "recent-op ring / slow-op log as JSON lines",
+     [](const Call& c) { return c.api->Traces(c); }},
+    {LockMode::kNone, "slowlog [<ms>]", "show or set the slow-op threshold",
+     [](const Call& c) -> Result<std::string> {
+       obs::TraceLog& log = obs::GlobalTraceLog();
+       if (c.args.size() >= 2) {
+         std::optional<double> ms =
+             ParseNumber<double>(c.args[1], 0, obs::kMaxSlowOpThresholdMs);
+         if (!ms) return UsageError(c.usage);
+         log.SetSlowOpThresholdMs(*ms);
+         return StrFormat("slow-op threshold set to %g ms", *ms);
+       }
+       return StrFormat("slow-op threshold: %g ms (%llu slow ops kept)",
+                        log.SlowOpThresholdMs(),
+                        static_cast<unsigned long long>(log.SlowOps().size()));
+     }},
+    // --- Users and the session -----------------------------------------------
+    {LockMode::kExclusive, "create_user <name>", "register a user",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.CreateUser(c.args[1]));
+       return "created user " + c.args[1];
+     }},
+    {LockMode::kExclusive, "config <name>", "log in as a user",
+     [](const Call& c) -> Result<std::string> {
+       if (c.args.size() < 2) return UsageError(c.usage);
+       ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.Login(c.args[1]));
+       c.session->set_user(c.args[1]);
+       return "logged in as " + c.args[1];
+     }},
+    {LockMode::kNone, "whoami", "this session's user",
+     [](const Call& c) -> Result<std::string> { return c.session->user(); }},
+    {LockMode::kNone, "help", "this list",
+     [](const Call&) -> Result<std::string> { return Help(); }},
+    {LockMode::kNone, "exit", "end the session", &EngineApi::Exit},
+    {LockMode::kNone, "quit", "same as exit", &EngineApi::Exit},
+};
+
+Result<std::string> EngineApi::Exit(const Call& c) {
+  c.session->set_exited();
+  return std::string("bye");
 }
 
-Result<std::string> EngineApi::Traces(const std::vector<std::string>& args) {
-  obs::TraceLog& log = obs::GlobalTraceLog();
-  bool want_recent = true;
-  bool want_slow = true;
-  size_t limit = 50;
-  for (size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "recent") {
-      want_slow = false;
-    } else if (args[i] == "slow") {
-      want_recent = false;
-    } else {
-      char* end = nullptr;
-      long n = std::strtol(args[i].c_str(), &end, 10);
-      if (end == args[i].c_str() || *end != '\0' || n < 0) {
-        return Status::InvalidArgument("traces [recent|slow] [<n>]");
-      }
-      limit = static_cast<size_t>(n);
-    }
+const EngineApi::Verb* EngineApi::FindVerb(std::string_view name) {
+  for (const Verb& verb : kVerbs) {
+    std::string_view usage = verb.usage;
+    if (usage.substr(0, usage.find(' ')) == name) return &verb;
   }
-  std::vector<obs::OpTrace> recent = log.Recent();
-  std::vector<obs::OpTrace> slow = log.SlowOps();
-  // One JSON object per line: a meta header, then the requested
-  // entries (oldest first, capped at `limit` newest per kind). Slow
-  // entries carry their operator profile tree; the recent ring stays
-  // compact.
-  std::string out =
-      StrFormat("{\"meta\":true,\"slow_op_threshold_ms\":%g,"
-                "\"total_recorded\":%llu,\"recent\":%llu,\"slow\":%llu}\n",
-                log.SlowOpThresholdMs(),
-                static_cast<unsigned long long>(log.TotalRecorded()),
-                static_cast<unsigned long long>(recent.size()),
-                static_cast<unsigned long long>(slow.size()));
-  auto render = [&](const std::vector<obs::OpTrace>& ops, const char* kind,
-                    bool with_profile) {
-    size_t start = ops.size() > limit ? ops.size() - limit : 0;
-    for (size_t i = start; i < ops.size(); ++i) {
-      out += std::string("{\"kind\":\"") + kind + "\"," +
-             obs::OpTraceJson(ops[i], with_profile).substr(1) + "\n";
-    }
-  };
-  if (want_recent) render(recent, "recent", /*with_profile=*/false);
-  if (want_slow) render(slow, "slow", /*with_profile=*/true);
+  return nullptr;
+}
+
+std::string EngineApi::Help() {
+  std::string out = "OrpheusDB commands:\n";
+  for (const Verb& verb : kVerbs) {
+    // A synopsis too long for the column gets its description below.
+    const bool wrap = std::string_view(verb.usage).size() > 34;
+    out += StrFormat("  %-34s%s %s\n", verb.usage,
+                     wrap ? "\n                                    " : "",
+                     verb.what);
+  }
   return out;
 }
 
-Result<std::string> EngineApi::Slowlog(const std::vector<std::string>& args) {
-  obs::TraceLog& log = obs::GlobalTraceLog();
-  if (args.size() >= 2) {
-    char* end = nullptr;
-    double ms = std::strtod(args[1].c_str(), &end);
-    if (end == args[1].c_str() || *end != '\0' || ms < 0) {
-      return Status::InvalidArgument("slowlog [<ms>] with ms >= 0");
-    }
-    log.SetSlowOpThresholdMs(ms);
-    return StrFormat("slow-op threshold set to %g ms", ms);
+// --- Dispatch ---------------------------------------------------------------
+
+std::shared_ptr<SessionContext> EngineApi::NewSession() {
+  return std::make_shared<SessionContext>(next_session_id_.fetch_add(1));
+}
+
+template <typename Body>
+Result<std::string> EngineApi::RunLocked(LockMode mode, SessionContext* session,
+                                         Body&& body) {
+  if (mode == LockMode::kNone) return body();
+  const bool exclusive = mode == LockMode::kExclusive;
+  auto wait_for = [&](auto& lock) {
+    obs::TraceSpan wait_span(obs::TraceStage::kLockWait);
+    WallTimer wait;
+    lock.lock();
+    LockWaitHist(exclusive)->Observe(wait.ElapsedSeconds());
+  };
+  if (!exclusive) {
+    std::shared_lock<std::shared_mutex> lock(lock_.mu(), std::defer_lock);
+    wait_for(lock);
+    obs::TraceSpan exec_span(obs::TraceStage::kExecute);
+    return body();
   }
-  return StrFormat("slow-op threshold: %g ms (%llu slow ops kept)",
-                   log.SlowOpThresholdMs(),
-                   static_cast<unsigned long long>(log.SlowOps().size()));
+  // The exclusive hold covers the in-memory apply plus the WAL enqueue
+  // only. Tickets for the records this statement enqueued are taken
+  // before the lock drops; the durable wait happens after, so other
+  // sessions' statements can join the commit group while this one
+  // blocks on the leader's single fdatasync.
+  std::vector<storage::AppendTicket> tickets;
+  Result<std::string> result = std::string();
+  {
+    std::unique_lock<std::shared_mutex> lock(lock_.mu(), std::defer_lock);
+    wait_for(lock);
+    obs::TraceSpan exec_span(obs::TraceStage::kExecute);
+    // Storage opened through orpheus()->Open() starts in the embedder's
+    // synchronous mode; every statement over this API is grouped.
+    if (orpheus_.durable()) orpheus_.storage()->SetGroupCommit(true);
+    result = body();
+    if (orpheus_.durable()) tickets = orpheus_.storage()->TakePendingTickets();
+    if (result.ok()) lock_.BumpEpoch();
+  }
+  if (tickets.empty()) return result;
+  obs::TraceSpan sync_span(obs::TraceStage::kGroupCommitSync);
+  Status durable = orpheus_.storage()->WaitDurable(tickets);
+  if (!durable.ok()) {
+    // The in-memory apply succeeded but the record never reached disk;
+    // surface the I/O error (the handler's message would claim
+    // durability the WAL can't back).
+    return result.ok() ? Result<std::string>(durable) : result;
+  }
+  session->NoteDurableLsn(tickets.back()->lsn);
+  return result;
+}
+
+Result<std::string> EngineApi::Execute(SessionContext* session,
+                                       const std::string& line) {
+  session->Touch();
+  std::string trimmed(Trim(line));
+  if (trimmed.empty() || trimmed[0] == '#') return std::string();
+  std::string_view name = std::string_view(trimmed).substr(
+      0, trimmed.find_first_of(" \t\n\v\f\r"));
+  const Verb* verb = FindVerb(name);
+  // One trace scope per statement: every TraceSpan below (and inside
+  // storage, which runs on this thread) charges its stage to this op.
+  // Only table verbs get their own label, so a typo-spamming client
+  // can't blow up the label cardinality (or inject quotes into the
+  // exposition).
+  obs::ActiveOpScope op_scope(std::string(verb != nullptr ? name : "unknown"),
+                              session->id());
+  session->NoteOp();
+  Result<std::string> result = [&]() -> Result<std::string> {
+    if (verb == nullptr) {
+      return Status::InvalidArgument("unknown command: " + std::string(name) +
+                                     " (try 'help')");
+    }
+    Call call{this, session, {}, {}, verb->usage};
+    LockMode mode = verb->lock;
+    {
+      obs::TraceSpan parse_span(obs::TraceStage::kParse);
+      call.args = SplitWhitespace(trimmed);
+      if (mode == LockMode::kBySql) {
+        ORPHEUS_ASSIGN_OR_RETURN(call.sql,
+                                 SqlOperand(trimmed, call.args, verb->usage));
+        mode = IsReadOnlySql(call.sql) ? LockMode::kShared
+                                       : LockMode::kExclusive;
+      }
+    }
+    return RunLocked(mode, session, [&] { return verb->run(call); });
+  }();
+  op_scope.set_ok(result.ok());
+  return result;
+}
+
+void EngineApi::CloseSession(SessionContext* session, bool discard_staged) {
+  std::map<std::string, std::string> staged;
+  if (discard_staged) staged = session->StagedTables();
+  if (!staged.empty()) {
+    // Best-effort, durability included: disconnect cleanup has no
+    // caller to report an error to.
+    (void)RunLocked(LockMode::kExclusive, session, [&] {
+      for (const auto& [table, cvd] : staged) {
+        // The table may already be gone (CVD dropped, or the staged
+        // table committed through the global fallback path).
+        (void)orpheus_.DiscardStaged(cvd, table);
+        session->RemoveStagedTable(table);
+      }
+      return Result<std::string>(std::string());
+    });
+  }
+  registry_.UnpinAll(session->id());
+  session->set_exited();
+}
+
+// --- Handlers too long for the table -----------------------------------------
+
+Result<std::string> EngineApi::Init(const Call& c) {
+  std::string file = FlagValue(c.args, "-f");
+  if (c.args.size() < 2 || file.empty()) return UsageError(c.usage);
+  const std::string& name = c.args[1];
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, ReadCsvFile(file));
+
+  CvdOptions options;
+  std::string pk = FlagValue(c.args, "-pk");
+  if (!pk.empty()) {
+    for (const std::string& col : Split(pk, ',')) {
+      options.primary_key.emplace_back(Trim(col));
+    }
+  }
+  std::string model = FlagValue(c.args, "-model");
+  if (!model.empty()) {
+    ORPHEUS_ASSIGN_OR_RETURN(options.model, DataModelKindFromName(model));
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(
+      Cvd * cvd, orpheus_.InitCvd(name, rows, options, "init from " + file));
+  return "initialized CVD " + name + " with version 1 (" +
+         std::to_string(cvd->graph().GetNode(1).value()->num_records) +
+         " records)";
+}
+
+Result<std::string> EngineApi::Checkout(const Call& c) {
+  std::string vid_text = FlagValue(c.args, "-v");
+  std::string table = FlagValue(c.args, "-t");
+  std::string file = FlagValue(c.args, "-f");
+  if (c.args.size() < 2 || vid_text.empty() ||
+      (table.empty() && file.empty())) {
+    return UsageError(c.usage);
+  }
+  const std::string& name = c.args[1];
+  std::vector<VersionId> vids;
+  for (const std::string& piece : Split(vid_text, ',')) {
+    if (Trim(piece).empty()) continue;
+    ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, ParseVid(Trim(piece), c.usage));
+    vids.push_back(vid);
+  }
+  if (vids.empty()) return UsageError(c.usage);
+
+  if (table.empty()) {
+    // The counter restarts with each session, and a reopened durable
+    // engine may have replayed csvstage checkouts from an earlier
+    // process — skip names that are already taken.
+    do {
+      table = name + "_csvstage_" + std::to_string(c.session->NextStagingId());
+    } while (orpheus_.db()->HasTable(table));
+  }
+  ORPHEUS_RETURN_NOT_OK(orpheus_.Checkout(name, vids, table));
+  c.session->AddStagedTable(table, name);
+  if (!file.empty()) {
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, orpheus_.db()->GetTable(table));
+    ORPHEUS_RETURN_NOT_OK(WriteCsvFile(file, staged->data()));
+    c.session->AddCsvStaging(file, name, table);
+    return "checked out version(s) " + vid_text + " of " + name + " into " +
+           file;
+  }
+  return "checked out version(s) " + vid_text + " of " + name +
+         " into table " + table;
+}
+
+Result<std::string> EngineApi::ResolveStagedCvd(const SessionContext& session,
+                                                const std::string& table) {
+  std::string cvd_name = session.StagedCvd(table);
+  if (!cvd_name.empty()) return cvd_name;
+  // Fallback: scan every CVD's staging area. Covers tables staged by a
+  // previous process (WAL replay) or through direct engine access.
+  for (const std::string& name : orpheus_.ListCvds()) {
+    ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
+    if (cvd->staged_tables().count(table) > 0) return name;
+  }
+  return Status::NotFound("table was not checked out from any CVD: " + table);
+}
+
+Result<std::string> EngineApi::Commit(const Call& c) {
+  std::string table = FlagValue(c.args, "-t");
+  std::string file = FlagValue(c.args, "-f");
+  std::string message = FlagValue(c.args, "-m");
+  if (message.empty()) message = "(no message)";
+
+  std::string cvd_name;
+  if (!file.empty()) {
+    auto entry = c.session->GetCsvStaging(file);
+    if (entry.first.empty()) {
+      return Status::NotFound("file was not checked out from a CVD: " + file);
+    }
+    cvd_name = entry.first;
+    table = entry.second;
+    // Reload the (possibly externally edited) csv into the staged
+    // table, keeping the rid column where rows still carry one.
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, ReadCsvFile(file));
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, orpheus_.db()->GetTable(table));
+    if (!rows.schema().Equals(staged->schema())) {
+      return Status::InvalidArgument(
+          "csv schema does not match the checked-out schema (did the header "
+          "change?)");
+    }
+    staged->mutable_chunk() = std::move(rows);
+    c.session->RemoveCsvStaging(file);
+  } else if (!table.empty()) {
+    ORPHEUS_ASSIGN_OR_RETURN(cvd_name, ResolveStagedCvd(*c.session, table));
+  } else {
+    return UsageError(c.usage);
+  }
+
+  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
+                           orpheus_.Commit(cvd_name, table, message));
+  c.session->RemoveStagedTable(table);
+  return "committed version " + std::to_string(vid) + " to " + cvd_name;
+}
+
+Result<std::string> EngineApi::Optimize(const Call& c) {
+  if (c.args.size() < 2) return UsageError(c.usage);
+  const std::string& name = c.args[1];
+  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
+  auto* model = dynamic_cast<SplitByRlistModel*>(cvd->model());
+  if (model == nullptr) {
+    return Status::NotSupported("optimize requires the split-by-rlist model");
+  }
+  double factor = 2.0;
+  std::string gamma_text = FlagValue(c.args, "-gamma");
+  if (!gamma_text.empty()) {
+    std::optional<double> parsed =
+        ParseNumber<double>(gamma_text, 0, kMaxGammaFactor);
+    if (!parsed) return UsageError(c.usage);
+    factor = *parsed;
+  }
+
+  int64_t gamma =
+      static_cast<int64_t>(factor * static_cast<double>(cvd->total_records()));
+  ORPHEUS_ASSIGN_OR_RETURN(part::LyreSplitResult split,
+                           part::LyreSplit::RunForBudget(cvd->graph(), gamma));
+
+  // Materialize the partitions and install the checkout/query routing.
+  std::map<VersionId, std::vector<RecordId>> version_rids;
+  for (VersionId vid : cvd->graph().versions()) {
+    ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
+                             cvd->model()->VersionRecords(vid));
+    version_rids[vid] = std::move(rids);
+  }
+  // Drop any previous store first so a re-optimize can reuse its
+  // physical table names (and WAL replay does the same).
+  orpheus_.DetachPartitionStore(name);
+  auto store = std::make_unique<part::PartitionStore>(orpheus_.db(), name,
+                                                      model->DataTable());
+  ORPHEUS_RETURN_NOT_OK(store->Build(split.partitioning, std::move(version_rids)));
+  ORPHEUS_RETURN_NOT_OK(orpheus_.AttachPartitionStore(name, std::move(store)));
+  return "partitioned " + name + " into " +
+         std::to_string(split.partitioning.num_partitions()) +
+         " partitions (delta=" + StrFormat("%.4f", split.delta) +
+         ", est. storage=" + std::to_string(split.estimated_storage) +
+         " records, est. checkout=" +
+         StrFormat("%.1f", split.estimated_checkout) + " records)";
 }
 
 Result<std::string> EngineApi::ProfileSql(const std::string& sql, bool json) {
@@ -223,7 +651,50 @@ Result<std::string> EngineApi::ProfileSql(const std::string& sql, bool json) {
   return s;
 }
 
-Result<std::string> EngineApi::Stats(SessionContext* session) {
+Result<std::string> EngineApi::Traces(const Call& c) {
+  obs::TraceLog& log = obs::GlobalTraceLog();
+  bool want_recent = true;
+  bool want_slow = true;
+  size_t limit = 50;
+  for (size_t i = 1; i < c.args.size(); ++i) {
+    if (c.args[i] == "recent") {
+      want_slow = false;
+    } else if (c.args[i] == "slow") {
+      want_recent = false;
+    } else {
+      std::optional<int64_t> n =
+          ParseNumber<int64_t>(c.args[i], 0, 1 << 30);
+      if (!n) return UsageError(c.usage);
+      limit = static_cast<size_t>(*n);
+    }
+  }
+  std::vector<obs::OpTrace> recent = log.Recent();
+  std::vector<obs::OpTrace> slow = log.SlowOps();
+  // One JSON object per line: a meta header, then the requested
+  // entries (oldest first, capped at `limit` newest per kind). Slow
+  // entries carry their operator profile tree; the recent ring stays
+  // compact.
+  std::string out =
+      StrFormat("{\"meta\":true,\"slow_op_threshold_ms\":%g,"
+                "\"total_recorded\":%llu,\"recent\":%llu,\"slow\":%llu}\n",
+                log.SlowOpThresholdMs(),
+                static_cast<unsigned long long>(log.TotalRecorded()),
+                static_cast<unsigned long long>(recent.size()),
+                static_cast<unsigned long long>(slow.size()));
+  auto render = [&](const std::vector<obs::OpTrace>& ops, const char* kind,
+                    bool with_profile) {
+    size_t start = ops.size() > limit ? ops.size() - limit : 0;
+    for (size_t i = start; i < ops.size(); ++i) {
+      out += std::string("{\"kind\":\"") + kind + "\"," +
+             obs::OpTraceJson(ops[i], with_profile).substr(1) + "\n";
+    }
+  };
+  if (want_recent) render(recent, "recent", /*with_profile=*/false);
+  if (want_slow) render(slow, "slow", /*with_profile=*/true);
+  return out;
+}
+
+Result<std::string> EngineApi::Stats(const Call& c) {
   obs::TraceLog& log = obs::GlobalTraceLog();
   std::string out = "== engine stats (epoch " + std::to_string(lock_.epoch()) +
                     ", slow-op threshold " +
@@ -236,9 +707,9 @@ Result<std::string> EngineApi::Stats(SessionContext* session) {
       out += StrFormat("%-55s %.0f\n", p.FlatName().c_str(), p.value);
     }
   }
-  out += "\n== this session ==\nid " + std::to_string(session->id()) +
-         ", user " + session->user() + ", ops " +
-         std::to_string(session->ops_executed()) + "\n";
+  out += "\n== this session ==\nid " + std::to_string(c.session->id()) +
+         ", user " + c.session->user() + ", ops " +
+         std::to_string(c.session->ops_executed()) + "\n";
 
   auto render_ops = [](const std::vector<obs::OpTrace>& ops, size_t max_rows) {
     std::string s =
@@ -270,489 +741,6 @@ Result<std::string> EngineApi::Stats(SessionContext* session) {
     out += render_ops(slow, 20);
   }
   return out;
-}
-
-std::shared_ptr<SessionContext> EngineApi::NewSession() {
-  return std::make_shared<SessionContext>(next_session_id_.fetch_add(1));
-}
-
-void EngineApi::CloseSession(SessionContext* session, bool discard_staged) {
-  if (discard_staged) {
-    std::map<std::string, std::string> staged = session->StagedTables();
-    if (!staged.empty()) {
-      std::vector<storage::AppendTicket> tickets;
-      {
-        std::unique_lock<std::shared_mutex> lock(lock_.mu());
-        if (orpheus_.durable()) {
-          orpheus_.storage()->SetGroupCommit(group_commit_.load());
-        }
-        for (const auto& [table, cvd] : staged) {
-          // Best-effort: the table may already be gone (CVD dropped, or
-          // the staged table committed through the global fallback path).
-          (void)orpheus_.DiscardStaged(cvd, table);
-          session->RemoveStagedTable(table);
-        }
-        if (orpheus_.durable()) {
-          tickets = orpheus_.storage()->TakePendingTickets();
-        }
-        lock_.BumpEpoch();
-      }
-      // Best-effort durability for the discard records; disconnect
-      // cleanup has no caller to report an I/O error to.
-      if (!tickets.empty()) {
-        (void)orpheus_.storage()->WaitDurable(tickets);
-      }
-    }
-  }
-  registry_.UnpinAll(session->id());
-  session->set_exited();
-}
-
-Result<std::string> EngineApi::Execute(SessionContext* session,
-                                       const std::string& line) {
-  session->Touch();
-  std::string trimmed(Trim(line));
-  if (trimmed.empty() || trimmed[0] == '#') return std::string();
-  // One trace scope per statement: every TraceSpan below (and inside
-  // storage, which runs on this thread) charges its stage to this op.
-  obs::ActiveOpScope op_scope(VerbLabel(trimmed), session->id());
-  session->NoteOp();
-  Result<std::string> result = ExecuteParsed(session, trimmed);
-  op_scope.set_ok(result.ok());
-  return result;
-}
-
-Result<std::string> EngineApi::ExecuteParsed(SessionContext* session,
-                                             const std::string& trimmed) {
-  std::vector<std::string> args;
-  {
-    obs::TraceSpan parse_span(obs::TraceStage::kParse);
-    args = SplitWhitespace(trimmed);
-  }
-  const std::string& cmd = args[0];
-
-  // --- Lock-free commands: session-local state only -----------------
-  if (cmd == "help") return std::string(kHelp);
-  if (cmd == "metrics") return Metrics();
-  if (cmd == "stats") return Stats(session);
-  if (cmd == "traces") return Traces(args);
-  if (cmd == "slowlog") return Slowlog(args);
-  if (cmd == "exit" || cmd == "quit") {
-    session->set_exited();
-    return std::string("bye");
-  }
-  if (cmd == "whoami") return session->user();
-  if (cmd == "pins") {
-    std::map<std::string, SessionPin> pins = session->Pins();
-    if (pins.empty()) return std::string("(no pins)");
-    std::vector<std::string> lines;
-    for (const auto& [cvd, pin] : pins) {
-      lines.push_back(cvd + " v" + std::to_string(pin.vid) + " (epoch " +
-                      std::to_string(pin.epoch) + ")");
-    }
-    return Join(lines, "\n");
-  }
-  if (cmd == "unpin") {
-    if (args.size() < 2) return Status::InvalidArgument("unpin <cvd>");
-    if (!registry_.Unpin(session->id(), args[1])) {
-      return Status::NotFound("no pin on CVD " + args[1] +
-                              " held by this session");
-    }
-    session->RemovePin(args[1]);
-    return "unpinned " + args[1];
-  }
-
-  // --- Shared-lock (read-only) commands ------------------------------
-  bool shared = cmd == "ls" || cmd == "graph" || cmd == "diff" ||
-                cmd == "pin";
-  std::string sql;
-  bool want_profile = false;
-  bool profile_json = false;
-  if (cmd == "run" || cmd == "sql") {
-    size_t pos = trimmed.find(cmd) + cmd.size();
-    sql = std::string(Trim(trimmed.substr(pos)));
-    if (sql.empty()) return Status::InvalidArgument(cmd + " <sql>");
-    shared = IsReadOnlySql(sql);
-  }
-  if (cmd == "explain" || cmd == "profile") {
-    // `explain analyze <sql>` / `profile [-json] <sql>`: run the SQL
-    // (under whichever lock side it needs) and return its operator
-    // profile instead of its rows.
-    std::string marker = cmd;  // last keyword before the SQL text
-    if (cmd == "explain") {
-      if (args.size() < 3 || !TokenEqualsIgnoreCase(args[1], "analyze")) {
-        return Status::InvalidArgument("explain analyze <sql>");
-      }
-      marker = args[1];
-    } else if (args.size() >= 2 && args[1] == "-json") {
-      profile_json = true;
-      marker = args[1];
-    }
-    size_t pos = marker == cmd ? cmd.size()
-                               : trimmed.find(marker, cmd.size()) + marker.size();
-    sql = std::string(Trim(trimmed.substr(pos)));
-    if (sql.empty()) return Status::InvalidArgument(cmd + " needs <sql>");
-    want_profile = true;
-    shared = IsReadOnlySql(sql);
-  }
-  if (shared) {
-    std::shared_lock<std::shared_mutex> lock(lock_.mu(), std::defer_lock);
-    {
-      obs::TraceSpan wait_span(obs::TraceStage::kLockWait);
-      WallTimer wait;
-      lock.lock();
-      LockWaitHist(/*exclusive=*/false)->Observe(wait.ElapsedSeconds());
-    }
-    obs::TraceSpan exec_span(obs::TraceStage::kExecute);
-    if (cmd == "ls") {
-      std::vector<std::string> names = orpheus_.ListCvds();
-      return names.empty() ? "(no CVDs)" : Join(names, "\n");
-    }
-    if (cmd == "graph") {
-      if (args.size() < 2) return Status::InvalidArgument("graph <cvd>");
-      ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(args[1]));
-      return cvd->graph().ToDot();
-    }
-    if (cmd == "diff") return DiffCmd(args);
-    if (cmd == "pin") return Pin(session, args);
-    if (want_profile) return ProfileSql(sql, profile_json);
-    if (cmd == "run") {
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk out, orpheus_.Run(sql));
-      return out.ToString(50);
-    }
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk out, orpheus_.db()->Execute(sql));
-    return out.ToString(50);
-  }
-
-  // --- Exclusive-lock (mutating) commands -----------------------------
-  // Group commit: the exclusive hold covers the in-memory apply plus
-  // the WAL *enqueue* only. Tickets for the records this statement
-  // enqueued are taken before the lock drops; the durable wait happens
-  // after, so other sessions' statements can join the commit group
-  // while this one blocks on the leader's single fdatasync.
-  std::vector<storage::AppendTicket> tickets;
-  uint64_t sync_head = 0;  // durable WAL head when group commit is off
-  Result<std::string> result = std::string();
-  {
-    std::unique_lock<std::shared_mutex> lock(lock_.mu(), std::defer_lock);
-    {
-      obs::TraceSpan wait_span(obs::TraceStage::kLockWait);
-      WallTimer wait;
-      lock.lock();
-      LockWaitHist(/*exclusive=*/true)->Observe(wait.ElapsedSeconds());
-    }
-    obs::TraceSpan exec_span(obs::TraceStage::kExecute);
-    if (orpheus_.durable()) {
-      orpheus_.storage()->SetGroupCommit(group_commit_.load());
-    }
-    result = [&]() -> Result<std::string> {
-    if (cmd == "create_user") {
-      if (args.size() < 2) return Status::InvalidArgument("create_user <name>");
-      ORPHEUS_RETURN_NOT_OK(orpheus_.CreateUser(args[1]));
-      return "created user " + args[1];
-    }
-    if (cmd == "config") {
-      if (args.size() < 2) return Status::InvalidArgument("config <name>");
-      ORPHEUS_RETURN_NOT_OK(orpheus_.Login(args[1]));
-      session->set_user(args[1]);
-      return "logged in as " + args[1];
-    }
-    if (cmd == "drop") return Drop(session, args);
-    if (cmd == "open") {
-      if (args.size() < 2) return Status::InvalidArgument("open <dir>");
-      ORPHEUS_RETURN_NOT_OK(orpheus_.Open(args[1]));
-      // Recovery may have replayed a login; mirror it into the session
-      // so whoami matches the restored engine state.
-      session->set_user(orpheus_.WhoAmI());
-      return "opened durable database at " + args[1] + " (" +
-             std::to_string(orpheus_.ListCvds().size()) + " CVDs)";
-    }
-    if (cmd == "checkpoint") {
-      ORPHEUS_RETURN_NOT_OK(orpheus_.Checkpoint());
-      const storage::StorageManager::CheckpointStats& stats =
-          orpheus_.storage()->last_checkpoint_stats();
-      return "checkpointed " + orpheus_.storage_dir() + " (" +
-             std::to_string(stats.segments_written) + " segments written, " +
-             std::to_string(stats.segments_reused) + " reused)";
-    }
-    if (cmd == "save") {
-      if (args.size() < 2) return Status::InvalidArgument("save <dir>");
-      ORPHEUS_RETURN_NOT_OK(orpheus_.SaveSnapshot(args[1]));
-      return "saved snapshot to " + args[1];
-    }
-    if (want_profile) return ProfileSql(sql, profile_json);
-    if (cmd == "run") {
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk out, orpheus_.Run(sql));
-      return out.ToString(50);
-    }
-    if (cmd == "sql") {
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk out, orpheus_.db()->Execute(sql));
-      return out.ToString(50);
-    }
-    if (cmd == "threads") {
-      // Scan parallelism for the relstore executor (the --threads
-      // flag's runtime equivalent). The exclusive lock guarantees no
-      // query is running while the pool is resized.
-      if (args.size() >= 2) {
-        char* end = nullptr;
-        long n = std::strtol(args[1].c_str(), &end, 10);
-        if (end == args[1].c_str() || *end != '\0' || n < 0) {
-          return Status::InvalidArgument("threads [<n>] with n >= 0");
-        }
-        // Clamp before narrowing so huge values can't wrap through int.
-        SetExecThreads(static_cast<int>(std::min<long>(n, kMaxExecThreads)));
-      }
-      return "exec threads: " + std::to_string(ExecThreads());
-    }
-    if (cmd == "init") return Init(session, args);
-    if (cmd == "checkout") return Checkout(session, args);
-    if (cmd == "commit") return Commit(session, args);
-    if (cmd == "discard") return Discard(session, args);
-    if (cmd == "optimize") return Optimize(args);
-    return Status::InvalidArgument("unknown command: " + cmd +
-                                   " (try 'help')");
-    }();
-    if (orpheus_.durable()) {
-      tickets = orpheus_.storage()->TakePendingTickets();
-      // With group commit off the appenders already synced everything
-      // they wrote, so the current WAL head is durable — keep the
-      // session bookmark advancing identically in both modes.
-      if (tickets.empty() && result.ok() && !group_commit_.load()) {
-        sync_head = orpheus_.storage()->next_lsn() - 1;
-      }
-    }
-    if (result.ok()) lock_.BumpEpoch();
-  }
-  if (!tickets.empty()) {
-    obs::TraceSpan sync_span(obs::TraceStage::kGroupCommitSync);
-    Status durable = orpheus_.storage()->WaitDurable(tickets);
-    if (!durable.ok()) {
-      // The in-memory apply succeeded but the record never reached
-      // disk; surface the I/O error (the handler's message would claim
-      // durability the WAL can't back).
-      return result.ok() ? Result<std::string>(durable) : result;
-    }
-    session->NoteDurableLsn(tickets.back()->lsn);
-  } else if (sync_head > 0) {
-    session->NoteDurableLsn(sync_head);
-  }
-  return result;
-}
-
-Result<std::string> EngineApi::Init(SessionContext* session,
-                                    const std::vector<std::string>& args) {
-  (void)session;
-  if (args.size() < 2) return Status::InvalidArgument("init <cvd> -f <file>");
-  const std::string& name = args[1];
-  std::string file = FlagValue(args, "-f");
-  if (file.empty()) return Status::InvalidArgument("init requires -f <file.csv>");
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, ReadCsvFile(file));
-
-  CvdOptions options;
-  std::string pk = FlagValue(args, "-pk");
-  if (!pk.empty()) {
-    for (const std::string& col : Split(pk, ',')) {
-      options.primary_key.emplace_back(Trim(col));
-    }
-  }
-  std::string model = FlagValue(args, "-model");
-  if (!model.empty()) {
-    ORPHEUS_ASSIGN_OR_RETURN(options.model, DataModelKindFromName(model));
-  }
-  ORPHEUS_ASSIGN_OR_RETURN(
-      Cvd * cvd, orpheus_.InitCvd(name, rows, options, "init from " + file));
-  return "initialized CVD " + name + " with version 1 (" +
-         std::to_string(cvd->graph().GetNode(1).value()->num_records) +
-         " records)";
-}
-
-Result<std::string> EngineApi::Checkout(SessionContext* session,
-                                        const std::vector<std::string>& args) {
-  if (args.size() < 2) {
-    return Status::InvalidArgument("checkout <cvd> -v ... -t ...");
-  }
-  const std::string& name = args[1];
-  std::string vid_text = FlagValue(args, "-v");
-  if (vid_text.empty()) return Status::InvalidArgument("checkout requires -v");
-  ORPHEUS_ASSIGN_OR_RETURN(std::vector<VersionId> vids, ParseVidList(vid_text));
-
-  std::string table = FlagValue(args, "-t");
-  std::string file = FlagValue(args, "-f");
-  if (table.empty() && file.empty()) {
-    return Status::InvalidArgument("checkout requires -t <table> or -f <file>");
-  }
-  if (table.empty()) {
-    // The counter restarts with each session, and a reopened durable
-    // engine may have replayed csvstage checkouts from an earlier
-    // process — skip names that are already taken.
-    do {
-      table = name + "_csvstage_" + std::to_string(session->NextStagingId());
-    } while (orpheus_.db()->HasTable(table));
-  }
-  ORPHEUS_RETURN_NOT_OK(orpheus_.Checkout(name, vids, table));
-  session->AddStagedTable(table, name);
-  if (!file.empty()) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, orpheus_.db()->GetTable(table));
-    ORPHEUS_RETURN_NOT_OK(WriteCsvFile(file, staged->data()));
-    session->AddCsvStaging(file, name, table);
-    return "checked out version(s) " + vid_text + " of " + name + " into " +
-           file;
-  }
-  return "checked out version(s) " + vid_text + " of " + name +
-         " into table " + table;
-}
-
-Result<std::string> EngineApi::ResolveStagedCvd(const SessionContext& session,
-                                                const std::string& table) {
-  std::string cvd_name = session.StagedCvd(table);
-  if (!cvd_name.empty()) return cvd_name;
-  // Fallback: scan every CVD's staging area. Covers tables staged by a
-  // previous process (WAL replay) or through direct engine access.
-  for (const std::string& name : orpheus_.ListCvds()) {
-    ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
-    if (cvd->staged_tables().count(table) > 0) return name;
-  }
-  return Status::NotFound("table was not checked out from any CVD: " + table);
-}
-
-Result<std::string> EngineApi::Commit(SessionContext* session,
-                                      const std::vector<std::string>& args) {
-  std::string table = FlagValue(args, "-t");
-  std::string file = FlagValue(args, "-f");
-  std::string message = FlagValue(args, "-m");
-  if (message.empty()) message = "(no message)";
-
-  std::string cvd_name;
-  if (!file.empty()) {
-    auto entry = session->GetCsvStaging(file);
-    if (entry.first.empty()) {
-      return Status::NotFound("file was not checked out from a CVD: " + file);
-    }
-    cvd_name = entry.first;
-    table = entry.second;
-    // Reload the (possibly externally edited) csv into the staged
-    // table, keeping the rid column where rows still carry one.
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, ReadCsvFile(file));
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, orpheus_.db()->GetTable(table));
-    if (!rows.schema().Equals(staged->schema())) {
-      return Status::InvalidArgument(
-          "csv schema does not match the checked-out schema (did the header "
-          "change?)");
-    }
-    staged->mutable_chunk() = std::move(rows);
-    session->RemoveCsvStaging(file);
-  } else if (!table.empty()) {
-    ORPHEUS_ASSIGN_OR_RETURN(cvd_name, ResolveStagedCvd(*session, table));
-  } else {
-    return Status::InvalidArgument("commit requires -t <table> or -f <file>");
-  }
-
-  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
-                           orpheus_.Commit(cvd_name, table, message));
-  session->RemoveStagedTable(table);
-  return "committed version " + std::to_string(vid) + " to " + cvd_name;
-}
-
-Result<std::string> EngineApi::Discard(SessionContext* session,
-                                       const std::vector<std::string>& args) {
-  std::string table = FlagValue(args, "-t");
-  if (table.empty() && args.size() >= 2 && args[1][0] != '-') table = args[1];
-  if (table.empty()) return Status::InvalidArgument("discard -t <table>");
-  ORPHEUS_ASSIGN_OR_RETURN(std::string cvd_name,
-                           ResolveStagedCvd(*session, table));
-  ORPHEUS_RETURN_NOT_OK(orpheus_.DiscardStaged(cvd_name, table));
-  session->RemoveStagedTable(table);
-  return "discarded staged table " + table;
-}
-
-Result<std::string> EngineApi::Drop(SessionContext* session,
-                                    const std::vector<std::string>& args) {
-  if (args.size() < 2) return Status::InvalidArgument("drop <cvd>");
-  const std::string& name = args[1];
-  int others = registry_.PinsByOthers(name, session->id());
-  if (others > 0) {
-    return Status::FailedPrecondition(
-        "cannot drop " + name + ": pinned by " + std::to_string(others) +
-        " other session(s)");
-  }
-  ORPHEUS_RETURN_NOT_OK(orpheus_.DropCvd(name));
-  registry_.ForgetCvd(name);
-  session->RemovePin(name);
-  return "dropped " + name;
-}
-
-Result<std::string> EngineApi::Pin(SessionContext* session,
-                                   const std::vector<std::string>& args) {
-  if (args.size() < 2) return Status::InvalidArgument("pin <cvd> [-v <vid>]");
-  const std::string& name = args[1];
-  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
-  VersionId vid = cvd->latest_version();
-  std::string vid_text = FlagValue(args, "-v");
-  if (!vid_text.empty()) {
-    vid = std::strtoll(vid_text.c_str(), nullptr, 10);
-  }
-  if (!cvd->graph().GetNode(vid).ok()) {
-    return Status::NotFound("no version " + std::to_string(vid) + " in CVD " +
-                            name);
-  }
-  SessionPin pin{vid, lock_.epoch()};
-  registry_.Pin(session->id(), name, pin);
-  session->RecordPin(name, pin);
-  return "pinned " + name + " at version " + std::to_string(vid) +
-         " (epoch " + std::to_string(pin.epoch) + ")";
-}
-
-Result<std::string> EngineApi::DiffCmd(const std::vector<std::string>& args) {
-  if (args.size() < 4) return Status::InvalidArgument("diff <cvd> <v1> <v2>");
-  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(args[1]));
-  VersionId v1 = std::strtoll(args[2].c_str(), nullptr, 10);
-  VersionId v2 = std::strtoll(args[3].c_str(), nullptr, 10);
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk fwd, cvd->Diff(v1, v2));
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk bwd, cvd->Diff(v2, v1));
-  std::string out = "records only in v" + std::to_string(v1) + " (" +
-                    std::to_string(fwd.num_rows()) + "):\n" + fwd.ToString(20);
-  out += "records only in v" + std::to_string(v2) + " (" +
-         std::to_string(bwd.num_rows()) + "):\n" + bwd.ToString(20);
-  return out;
-}
-
-Result<std::string> EngineApi::Optimize(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Status::InvalidArgument("optimize <cvd> [-gamma f]");
-  const std::string& name = args[1];
-  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
-  auto* model = dynamic_cast<SplitByRlistModel*>(cvd->model());
-  if (model == nullptr) {
-    return Status::NotSupported("optimize requires the split-by-rlist model");
-  }
-  double factor = 2.0;
-  std::string gamma_text = FlagValue(args, "-gamma");
-  if (!gamma_text.empty()) factor = std::strtod(gamma_text.c_str(), nullptr);
-
-  int64_t gamma =
-      static_cast<int64_t>(factor * static_cast<double>(cvd->total_records()));
-  ORPHEUS_ASSIGN_OR_RETURN(part::LyreSplitResult split,
-                           part::LyreSplit::RunForBudget(cvd->graph(), gamma));
-
-  // Materialize the partitions and install the checkout/query routing.
-  std::map<VersionId, std::vector<RecordId>> version_rids;
-  for (VersionId vid : cvd->graph().versions()) {
-    ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                             cvd->model()->VersionRecords(vid));
-    version_rids[vid] = std::move(rids);
-  }
-  // Drop any previous store first so a re-optimize can reuse its
-  // physical table names (and WAL replay does the same).
-  orpheus_.DetachPartitionStore(name);
-  auto store = std::make_unique<part::PartitionStore>(orpheus_.db(), name,
-                                                      model->DataTable());
-  ORPHEUS_RETURN_NOT_OK(store->Build(split.partitioning, std::move(version_rids)));
-  ORPHEUS_RETURN_NOT_OK(orpheus_.AttachPartitionStore(name, std::move(store)));
-  return "partitioned " + name + " into " +
-         std::to_string(split.partitioning.num_partitions()) +
-         " partitions (delta=" + StrFormat("%.4f", split.delta) +
-         ", est. storage=" + std::to_string(split.estimated_storage) +
-         " records, est. checkout=" +
-         StrFormat("%.1f", split.estimated_checkout) + " records)";
 }
 
 }  // namespace orpheus::core

@@ -8,23 +8,22 @@
 // the engine from more than one thread.
 //
 // Concurrency contract (see concurrency.h for the primitives):
-//  * Execute() classifies each command as read-only or mutating.
-//    Read-only commands (ls, graph, diff, pin, whoami, pins, and
-//    SELECT-only run/sql) take the shared side of the engine lock and
-//    may overlap across sessions. Mutating commands (init, checkout,
-//    commit, discard, drop, optimize, create_user, config, threads,
-//    open, checkpoint, save, and any non-SELECT SQL) take the
-//    exclusive side; the WAL records they produce while holding it
-//    form a correct total order.
-//  * Group commit (on by default, --group-commit=off to disable): on a
-//    durable engine the exclusive hold covers only the in-memory apply
-//    plus the WAL enqueue; Execute then releases the lock and blocks
-//    in StorageManager::WaitDurable until a group leader has batched
-//    the record — with the records of every other session that reached
-//    the write path meanwhile — into one write + one fdatasync. The
-//    durability point of a mutating statement is still "Execute
-//    returned OK"; what changed is that N concurrent commits cost ~1
-//    sync instead of N, because the sync happens outside the lock.
+//  * Every verb is one entry of the verb table, kVerbs in
+//    engine_api.cc: its lock mode, usage line and handler. Dispatch,
+//    `help`, usage errors and the per-verb metric labels all derive
+//    from it. Lock modes: none (session-local or internally
+//    synchronized state), shared (read-only; overlaps other readers),
+//    exclusive (mutating; the WAL records a statement enqueues while
+//    holding it form a correct total order), and by-SQL (shared iff
+//    the SQL is a SELECT without INTO).
+//  * Durability is group commit: on a durable engine the exclusive
+//    hold covers only the in-memory apply plus the WAL enqueue;
+//    Execute then releases the lock and blocks in
+//    StorageManager::WaitDurable until a group leader has written the
+//    record — with the records of every other session that reached
+//    the write path meanwhile — in one write + one fdatasync. A lone
+//    statement is a group of one. The durability point of a mutating
+//    statement is "Execute returned OK".
 //  * Committed versions are immutable, so a reader that pinned a
 //    version keeps observing exactly that version's records while
 //    writers commit — `pin <cvd>` records the (version, epoch) pair
@@ -32,10 +31,6 @@
 //  * Direct OrpheusDB access via orpheus() bypasses the lock and is
 //    only safe while no other session is executing (setup, tests,
 //    single-threaded tools).
-//
-// Command syntax matches the former cli::CommandProcessor plus the
-// session verbs: `pin <cvd> [-v <vid>]`, `unpin <cvd>`, `pins`, and
-// `discard -t <table>`.
 
 #ifndef ORPHEUS_CORE_ENGINE_API_H_
 #define ORPHEUS_CORE_ENGINE_API_H_
@@ -43,6 +38,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -78,45 +74,43 @@ class EngineApi {
   EngineLock* lock() { return &lock_; }
   SnapshotRegistry* registry() { return &registry_; }
 
-  // Group commit for the durable write path (see the class comment).
-  // Default on; the CLI/server --group-commit={on,off} flag sets it at
-  // startup. Takes effect at the next mutating statement.
-  void set_group_commit(bool on) { group_commit_.store(on); }
-  bool group_commit() const { return group_commit_.load(); }
-
  private:
-  // Execute() minus the per-op trace scope: dispatches one already
-  // trimmed statement.
-  Result<std::string> ExecuteParsed(SessionContext* session,
-                                    const std::string& trimmed);
+  enum class LockMode { kNone, kShared, kExclusive, kBySql };
+  // One invocation of a verb: the engine and session it runs against,
+  // the statement's whitespace tokens (args[0] is the verb), the SQL
+  // operand of a by-SQL verb (spacing kept), and the verb's usage line
+  // for error messages.
+  struct Call {
+    EngineApi* api;
+    SessionContext* session;
+    std::vector<std::string> args;
+    std::string sql;
+    const char* usage;
+  };
+  struct Verb;  // one verb-table entry (engine_api.cc)
+  static const Verb kVerbs[];
+  static const Verb* FindVerb(std::string_view name);
+  static std::string Help();
 
-  // Observability verbs (lock-free; the registry and trace log are
-  // internally synchronized).
-  Result<std::string> Metrics();
-  Result<std::string> Stats(SessionContext* session);
-  Result<std::string> Traces(const std::vector<std::string>& args);
-  Result<std::string> Slowlog(const std::vector<std::string>& args);
+  // Runs `body` under `mode` (kNone, kShared or kExclusive), charging
+  // the wait and the body to their trace stages. An exclusive body's
+  // WAL records are waited durable after the lock drops.
+  template <typename Body>
+  Result<std::string> RunLocked(LockMode mode, SessionContext* session,
+                                Body&& body);
 
+  // Handlers kept out of the verb table, being shared (Exit) or long;
+  // called with the verb's engine lock held.
+  static Result<std::string> Exit(const Call& c);
+  Result<std::string> Init(const Call& c);
+  Result<std::string> Checkout(const Call& c);
+  Result<std::string> Commit(const Call& c);
+  Result<std::string> Optimize(const Call& c);
+  Result<std::string> Stats(const Call& c);
+  Result<std::string> Traces(const Call& c);
   // Runs `sql` and returns its operator profile tree instead of its
-  // rows — the `explain analyze` / `profile` verbs. Called with the
-  // appropriate engine lock held (the SQL really executes).
+  // rows — the `explain analyze` / `profile` verbs.
   Result<std::string> ProfileSql(const std::string& sql, bool json);
-
-  // Command handlers; called with the appropriate engine lock held.
-  Result<std::string> Init(SessionContext* session,
-                           const std::vector<std::string>& args);
-  Result<std::string> Checkout(SessionContext* session,
-                               const std::vector<std::string>& args);
-  Result<std::string> Commit(SessionContext* session,
-                             const std::vector<std::string>& args);
-  Result<std::string> Discard(SessionContext* session,
-                              const std::vector<std::string>& args);
-  Result<std::string> Drop(SessionContext* session,
-                           const std::vector<std::string>& args);
-  Result<std::string> DiffCmd(const std::vector<std::string>& args);
-  Result<std::string> Optimize(const std::vector<std::string>& args);
-  Result<std::string> Pin(SessionContext* session,
-                          const std::vector<std::string>& args);
 
   // Resolves which CVD owns a staged table: the session's own
   // checkouts first, then any CVD's staging area (so a session can
@@ -128,7 +122,6 @@ class EngineApi {
   EngineLock lock_;
   SnapshotRegistry registry_;
   std::atomic<uint64_t> next_session_id_{1};
-  std::atomic<bool> group_commit_{true};
 };
 
 }  // namespace orpheus::core

@@ -57,12 +57,16 @@ struct OpTrace {
 // when `include_profile` is set and the op recorded one.
 std::string OpTraceJson(const OpTrace& op, bool include_profile);
 
+// Largest accepted slow-op threshold (about 11.6 days).
+inline constexpr double kMaxSlowOpThresholdMs = 1e9;
+
 // Ring buffer of recent operations plus a slow-op log. Recording and
 // reading take a mutex; this runs once per statement, not per batch.
 class TraceLog {
  public:
   explicit TraceLog(size_t recent_capacity = 256, size_t slow_capacity = 128);
 
+  // `ms` must lie in [0, kMaxSlowOpThresholdMs].
   void SetSlowOpThresholdMs(double ms);
   double SlowOpThresholdMs() const;
 

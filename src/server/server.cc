@@ -71,7 +71,7 @@ Status Server::Start() {
   }
   port_ = port.value();
   pool_ = std::make_unique<ThreadPool>(options_.workers);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  acceptor_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return Status::OK();
 }
 
@@ -82,13 +82,14 @@ void Server::Stop() {
     if (acceptor_.joinable()) acceptor_.join();
     return;
   }
+  // Wake the acceptor out of accept() with an error, and close the fd
+  // only once it has exited, so the number cannot be reused under it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    // Wakes the acceptor out of accept() with an error.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     CloseFd(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   {
     // Nudge handlers blocked in poll/read: a shutdown() makes their
     // next read return 0 and the handler exits its loop.
@@ -99,9 +100,9 @@ void Server::Stop() {
   sessions_.CloseAll();
 }
 
-void Server::AcceptLoop() {
+void Server::AcceptLoop(int listen_fd) {
   while (!stopping_.load(std::memory_order_acquire)) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) return;
       continue;  // EINTR / transient accept failure

@@ -65,7 +65,9 @@ class Server {
   SessionManager* sessions() { return &sessions_; }
 
  private:
-  void AcceptLoop();
+  // Runs on the acceptor thread with its own copy of the listening fd;
+  // Stop() closes listen_fd_ only after joining it.
+  void AcceptLoop(int listen_fd);
   void HandleConnection(int fd);
 
   core::EngineApi* api_;

@@ -15,12 +15,14 @@ void SessionManager::Close(uint64_t id) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return;
-    session = std::move(it->second);
-    sessions_.erase(it);
+    session = it->second;
   }
   // Outside mu_: CloseSession takes the engine's exclusive lock to
   // discard staged tables, and must not hold the registry mutex then.
+  // The session stays counted by active() until its teardown is done.
   api_->CloseSession(session.get(), /*discard_staged=*/true);
+  std::lock_guard<std::mutex> lock(mu_);
+  sessions_.erase(id);
 }
 
 void SessionManager::CloseAll() {

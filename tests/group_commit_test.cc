@@ -15,9 +15,9 @@
 //    engine recovered from the WAL is bit-identical to the live one.
 //    Run at --threads {1, 4} like the other concurrency suites.
 //
-//  * EngineApi semantics — per-session last_durable_lsn is monotonic,
-//    --group-commit=off behaves exactly like the old one-sync-per-
-//    record path, and the auto-checkpoint policy still fires when the
+//  * EngineApi semantics — every statement is group-committed (a
+//    lone one is a group of one), per-session last_durable_lsn is
+//    monotonic, and the auto-checkpoint policy still fires when the
 //    growth happened through queued records.
 
 #include <atomic>
@@ -209,32 +209,6 @@ TEST(GroupCommit, SessionDurableLsnIsMonotonic) {
   EXPECT_EQ(api.orpheus()->storage()->next_lsn() - 1, prev);
 }
 
-TEST(GroupCommit, OffModeOverApiSyncsPerRecord) {
-  TempDir dir;
-  std::string live_blob;
-  {
-    EngineApi api;
-    api.set_group_commit(false);
-    ASSERT_TRUE(api.orpheus()->Open(dir.path()).ok());
-    Seed(&api, "c", 4);
-    auto session = api.NewSession();
-    storage::StorageManager* sm = api.orpheus()->storage();
-    uint64_t syncs_before = sm->wal_syncs();
-    uint64_t records_before = sm->wal_records();
-    MustExecute(&api, session.get(), "checkout c -v 1 -t w");
-    MustExecute(&api, session.get(), "commit -t w -m x");
-    // One fdatasync per record: the pre-group-commit write path.
-    EXPECT_EQ(sm->wal_records() - records_before,
-              sm->wal_syncs() - syncs_before);
-    // Statements still report durability through the session bookmark.
-    EXPECT_EQ(sm->next_lsn() - 1, session->last_durable_lsn());
-    live_blob = storage::SnapshotCodec::Encode(*api.orpheus(), 0);
-  }
-  OrpheusDB recovered;
-  ASSERT_TRUE(recovered.Open(dir.path()).ok());
-  EXPECT_EQ(live_blob, storage::SnapshotCodec::Encode(recovered, 0));
-}
-
 TEST(GroupCommit, AutoCheckpointStillFiresOnQueuedGrowth) {
   TempDir dir;
   std::string live_blob;
@@ -279,7 +253,6 @@ void RunTcpStress(int exec_threads) {
   size_t total_records = 0;
   {
     EngineApi api;
-    ASSERT_TRUE(api.group_commit());  // the server default
     ASSERT_TRUE(api.orpheus()->Open(dir.path()).ok());
     Seed(&api, "c", 6);
     storage::StorageManager* sm = api.orpheus()->storage();
