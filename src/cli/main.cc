@@ -17,13 +17,13 @@
 //
 // --db opens (creating if needed) a durable database directory:
 // version-control commands are logged to its commit WAL, and a later
-// invocation with the same --db recovers the full state (snapshot +
+// invocation with the same --db recovers the full state (checkpoint +
 // WAL replay — see docs/PERSISTENCE.md). Without --db the backing
 // database is in-memory and dies with the process; the `open` shell
 // command is the runtime equivalent. --wal-checkpoint-bytes=<n> (and
 // --wal-checkpoint-records=<n>) arm the automatic checkpoint policy:
 // once the WAL grows past either bound, the next logged verb folds it
-// into a fresh snapshot.
+// into a checkpoint.
 //
 // --serve=<port> (0 = ephemeral; the bound port is printed) turns the
 // process into a loopback TCP server speaking the framed protocol of

@@ -258,11 +258,12 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
               std::to_string(stats.segments_written) + " segments written, " +
               std::to_string(stats.segments_reused) + " reused)";
      }},
-    {LockMode::kExclusive, "save <dir>", "one-shot snapshot export (no WAL)",
+    {LockMode::kExclusive, "save <dir>",
+     "export: checkpoint into a fresh database directory",
      [](const Call& c) -> Result<std::string> {
        if (c.args.size() < 2) return UsageError(c.usage);
        ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.SaveSnapshot(c.args[1]));
-       return "saved snapshot to " + c.args[1];
+       return "saved database to " + c.args[1];
      }},
     // Exclusive so that no query is running while the pool is resized.
     {LockMode::kExclusive, "threads [<n>]",

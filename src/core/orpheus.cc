@@ -1,7 +1,6 @@
 #include "core/orpheus.h"
 
 #include "core/data_model.h"
-#include "storage/io_util.h"
 #include "storage/storage_manager.h"
 
 namespace orpheus::core {
@@ -229,19 +228,7 @@ Status OrpheusDB::Checkpoint() {
 }
 
 Status OrpheusDB::SaveSnapshot(const std::string& dir) {
-  if (storage_ != nullptr) {
-    // Compare directory identities, not spellings: a watermark-0
-    // snapshot dropped into the live directory would make the next
-    // open replay the whole WAL on top of it. The open dir always
-    // resolves; if the target does not yet exist it cannot be it.
-    auto open_dir = storage::CanonicalPath(storage_->dir());
-    auto target = storage::CanonicalPath(dir);
-    if (open_dir.ok() && target.ok() && open_dir.value() == target.value()) {
-      return Status::InvalidArgument(
-          "target is the open durable directory; use Checkpoint() instead");
-    }
-  }
-  return storage::StorageManager::SaveSnapshotTo(this, dir);
+  return storage::StorageManager::ExportTo(this, dir);
 }
 
 std::string OrpheusDB::storage_dir() const {

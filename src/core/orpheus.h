@@ -6,15 +6,15 @@
 // manager that makes the version-control verbs crash-safe. The CLI and
 // the examples talk to this class; tests may also reach into Cvd
 // directly (such direct mutations bypass the commit WAL and are only
-// persisted by the next snapshot).
+// persisted by the next checkpoint).
 //
 // Durability contract: with Open() active, every version-control verb
 // (CreateUser/Login/InitCvd/Checkout/Commit/DiscardStaged/DropCvd and
 // partition-store attachment) is appended to the commit WAL after its
 // in-memory apply succeeds; reopening the directory replays the log on
-// top of the latest snapshot. Raw SQL against db() is NOT logged — it
-// becomes durable at the next Checkpoint()/SaveSnapshot(). See
-// docs/PERSISTENCE.md for the recovery contract.
+// top of the latest checkpoint. Raw SQL against db() is NOT logged — it
+// becomes durable at the next Checkpoint() (a SaveSnapshot() export
+// carries it too). See docs/PERSISTENCE.md for the recovery contract.
 
 #ifndef ORPHEUS_CORE_ORPHEUS_H_
 #define ORPHEUS_CORE_ORPHEUS_H_
@@ -98,14 +98,17 @@ class OrpheusDB {
 
   // --- Durable storage ----------------------------------------------------
   // Opens (creating if needed) a durable database directory: restores
-  // the latest snapshot, replays the commit WAL tail, and arms
+  // the latest checkpoint, replays the commit WAL tail, and arms
   // auto-logging. Requires a fresh engine (no CVDs, no tables).
   Status Open(const std::string& dir);
-  // Writes a fresh snapshot (temp file + atomic rename) and truncates
-  // the WAL. Requires Open().
+  // Incremental checkpoint: writes segments for the tables changed
+  // since the last one, commits them by atomically replacing the
+  // MANIFEST, and resets the WAL. Requires Open().
   Status Checkpoint();
-  // One-shot snapshot export to `dir` (works without Open; does not
-  // arm logging).
+  // Exports the engine as a new database directory at `dir`: a full
+  // checkpoint into a target that holds no database yet (works without
+  // Open; does not arm logging). Refuses a directory that already
+  // holds a database or is locked by an open engine.
   Status SaveSnapshot(const std::string& dir);
 
   bool durable() const { return storage_ != nullptr; }

@@ -99,6 +99,47 @@ Result<std::vector<int64_t>> DecodeI64Vec(BinaryReader* r) {
   return out;
 }
 
+std::string EncodeFramedFile(std::string_view magic, std::string_view body) {
+  BinaryWriter file;
+  file.PutRaw(magic.data(), magic.size());
+  file.PutU32(kStorageFormatVersion);
+  file.PutU64(body.size());
+  file.PutU32(Crc32(body));
+  file.PutRaw(body.data(), body.size());
+  return file.Release();
+}
+
+Result<std::string_view> DecodeFramedFile(std::string_view file,
+                                          std::string_view magic,
+                                          const std::string& kind,
+                                          const std::string& path) {
+  const size_t header_bytes = magic.size() + 4 + 8 + 4;
+  if (file.size() < header_bytes || file.substr(0, magic.size()) != magic) {
+    return Status::InvalidArgument("not an OrpheusDB " + kind +
+                                   " file: " + path);
+  }
+  BinaryReader header(file.substr(magic.size()));
+  uint32_t version = header.GetU32();
+  if (version != kStorageFormatVersion) {
+    return Status::InvalidArgument(
+        kind + " format version " + std::to_string(version) +
+        " unsupported (this build reads version " +
+        std::to_string(kStorageFormatVersion) + "): " + path);
+  }
+  uint64_t body_len = header.GetU64();
+  uint32_t body_crc = header.GetU32();
+  if (body_len != file.size() - header_bytes) {
+    return Status::Internal(kind + " body length mismatch (corrupt file " +
+                            path + ")");
+  }
+  std::string_view body = file.substr(header_bytes);
+  if (Crc32(body) != body_crc) {
+    return Status::Internal(kind + " checksum mismatch (corrupt file " + path +
+                            ")");
+  }
+  return body;
+}
+
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
@@ -108,17 +149,6 @@ Result<int64_t> FileSize(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) return Errno("stat", path);
   return static_cast<int64_t>(st.st_size);
-}
-
-Result<std::string> CanonicalPath(const std::string& path) {
-  char* resolved = ::realpath(path.c_str(), nullptr);
-  if (resolved == nullptr) {
-    return Status::NotFound("cannot resolve path: " + path + ": " +
-                            std::strerror(errno));
-  }
-  std::string out(resolved);
-  ::free(resolved);
-  return out;
 }
 
 Status CreateDirectories(const std::string& path) {

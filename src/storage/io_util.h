@@ -1,11 +1,11 @@
 // Low-level helpers for the durable storage subsystem: a CRC32
-// implementation (the WAL/snapshot checksum), little-endian binary
-// encode/decode buffers, and POSIX file utilities with the usual
-// crash-safety idioms (write-temp + fsync + atomic rename + fsync of
-// the containing directory).
+// implementation (the WAL/segment/manifest checksum), little-endian
+// binary encode/decode buffers, the segment/manifest file frame, and
+// POSIX file utilities with the usual crash-safety idioms (write-temp
+// + fsync + atomic rename + fsync of the containing directory).
 //
-// Everything here is value-level and engine-agnostic; the snapshot and
-// WAL codecs build on it.
+// Everything here is value-level and engine-agnostic; the checkpoint
+// and WAL codecs build on it.
 
 #ifndef ORPHEUS_STORAGE_IO_UTIL_H_
 #define ORPHEUS_STORAGE_IO_UTIL_H_
@@ -51,6 +51,8 @@ class BinaryWriter {
     buf_.append(s.data(), s.size());
   }
   void PutRaw(const void* data, size_t size) {
+    // An empty source (e.g. an empty IntArray) may be a null pointer.
+    if (size == 0) return;
     buf_.append(static_cast<const char*>(data), size);
   }
 
@@ -104,6 +106,9 @@ class BinaryReader {
   }
   bool GetRaw(void* out, size_t n) {
     if (!Ensure(n)) return false;
+    // An empty destination (e.g. an empty IntArray) may be a null
+    // pointer, which memcpy does not accept even for length 0.
+    if (n == 0) return true;
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
     return true;
@@ -138,21 +143,38 @@ class BinaryReader {
   bool ok_ = true;
 };
 
-// Small composite codecs shared by the snapshot and WAL payloads.
+// Small composite codecs shared by the checkpoint and WAL payloads.
 void EncodeStringVec(const std::vector<std::string>& strings, BinaryWriter* w);
 Result<std::vector<std::string>> DecodeStringVec(BinaryReader* r);
 void EncodeI64Vec(const std::vector<int64_t>& values, BinaryWriter* w);
 Result<std::vector<int64_t>> DecodeI64Vec(BinaryReader* r);
 
+// --- Self-checking file framing -----------------------------------------
+//
+// Segment files and the MANIFEST share one frame:
+//
+//   [8B magic][u32 format version][u64 body length][u32 body crc32][body]
+//
+// Files of any other format version are refused, not guessed at.
+inline constexpr uint32_t kStorageFormatVersion = 2;
+
+// Wraps `body` in the frame. `magic` is the 8-byte file-kind tag.
+std::string EncodeFramedFile(std::string_view magic, std::string_view body);
+
+// Validates the frame of `file` and returns its body (a view into
+// `file`). `kind` ("segment", "manifest") and `path` only feed error
+// messages, so a failed Open names the bad file. InvalidArgument on a
+// foreign magic or format version, Internal on a length or checksum
+// mismatch — never a crash.
+Result<std::string_view> DecodeFramedFile(std::string_view file,
+                                          std::string_view magic,
+                                          const std::string& kind,
+                                          const std::string& path);
+
 // --- File helpers -------------------------------------------------------
 
 bool FileExists(const std::string& path);
 Result<int64_t> FileSize(const std::string& path);
-
-// realpath(): the canonical absolute path, or NotFound if the path
-// does not resolve. Used to compare directory identities ("./d" vs
-// "d") rather than spellings.
-Result<std::string> CanonicalPath(const std::string& path);
 
 // mkdir -p. OK if the directory already exists.
 Status CreateDirectories(const std::string& path);
@@ -162,7 +184,7 @@ Result<std::string> ReadFileToString(const std::string& path);
 
 // Durable file classes, used to route fault-injection plans (below) to
 // the right write path. kNone is the default for files that are not
-// part of the crash-recovery protocol (exports, test scratch).
+// part of the crash-recovery protocol (test scratch).
 enum class IoFileClass : int { kNone = -1, kWal = 0, kSegment = 1, kManifest = 2 };
 inline constexpr int kNumIoFileClasses = 3;
 

@@ -1,7 +1,5 @@
 #include "storage/manifest.h"
 
-#include <cstring>
-
 #include "storage/io_util.h"
 
 namespace orpheus::storage {
@@ -19,43 +17,14 @@ std::string EncodeManifest(const Manifest& manifest) {
     body.PutU32(seg.crc);
   }
   body.PutString(manifest.meta);
-
-  BinaryWriter file;
-  file.PutRaw(kManifestMagic, 8);
-  file.PutU32(kStorageFormatVersion);
-  file.PutU64(body.data().size());
-  file.PutU32(Crc32(body.data()));
-  file.PutRaw(body.data().data(), body.data().size());
-  return file.Release();
+  return EncodeFramedFile(kManifestMagic, body.data());
 }
 
 Result<Manifest> DecodeManifest(std::string_view file,
                                 const std::string& path) {
-  constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4;
-  if (file.size() < kHeaderBytes ||
-      std::memcmp(file.data(), kManifestMagic, 8) != 0) {
-    return Status::InvalidArgument("not an OrpheusDB manifest file: " + path);
-  }
-  BinaryReader header(file.substr(8));
-  uint32_t version = header.GetU32();
-  if (version != kStorageFormatVersion) {
-    return Status::InvalidArgument(
-        "manifest format version " + std::to_string(version) +
-        " unsupported (this build reads version " +
-        std::to_string(kStorageFormatVersion) + "): " + path);
-  }
-  uint64_t body_len = header.GetU64();
-  uint32_t body_crc = header.GetU32();
-  if (body_len != file.size() - kHeaderBytes) {
-    return Status::Internal("manifest body length mismatch (corrupt file " +
-                            path + ")");
-  }
-  std::string_view body_bytes = file.substr(kHeaderBytes);
-  if (Crc32(body_bytes) != body_crc) {
-    return Status::Internal("manifest checksum mismatch (corrupt file " +
-                            path + ")");
-  }
-
+  ORPHEUS_ASSIGN_OR_RETURN(
+      std::string_view body_bytes,
+      DecodeFramedFile(file, kManifestMagic, "manifest", path));
   Manifest manifest;
   BinaryReader r(body_bytes);
   manifest.sequence = r.GetU64();

@@ -9,7 +9,7 @@
 // the current manifest are orphans and may be deleted at any time;
 // segment files named by it are immutable.
 //
-// File layout:
+// File layout (the shared io_util.h frame):
 //
 //   [8B magic "ORPHMANI"][u32 format version][u64 body length]
 //   [u32 body crc32][body]
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/segment.h"
 
 namespace orpheus::storage {
 

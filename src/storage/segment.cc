@@ -1,7 +1,6 @@
 #include "storage/segment.h"
 
-#include <cstring>
-
+#include "storage/io_util.h"
 #include "storage/snapshot.h"
 
 namespace orpheus::storage {
@@ -9,43 +8,14 @@ namespace orpheus::storage {
 std::string EncodeSegmentFile(const rel::Table& table) {
   BinaryWriter body;
   SnapshotCodec::EncodeTableSection(table, &body);
-
-  BinaryWriter file;
-  file.PutRaw(kSegmentMagic, 8);
-  file.PutU32(kStorageFormatVersion);
-  file.PutU64(body.data().size());
-  file.PutU32(Crc32(body.data()));
-  file.PutRaw(body.data().data(), body.data().size());
-  return file.Release();
+  return EncodeFramedFile(kSegmentMagic, body.data());
 }
 
 Result<std::unique_ptr<rel::Table>> DecodeSegmentFile(std::string_view file,
                                                       const std::string& path) {
-  constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4;
-  if (file.size() < kHeaderBytes ||
-      std::memcmp(file.data(), kSegmentMagic, 8) != 0) {
-    return Status::InvalidArgument("not an OrpheusDB segment file: " + path);
-  }
-  BinaryReader header(file.substr(8));
-  uint32_t version = header.GetU32();
-  if (version != kStorageFormatVersion) {
-    return Status::InvalidArgument(
-        "segment format version " + std::to_string(version) +
-        " unsupported (this build reads version " +
-        std::to_string(kStorageFormatVersion) + "): " + path);
-  }
-  uint64_t body_len = header.GetU64();
-  uint32_t body_crc = header.GetU32();
-  if (body_len != file.size() - kHeaderBytes) {
-    return Status::Internal("segment body length mismatch (corrupt file " +
-                            path + ")");
-  }
-  std::string_view body_bytes = file.substr(kHeaderBytes);
-  if (Crc32(body_bytes) != body_crc) {
-    return Status::Internal("segment checksum mismatch (corrupt file " + path +
-                            ")");
-  }
-  BinaryReader r(body_bytes);
+  ORPHEUS_ASSIGN_OR_RETURN(std::string_view body,
+                           DecodeFramedFile(file, kSegmentMagic, "segment", path));
+  BinaryReader r(body);
   ORPHEUS_ASSIGN_OR_RETURN(std::unique_ptr<rel::Table> table,
                            SnapshotCodec::DecodeTableObject(&r));
   if (!r.ok() || r.remaining() != 0) {

@@ -1,14 +1,13 @@
 // Checkpoint segment files: one table per file, self-checking.
 //
-// A segment holds exactly one relstore table — the same bytes a v1
-// snapshot's table section used (SnapshotCodec::EncodeTableSection),
-// wrapped in a magic/version/CRC header so a segment can be validated
-// on its own. Segments are immutable once written: a checkpoint never
+// A segment holds exactly one relstore table
+// (SnapshotCodec::EncodeTableSection), wrapped in a magic/version/CRC
+// frame so a segment can be validated on its own. Segments are immutable once written: a checkpoint never
 // rewrites a live segment, it writes a fresh file under a fresh name
 // and retires the old one after the manifest commits (see manifest.h
 // for the commit protocol and storage_manager.cc for the write path).
 //
-// File layout:
+// File layout (the shared io_util.h frame):
 //
 //   [8B magic "ORPHSEG1"][u32 format version][u64 body length]
 //   [u32 body crc32][body = table section]
@@ -27,8 +26,6 @@
 namespace orpheus::storage {
 
 inline constexpr char kSegmentMagic[9] = "ORPHSEG1";  // 8 bytes on disk
-// Shared by segments and the manifest: the v2 storage format.
-inline constexpr uint32_t kStorageFormatVersion = 2;
 
 // Serializes one table into a segment file image.
 std::string EncodeSegmentFile(const rel::Table& table);

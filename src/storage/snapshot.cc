@@ -1,6 +1,5 @@
 #include "storage/snapshot.h"
 
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -344,95 +343,18 @@ Status SnapshotCodec::DecodeMeta(BinaryReader* r, OrpheusDB* db) {
   return r->status();
 }
 
-// --- Whole-snapshot codec ----------------------------------------------
+// --- Whole-engine image -------------------------------------------------
 
 std::string SnapshotCodec::Encode(OrpheusDB& db, uint64_t last_lsn) {
-  BinaryWriter body;
-
-  EncodeStringVec(std::vector<std::string>(db.users_.begin(), db.users_.end()),
-                  &body);
-  body.PutString(db.current_user_);
-
+  BinaryWriter w;
+  w.PutU64(last_lsn);
   std::vector<std::string> table_names = db.db_.ListTables();
-  body.PutU32(static_cast<uint32_t>(table_names.size()));
+  w.PutU32(static_cast<uint32_t>(table_names.size()));
   for (const std::string& name : table_names) {
-    EncodeTableSection(*db.db_.GetTable(name).value(), &body);
+    EncodeTableSection(*db.db_.GetTable(name).value(), &w);
   }
-
-  body.PutU32(static_cast<uint32_t>(db.cvds_.size()));
-  for (const auto& [name, cvd] : db.cvds_) EncodeCvd(*cvd, &body);
-
-  body.PutU32(static_cast<uint32_t>(db.partition_stores_.size()));
-  for (const auto& [name, store] : db.partition_stores_) {
-    EncodePartitionStore(name, *store, &body);
-  }
-
-  BinaryWriter file;
-  file.PutRaw(kSnapshotMagic, 8);
-  file.PutU32(kSnapshotFormatVersion);
-  file.PutU64(last_lsn);
-  file.PutU64(body.data().size());
-  file.PutU32(Crc32(body.data()));
-  file.PutRaw(body.data().data(), body.data().size());
-  return file.Release();
-}
-
-Status SnapshotCodec::Decode(std::string_view file, OrpheusDB* db,
-                             uint64_t* last_lsn) {
-  constexpr size_t kHeaderBytes = 8 + 4 + 8 + 8 + 4;
-  if (file.size() < kHeaderBytes ||
-      std::memcmp(file.data(), kSnapshotMagic, 8) != 0) {
-    return Status::InvalidArgument("not an OrpheusDB snapshot file");
-  }
-  BinaryReader header(file.substr(8));
-  uint32_t version = header.GetU32();
-  if (version != kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        "snapshot format version " + std::to_string(version) +
-        " unsupported (this build reads version " +
-        std::to_string(kSnapshotFormatVersion) + ")");
-  }
-  uint64_t lsn = header.GetU64();
-  uint64_t body_len = header.GetU64();
-  uint32_t body_crc = header.GetU32();
-  if (body_len != file.size() - kHeaderBytes) {
-    return Status::Internal("snapshot body length mismatch (corrupt file)");
-  }
-  std::string_view body_bytes = file.substr(kHeaderBytes);
-  if (Crc32(body_bytes) != body_crc) {
-    return Status::Internal("snapshot checksum mismatch (corrupt file)");
-  }
-
-  if (!db->cvds_.empty() || !db->db_.ListTables().empty()) {
-    return Status::InvalidArgument(
-        "snapshot restore requires a fresh engine (CVDs or tables exist)");
-  }
-
-  BinaryReader r(body_bytes);
-  ORPHEUS_ASSIGN_OR_RETURN(std::vector<std::string> users, DecodeStringVec(&r));
-  db->users_ = std::set<std::string>(users.begin(), users.end());
-  db->current_user_ = r.GetString();
-
-  uint32_t num_tables = r.GetU32();
-  for (uint32_t i = 0; i < num_tables && r.ok(); ++i) {
-    ORPHEUS_ASSIGN_OR_RETURN(std::unique_ptr<rel::Table> table,
-                             DecodeTableObject(&r));
-    ORPHEUS_RETURN_NOT_OK(db->db_.AdoptTableObject(std::move(table)));
-  }
-  uint32_t num_cvds = r.GetU32();
-  for (uint32_t i = 0; i < num_cvds && r.ok(); ++i) {
-    ORPHEUS_RETURN_NOT_OK(DecodeCvd(&r, db));
-  }
-  uint32_t num_stores = r.GetU32();
-  for (uint32_t i = 0; i < num_stores && r.ok(); ++i) {
-    ORPHEUS_RETURN_NOT_OK(DecodePartitionStore(&r, db));
-  }
-  ORPHEUS_RETURN_NOT_OK(r.status());
-  if (r.remaining() != 0) {
-    return Status::Internal("snapshot has trailing bytes (corrupt file)");
-  }
-  if (last_lsn != nullptr) *last_lsn = lsn;
-  return Status::OK();
+  EncodeMeta(db, &w);
+  return w.Release();
 }
 
 }  // namespace orpheus::storage

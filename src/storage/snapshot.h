@@ -1,20 +1,19 @@
-// Versioned binary snapshot codec: serializes the whole engine state —
-// every relstore table (payload columns, null bitmaps, int-arrays,
-// primary keys, declared indexes, clustering markers), every CVD's
-// metadata (attribute pool, per-version attribute sets, staging area,
-// version graph, id counters), the user registry, and any partition
-// stores — into a single self-checking file image.
+// Engine image oracle + per-unit codecs.
 //
-// File layout:
+// The per-unit codecs serialize the engine state that checkpoints
+// persist: one relstore table per segment (payload columns, null
+// bitmaps, int-arrays, primary keys, declared indexes, clustering
+// markers), and the engine metadata the MANIFEST embeds (user
+// registry, every CVD's attribute pool, per-version attribute sets,
+// staging area, version graph and id counters, partition-store
+// wiring). Row-set codecs are shared with the WAL records that carry
+// chunks.
 //
-//   [8B magic "ORPHSNAP"][u32 format version][u64 last_lsn]
-//   [u64 body length][u32 body crc32][body]
+// Encode() concatenates every table section and the metadata into one
+// deterministic byte image of the whole engine. Nothing decodes it:
+// tests and benches compare two engines by comparing their images.
 //
-// `last_lsn` is the WAL watermark: recovery replays only records with
-// a higher LSN (see wal.h). A format-version mismatch fails with a
-// clear Status — snapshots are not forward-compatible.
-//
-// The codec guarantees bit-identical restores: doubles round-trip as
+// The codecs guarantee bit-identical restores: doubles round-trip as
 // raw bits, strings as raw bytes, and a materialized-but-all-valid
 // null bitmap is rematerialized so storage accounting matches too.
 
@@ -24,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "common/status.h"
 #include "relstore/chunk.h"
@@ -38,13 +36,8 @@ class OrpheusDB;
 
 namespace orpheus::storage {
 
-inline constexpr char kSnapshotMagic[9] = "ORPHSNAP";  // 8 bytes on disk
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
-// Byte offset of the format version field (tests fabricate mismatches).
-inline constexpr size_t kSnapshotVersionOffset = 8;
-
-// Row-set codecs shared between snapshot table sections and WAL
-// records that carry chunks (init / commit).
+// Row-set codecs shared between table sections and WAL records that
+// carry chunks (init / commit).
 void EncodeSchema(const rel::Schema& schema, BinaryWriter* w);
 Result<rel::Schema> DecodeSchema(BinaryReader* r);
 void EncodeChunk(const rel::Chunk& chunk, BinaryWriter* w);
@@ -52,21 +45,14 @@ Result<rel::Chunk> DecodeChunk(BinaryReader* r);
 
 class SnapshotCodec {
  public:
-  // Serializes the full engine state into a snapshot file image.
+  // The whole-engine image: `last_lsn`, the table count, every table
+  // section in table order, then the metadata.
   static std::string Encode(core::OrpheusDB& db, uint64_t last_lsn);
 
-  // Validates `file` and installs its state into `db`, which must be a
-  // fresh engine. On success `*last_lsn` receives the watermark.
-  // Fails with InvalidArgument on a foreign file or format-version
-  // mismatch, Internal on checksum/structure corruption.
-  static Status Decode(std::string_view file, core::OrpheusDB* db,
-                       uint64_t* last_lsn);
-
-  // --- Per-unit sections (shared with the v2 segment/manifest codec) ---
+  // --- Per-unit sections (the segment/manifest codec) --------------------
 
   // One table's serialized form: name, primary key, clustering marker,
-  // declared indexes, columnar payload. Exactly the bytes a v1
-  // snapshot's table section uses — a segment file wraps these.
+  // declared indexes, columnar payload. A segment file wraps these.
   static void EncodeTableSection(const rel::Table& table, BinaryWriter* w);
   // Decodes one table section into a standalone Table object (not yet
   // adopted by any Database) — segment restore decodes these in

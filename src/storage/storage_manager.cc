@@ -30,6 +30,13 @@ std::string SegmentFileName(uint64_t id) {
   return buf;
 }
 
+// Storage format v1 kept the whole engine in this one file. It is no
+// longer read; a directory holding it is refused, so it never opens as
+// an empty database and never gets an export written beside it.
+std::string V1SnapshotPath(const std::string& dir) {
+  return dir + "/snapshot.orph";
+}
+
 const char* RecordTypeName(WalRecordType type) {
   switch (type) {
     case WalRecordType::kCreateUser: return "create_user";
@@ -72,13 +79,27 @@ void StorageManager::SetAutoCheckpointPolicy(uint64_t max_wal_bytes,
   max_wal_records_ = max_wal_records;
 }
 
-Status StorageManager::SaveSnapshotTo(core::OrpheusDB* db,
-                                      const std::string& dir) {
+Status StorageManager::ExportTo(core::OrpheusDB* db, const std::string& dir) {
   ORPHEUS_RETURN_NOT_OK(CreateDirectories(dir));
-  // A standalone export covers everything, so its watermark is 0: a
-  // later Open of the directory replays nothing.
-  std::string blob = SnapshotCodec::Encode(*db, /*last_lsn=*/0);
-  return WriteFileAtomic(SnapshotPath(dir), blob);
+  std::unique_ptr<StorageManager> target(new StorageManager(dir, db));
+  ORPHEUS_ASSIGN_OR_RETURN(target->lock_fd_, AcquireLockFile(LockPath(dir)));
+  for (const std::string& path : {ManifestPath(dir), V1SnapshotPath(dir)}) {
+    if (FileExists(path)) {
+      return Status::InvalidArgument(
+          "export target already holds a database: " + path);
+    }
+  }
+  const std::string wal_path = WalPath(dir);
+  Result<int64_t> wal_bytes = FileSize(wal_path);
+  if (wal_bytes.ok() && wal_bytes.value() > 0) {
+    return Status::InvalidArgument(
+        "export target already holds a database: " + wal_path);
+  }
+  // An empty manifest_ and clean_epochs_ make this a full checkpoint:
+  // every table gets a segment, the MANIFEST's watermark is 0, and
+  // segments a failed earlier export left behind are swept as orphans.
+  ORPHEUS_ASSIGN_OR_RETURN(target->wal_, WalWriter::Open(wal_path, 1));
+  return target->Checkpoint();
 }
 
 Status StorageManager::RestoreFromManifest(uint64_t* last_lsn) {
@@ -177,47 +198,33 @@ Status StorageManager::DeleteOrphanSegments(uint64_t* deleted) {
   } else if (names_or.status().code() != StatusCode::kNotFound) {
     return names_or.status();
   }
-  // A legacy v1 snapshot superseded by the manifest is an orphan too
-  // (migration's final step; also re-run here if that step crashed).
-  if (FileExists(SnapshotPath(dir_))) {
-    ORPHEUS_RETURN_NOT_OK(
-        DeleteFileChecked(SnapshotPath(dir_), IoFileClass::kSegment));
-    ++count;
-  }
   if (deleted != nullptr) *deleted = count;
   return Status::OK();
 }
 
 Status StorageManager::Recover() {
-  uint64_t snapshot_lsn = 0;
-  bool migrate_v1 = false;
+  uint64_t checkpoint_lsn = 0;
   if (FileExists(ManifestPath(dir_))) {
-    Status st = RestoreFromManifest(&snapshot_lsn);
+    Status st = RestoreFromManifest(&checkpoint_lsn);
     if (!st.ok()) {
       return Status::Internal("cannot recover " + dir_ +
                               ": manifest restore failed: " + st.ToString());
     }
-  } else if (FileExists(SnapshotPath(dir_))) {
-    // Legacy v1 directory: restore the monolithic snapshot, then (once
-    // the WAL is replayed and the appender armed) migrate in place.
-    ORPHEUS_ASSIGN_OR_RETURN(std::string blob,
-                             ReadFileToString(SnapshotPath(dir_)));
-    Status st = SnapshotCodec::Decode(blob, db_, &snapshot_lsn);
-    if (!st.ok()) {
-      return Status::Internal("cannot recover " + dir_ +
-                              ": snapshot restore failed: " + st.ToString());
-    }
-    migrate_v1 = true;
+  } else if (FileExists(V1SnapshotPath(dir_))) {
+    return Status::InvalidArgument(
+        "cannot open " + dir_ + ": " + V1SnapshotPath(dir_) +
+        " is a storage format v1 snapshot, which this build no longer "
+        "reads (open it once with an older build to migrate it)");
   }
 
-  uint64_t max_lsn = snapshot_lsn;
+  uint64_t max_lsn = checkpoint_lsn;
   uint64_t replayed_records = 0;
   const std::string wal_path = WalPath(dir_);
   if (FileExists(wal_path)) {
     ORPHEUS_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(wal_path));
     size_t valid_bytes = 0;
     std::vector<WalRecord> records =
-        ParseWal(bytes, snapshot_lsn, &valid_bytes);
+        ParseWal(bytes, checkpoint_lsn, &valid_bytes);
     for (const WalRecord& record : records) {
       Status st = ApplyRecord(record);
       if (!st.ok()) {
@@ -238,17 +245,8 @@ Status StorageManager::Recover() {
   ORPHEUS_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(wal_path, max_lsn + 1, replayed_records));
 
-  if (migrate_v1) {
-    // One-shot v1→v2 migration: clean_epochs_ is empty, so this full
-    // checkpoint segments every table, commits the first MANIFEST, and
-    // retires snapshot.orph (as an orphan). If it fails the directory
-    // is still a valid v1 directory and the next open retries.
-    ORPHEUS_RETURN_NOT_OK(Checkpoint());
-  } else if (FileExists(ManifestPath(dir_))) {
-    // Remove segments a crashed checkpoint wrote but never committed.
-    ORPHEUS_RETURN_NOT_OK(DeleteOrphanSegments(nullptr));
-  }
-  return Status::OK();
+  // Remove segments a crashed checkpoint wrote but never committed.
+  return DeleteOrphanSegments(nullptr);
 }
 
 // --- Group commit -------------------------------------------------------
@@ -323,7 +321,7 @@ Status StorageManager::WaitDurable(const std::vector<AppendTicket>& tickets) {
 
 Status StorageManager::FlushPending() {
   // A manager whose Open failed before the writer was armed (lock file
-  // contention, unrecoverable snapshot) has nothing to flush.
+  // contention, unrecoverable directory) has nothing to flush.
   if (wal_ == nullptr) return Status::OK();
   std::unique_lock<std::mutex> lock(group_mu_);
   while (writer_active_ || !queue_.empty()) {
@@ -367,7 +365,7 @@ Status StorageManager::AppendChecked(WalRecordType type,
   }
   if (over_bytes || over_records) {
     // Safe here: the appender's caller holds the engine's exclusive
-    // lock, so the in-memory state the snapshot encodes is stable and
+    // lock, so the in-memory state the checkpoint encodes is stable and
     // no new enqueues can race the flush.
     return Checkpoint();
   }

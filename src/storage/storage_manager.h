@@ -11,9 +11,8 @@
 // Open() recovers: load the MANIFEST (if any), restore its segments
 // in parallel, replay every WAL record past the manifest's LSN
 // watermark, truncate any torn tail, delete unreferenced segment
-// files, and arm the appender. A directory holding a legacy v1
-// `snapshot.orph` instead of a MANIFEST is migrated in place on first
-// open (restore v1 → full checkpoint → retire the snapshot).
+// files, and arm the appender. A directory holding only a
+// `snapshot.orph` (storage format v1, no longer read) is refused.
 //
 // Checkpoint() is incremental: each table carries a mutation epoch
 // (rel::Table::epoch), and only tables whose epoch moved since the
@@ -79,16 +78,14 @@ class StorageManager {
   static Result<std::unique_ptr<StorageManager>> Open(const std::string& dir,
                                                       core::OrpheusDB* db);
 
-  // One-shot snapshot export (no WAL, no recovery arm). Still the v1
-  // single-file format: a portable whole-engine image, and the input
-  // of the v1→v2 migration path.
-  static Status SaveSnapshotTo(core::OrpheusDB* db, const std::string& dir);
+  // Exports `db` as a new database directory: takes `dir`'s LOCK,
+  // refuses a target that already holds a database (a MANIFEST, a
+  // non-empty WAL, or a v1 snapshot.orph) with InvalidArgument naming
+  // the file, then runs a full Checkpoint() into it (watermark 0, so
+  // opening it replays nothing). The LOCK refuses the live directory
+  // of any open engine, under any spelling.
+  static Status ExportTo(core::OrpheusDB* db, const std::string& dir);
 
-  // Legacy v1 snapshot location — written by SaveSnapshotTo, read only
-  // by the migration path.
-  static std::string SnapshotPath(const std::string& dir) {
-    return dir + "/snapshot.orph";
-  }
   static std::string ManifestPath(const std::string& dir) {
     return dir + "/MANIFEST";
   }
@@ -176,7 +173,7 @@ class StorageManager {
   // enqueues race — in practice: the engine's exclusive lock is held,
   // or the manager is shutting down). Returns the writer's health so
   // a poisoned WAL fails a following Checkpoint instead of silently
-  // snapshotting past unsynced records.
+  // checkpointing past unsynced records.
   Status FlushPending();
 
   // --- Typed WAL appenders ---------------------------------------------
@@ -214,18 +211,17 @@ class StorageManager {
   // On success `*last_lsn` receives the manifest's WAL watermark.
   Status RestoreFromManifest(uint64_t* last_lsn);
 
-  // Deletes files in <dir>/segments not named by `manifest_`, plus a
-  // superseded legacy snapshot.orph. `*deleted` (optional) receives
-  // the count.
+  // Deletes files in <dir>/segments not named by `manifest_`.
+  // `*deleted` (optional) receives the count.
   Status DeleteOrphanSegments(uint64_t* deleted);
 
   // Appends (or, in group-commit mode, enqueues) one record, then
-  // folds the WAL into a fresh snapshot if the policy's bounds are
+  // folds the WAL into a checkpoint if the policy's bounds are
   // exceeded. Appenders call through here so every logged verb is a
   // potential checkpoint trigger — the engine has fully applied the
-  // verb in memory by the time it logs, so the snapshot is consistent,
-  // and the caller holds the engine's exclusive lock, so flushing the
-  // queue before snapshotting is race-free.
+  // verb in memory by the time it logs, so the checkpoint is
+  // consistent, and the caller holds the engine's exclusive lock, so
+  // flushing the queue before checkpointing is race-free.
   Status AppendChecked(WalRecordType type, std::string_view body);
 
   // Becomes the group leader: drains the queue into one AppendBatch

@@ -1,5 +1,5 @@
 // Commit WAL: an append-only log of the version-control verbs that
-// changed engine state since the last snapshot, in the style of the
+// changed engine state since the last checkpoint, in the style of the
 // RocksDB write-ahead log.
 //
 // Frame format (all little-endian):
@@ -9,8 +9,8 @@
 //
 // `length` counts the payload bytes; `crc32` covers the payload. LSNs
 // increase monotonically across the lifetime of a directory and never
-// reset — the snapshot stores the LSN it covers, so a crash between
-// "snapshot renamed" and "WAL truncated" is harmless: replay skips
+// reset — the MANIFEST stores the LSN it covers, so a crash between
+// "MANIFEST renamed" and "WAL truncated" is harmless: replay skips
 // records at or below the watermark.
 //
 // Recovery tolerates a torn tail (the reader stops at the first frame

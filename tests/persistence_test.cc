@@ -1,14 +1,15 @@
-// Durable storage subsystem tests: snapshot round-trips for all five
+// Durable storage subsystem tests: export round-trips for all five
 // data models, WAL replay, checkpointing, and the recovery edge cases
 // the contract promises to survive — torn WAL tails at every byte
-// boundary of the last record, CRC-corrupted records, snapshot
-// format-version mismatches, and empty-directory opens. The
+// boundary of the last record, CRC-corrupted records, corrupt
+// segments and manifests, and empty-directory opens. The
 // crash-prefix property test is the acceptance bar: recovery from any
 // WAL-record prefix reproduces the corresponding engine state
 // bit-identically, across --threads {1, 4}.
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -50,9 +51,6 @@ class TempDir {
   std::string path_;
 };
 
-std::string SnapPath(const std::string& dir) {
-  return storage::StorageManager::SnapshotPath(dir);
-}
 std::string ManifestPath(const std::string& dir) {
   return storage::StorageManager::ManifestPath(dir);
 }
@@ -187,11 +185,10 @@ void CopyFileIfExists(const std::string& from, const std::string& to) {
   ASSERT_TRUE(storage::WriteFileAtomic(to, bytes).ok());
 }
 
-// Clones the durable state — legacy snapshot, MANIFEST + segments,
-// WAL — into a fresh directory (simulated crash copy; LOCK excluded).
+// Clones the durable state — MANIFEST + segments, WAL — into a fresh
+// directory (simulated crash copy; LOCK excluded).
 void CloneDbDir(const std::string& from, const std::string& to) {
   ASSERT_TRUE(storage::CreateDirectories(to).ok());
-  CopyFileIfExists(SnapPath(from), SnapPath(to));
   CopyFileIfExists(ManifestPath(from), ManifestPath(to));
   auto segments = storage::ListDir(SegmentsDir(from));
   if (segments.ok()) {
@@ -344,6 +341,9 @@ TEST_P(SnapshotAllModels, RoundTripIsBitIdentical) {
     ref = Capture(&db);
     ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
   }
+  // The export is an ordinary database directory.
+  EXPECT_TRUE(storage::FileExists(ManifestPath(dir.path())));
+  EXPECT_FALSE(storage::FileExists(dir.Sub("snapshot.orph")));
   OrpheusDB restored;
   ASSERT_TRUE(restored.Open(dir.path()).ok());
   ExpectEngineEquals(ref, &restored, "restored");
@@ -385,7 +385,7 @@ TEST(Persistence, WalReplayRestoresCommitsExactly) {
     ASSERT_EQ(2, db.Commit("t", "w", "edited").ValueOrDie());
     ref = Capture(&db);
   }
-  ASSERT_FALSE(storage::FileExists(SnapPath(dir.path())));  // WAL only
+  ASSERT_FALSE(storage::FileExists(ManifestPath(dir.path())));  // WAL only
   EngineRef ref2;
   {
     OrpheusDB recovered;
@@ -638,41 +638,6 @@ TEST(Persistence, CrcCorruptedRecordStopsReplayCleanly) {
   }
 }
 
-TEST(Persistence, SnapshotFormatVersionMismatchFailsClearly) {
-  TempDir dir;
-  {
-    OrpheusDB db;
-    CvdOptions options;
-    ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
-    ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
-  }
-  std::string blob = storage::ReadFileToString(SnapPath(dir.path())).ValueOrDie();
-  blob[storage::kSnapshotVersionOffset] = 99;
-  ASSERT_TRUE(storage::WriteFileAtomic(SnapPath(dir.path()), blob).ok());
-  OrpheusDB db;
-  Status st = db.Open(dir.path());
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(std::string::npos, st.message().find("version"))
-      << st.ToString();
-}
-
-TEST(Persistence, CorruptSnapshotBodyFailsWithoutCrashing) {
-  TempDir dir;
-  {
-    OrpheusDB db;
-    CvdOptions options;
-    ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
-    ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
-  }
-  std::string blob = storage::ReadFileToString(SnapPath(dir.path())).ValueOrDie();
-  blob[blob.size() / 2] ^= 0x10;
-  ASSERT_TRUE(storage::WriteFileAtomic(SnapPath(dir.path()), blob).ok());
-  OrpheusDB db;
-  Status st = db.Open(dir.path());
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(std::string::npos, st.message().find("checksum")) << st.ToString();
-}
-
 TEST(Persistence, EmptyDirectoryOpensFresh) {
   TempDir dir;
   std::string nested = dir.Sub("a/b/dbdir");
@@ -786,27 +751,6 @@ TEST(Persistence, CrashAtAnyWalRecordPrefixRecoversExactly) {
     }
   }
   SetExecThreads(1);
-}
-
-// SaveSnapshot into the open durable directory would desync snapshot
-// and WAL; the API must refuse and point at Checkpoint.
-TEST(Persistence, SaveIntoOpenDirectoryIsRejected) {
-  TempDir dir;
-  OrpheusDB db;
-  ASSERT_TRUE(db.Open(dir.path()).ok());
-  Status st = db.SaveSnapshot(dir.path());
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(std::string::npos, st.message().find("Checkpoint"));
-  // Aliases of the same directory must be caught too — a watermark-0
-  // snapshot inside the live dir would double-replay the WAL.
-  size_t slash = dir.path().find_last_of('/');
-  std::string alias = dir.path().substr(0, slash + 1) + "./" +
-                      dir.path().substr(slash + 1);
-  Status st2 = db.SaveSnapshot(alias);
-  ASSERT_FALSE(st2.ok());
-  EXPECT_NE(std::string::npos, st2.message().find("Checkpoint"));
-  // A genuinely different directory still works.
-  EXPECT_TRUE(db.SaveSnapshot(dir.Sub("elsewhere")).ok());
 }
 
 // --- Directory LOCK ------------------------------------------------------
@@ -1376,6 +1320,13 @@ TEST(SegmentedCheckpoint, CorruptionSweepFailsCleanNamingTheFile) {
     ASSERT_FALSE(st.ok());
     EXPECT_NE(std::string::npos, st.message().find("MANIFEST"))
         << "error does not name the manifest: " << st.message();
+    if (pos == 8) {
+      EXPECT_NE(std::string::npos, st.message().find("version"))
+          << st.message();
+    } else if (pos == 24 + (msize - 24) / 2) {
+      EXPECT_NE(std::string::npos, st.message().find("checksum"))
+          << st.message();
+    }
   }
 
   {
@@ -1404,60 +1355,149 @@ TEST(SegmentedCheckpoint, CorruptionSweepFailsCleanNamingTheFile) {
   }
 }
 
-// A v1 directory (monolithic snapshot.orph, possibly with a WAL tail)
-// opens exactly once in legacy mode, migrates to segments on the
-// spot, and retires the old snapshot. The migrated directory is
-// stable across further reopens.
-TEST(SegmentedCheckpoint, V1SnapshotMigratesToSegmentsOnOpen) {
+// --- Export (`save`): a full checkpoint into a fresh directory --------
+
+// The durable files of a database directory, for "left untouched"
+// checks ("<absent>" marks a missing file).
+std::pair<std::string, std::string> DurableBytes(const std::string& dir) {
+  auto read = [](const std::string& path) {
+    return storage::FileExists(path)
+               ? storage::ReadFileToString(path).ValueOrDie()
+               : std::string("<absent>");
+  };
+  return {read(ManifestPath(dir)), read(WalPath(dir))};
+}
+
+// Export refuses any directory that already holds a database — the
+// live one (under any spelling), a closed checkpointed one, a closed
+// WAL-only one — and leaves its MANIFEST and WAL bytes untouched.
+TEST(Export, RefusesDirectoriesThatHoldADatabase) {
+  TempDir root;
+  CvdOptions options;
+  options.primary_key = {"k"};
+  OrpheusDB source;
+  ASSERT_TRUE(source.InitCvd("u", SampleRows(4, 100), options, "init").ok());
+
+  // The open directory and its ./ alias: the live engine holds LOCK.
+  const std::string live_dir = root.Sub("live");
+  {
+    OrpheusDB live;
+    ASSERT_TRUE(live.Open(live_dir).ok());
+    ASSERT_TRUE(live.InitCvd("t", SampleRows(3), options, "init").ok());
+    const auto before = DurableBytes(live_dir);
+    for (const std::string& target :
+         {live_dir, root.path() + "/./live"}) {
+      SCOPED_TRACE(target);
+      EXPECT_FALSE(live.SaveSnapshot(target).ok());
+      EXPECT_FALSE(source.SaveSnapshot(target).ok());
+      EXPECT_EQ(before, DurableBytes(live_dir));
+    }
+    // A fresh directory, or one nested inside the live one, still works.
+    EXPECT_TRUE(live.SaveSnapshot(root.Sub("elsewhere")).ok());
+    EXPECT_TRUE(live.SaveSnapshot(live_dir + "/nested").ok());
+    EXPECT_EQ(before, DurableBytes(live_dir));
+  }
+
+  // A closed, checkpointed directory (MANIFEST) and a closed WAL-only
+  // one: the refusal names the file, and reopening shows only "t".
+  const std::string checkpointed = root.Sub("checkpointed");
+  const std::string wal_only = root.Sub("wal_only");
+  for (const std::string& dir : {checkpointed, wal_only}) {
+    OrpheusDB db;
+    ASSERT_TRUE(db.Open(dir).ok());
+    ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
+    if (dir == checkpointed) {
+      ASSERT_TRUE(db.Checkpoint().ok());
+    }
+  }
+  ASSERT_FALSE(storage::FileExists(ManifestPath(wal_only)));
+  for (const auto& [dir, file] :
+       {std::pair{checkpointed, ManifestPath(checkpointed)},
+        std::pair{wal_only, WalPath(wal_only)}}) {
+    SCOPED_TRACE(dir);
+    const auto before = DurableBytes(dir);
+    Status st = source.SaveSnapshot(dir);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
+    EXPECT_NE(std::string::npos, st.message().find(file)) << st.message();
+    EXPECT_EQ(before, DurableBytes(dir));
+    OrpheusDB reopened;
+    ASSERT_TRUE(reopened.Open(dir).ok());
+    EXPECT_EQ(std::vector<std::string>{"t"}, reopened.ListCvds());
+  }
+}
+
+// A crash at the export's commit point (the MANIFEST rename) leaves a
+// directory that holds no database; a retry into it succeeds, opens to
+// the source's exact state, and sweeps the failed attempt's segments.
+TEST(Export, FailedManifestRenameThenRetrySucceeds) {
+  TempDir root;
+  const std::string target = root.Sub("export");
+  CvdOptions options;
+  options.primary_key = {"k"};
+  OrpheusDB source;
+  ASSERT_TRUE(source.InitCvd("a", SampleRows(4), options, "init").ok());
+  ASSERT_TRUE(source.InitCvd("b", SampleRows(3, 50), options, "init").ok());
+  ASSERT_TRUE(source.Checkout("a", {1}, "w").ok());
+  ASSERT_EQ(2, source.Commit("a", "w", "v2").ValueOrDie());
+  {
+    FaultGuard guard;
+    storage::IoFaultPlan plan;
+    plan.fail_rename_at = 1;
+    storage::ArmIoFaults(storage::IoFileClass::kManifest, plan);
+    EXPECT_FALSE(source.SaveSnapshot(target).ok());
+  }
+  EXPECT_FALSE(storage::FileExists(ManifestPath(target)));
+  const std::vector<std::string> failed_segments =
+      storage::ListDir(SegmentsDir(target)).ValueOrDie();
+  ASSERT_FALSE(failed_segments.empty());
+
+  // Fewer tables on the retry, so some of the failed attempt's segment
+  // names are not rewritten: they must be swept, not left behind.
+  ASSERT_TRUE(source.DropCvd("b").ok());
+  ASSERT_TRUE(source.SaveSnapshot(target).ok());
+  const EngineRef ref = Capture(&source);
+  OrpheusDB exported;
+  ASSERT_TRUE(exported.Open(target).ok());
+  ExpectEngineEquals(ref, &exported, "retried export");
+  std::vector<std::string> live;
+  for (const auto& seg : exported.storage()->manifest().segments) {
+    live.push_back(seg.file);
+  }
+  std::sort(live.begin(), live.end());
+  EXPECT_EQ(live, storage::ListDir(SegmentsDir(target)).ValueOrDie());
+  EXPECT_LT(live.size(), failed_segments.size());
+}
+
+// Storage format v1 (one snapshot.orph, no MANIFEST) is no longer read.
+// Such a directory must fail Open naming the file — never open as an
+// empty database — and must not take an export either.
+TEST(Export, V1OnlyDirectoryFailsOpenNamingTheFile) {
   TempDir dir;
-  EngineRef ref;
-  {
-    OrpheusDB db;  // never Open()ed: builds in memory, exports v1
-    CvdOptions options;
-    options.primary_key = {"k"};
-    ASSERT_TRUE(db.InitCvd("t", SampleRows(5), options, "init").ok());
-    ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
-    ASSERT_EQ(2, db.Commit("t", "w", "v2").ValueOrDie());
-    ASSERT_TRUE(db.CreateUser("alice").ok());
-    ASSERT_TRUE(db.SaveSnapshot(dir.path()).ok());
-    ref = Capture(&db);
-  }
-  // A WAL tail past the snapshot, exactly as a v1 crash leaves it.
-  {
-    auto writer = storage::WalWriter::Open(WalPath(dir.path()), 1).ValueOrDie();
-    storage::BinaryWriter body;
-    body.PutString("bob");
-    ASSERT_TRUE(
-        writer->Append(storage::WalRecordType::kCreateUser, body.data()).ok());
-  }
-  ASSERT_TRUE(storage::FileExists(SnapPath(dir.path())));
-  ASSERT_FALSE(storage::FileExists(ManifestPath(dir.path())));
-  {
-    OrpheusDB db;
-    ASSERT_TRUE(db.Open(dir.path()).ok());
-    ExpectEngineEquals(ref, &db, "migrated");
-    EXPECT_TRUE(storage::FileExists(ManifestPath(dir.path())));
-    EXPECT_FALSE(storage::FileExists(SnapPath(dir.path())));  // retired
-    EXPECT_GE(db.storage()->manifest().segments.size(), 1u);
-    // The migration checkpoint folded the WAL tail.
-    EXPECT_EQ(0, storage::FileSize(WalPath(dir.path())).ValueOrDie());
-    EXPECT_FALSE(db.CreateUser("alice").ok());  // from the snapshot
-    EXPECT_FALSE(db.CreateUser("bob").ok());    // from the WAL tail
-  }
-  {
-    OrpheusDB db;
-    ASSERT_TRUE(db.Open(dir.path()).ok());
-    ExpectEngineEquals(ref, &db, "reopened after migration");
-    EXPECT_FALSE(db.CreateUser("bob").ok());
-  }
+  const std::string v1 = dir.Sub("snapshot.orph");
+  ASSERT_TRUE(storage::WriteFileAtomic(v1, "ORPHSNAP v1 image").ok());
+  OrpheusDB db;
+  Status st = db.Open(dir.path());
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
+  EXPECT_NE(std::string::npos, st.message().find(v1)) << st.message();
+  EXPECT_FALSE(db.durable());
+
+  OrpheusDB source;
+  CvdOptions options;
+  ASSERT_TRUE(source.InitCvd("t", SampleRows(3), options, "init").ok());
+  Status save = source.SaveSnapshot(dir.path());
+  ASSERT_FALSE(save.ok());
+  EXPECT_NE(std::string::npos, save.message().find(v1)) << save.message();
+  EXPECT_FALSE(storage::FileExists(ManifestPath(dir.path())));
 }
 
 // Property test (the concurrency_test oracle idiom): two engines fed
 // an identical randomized schedule of checkouts, staged edits,
 // commits, discards, checkpoints, and crash/reopen rounds must encode
-// bit-identically under the portable v1 codec. Engine A checkpoints
-// incrementally, engine B is pinned to full rewrites — so any dirty
-// table the epoch tracking misses shows up as a byte diff here.
+// to the same engine image (SnapshotCodec::Encode). Engine A
+// checkpoints incrementally, engine B is pinned to full rewrites — so
+// any dirty table the epoch tracking misses shows up as a byte diff.
 TEST(SegmentedCheckpoint, PropertyIncrementalMatchesFullRewrite) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
