@@ -139,42 +139,74 @@ void AppendMatches(const std::vector<MatchList>& parts,
   }
 }
 
-// Merges per-batch partial hash tables in batch order. Build batches
-// cover ascending row ranges, so appending postings batch-by-batch
-// leaves every key's posting list in ascending row order — the serial
-// build's order, independent of the thread count.
-template <typename Map>
-void MergeBuildParts(std::vector<Map>* parts, Map* hash) {
-  for (Map& part : *parts) {
-    for (auto& [key, rows] : part) {
-      auto [it, inserted] = hash->try_emplace(key, std::move(rows));
-      if (!inserted) {
-        it->second.insert(it->second.end(), rows.begin(), rows.end());
+// Hash table from the non-NULL keys of an INT build column to the
+// build rows holding them. Power-of-two open-addressing slots hold
+// {key, head row} (multiplicative hashing, linear probing, load at
+// most 1/2); next_[row] chains the further rows holding the same key.
+// The build walks rows in reverse and pushes each onto the front of
+// its key's chain, so every chain lists its rows in ascending order.
+// Built serially by the coordinating thread and read-only afterwards,
+// so pool workers probe it concurrently.
+class FlatJoinTable {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  void Build(const Column& col) {
+    const std::vector<int64_t>& keys = col.ints();
+    next_.assign(keys.size(), kEnd);
+    size_t capacity = 2;
+    shift_ = 63;
+    while (capacity < 2 * keys.size()) {
+      capacity *= 2;
+      --shift_;
+    }
+    slots_.assign(capacity, Slot{0, kEnd});
+    for (size_t i = keys.size(); i-- > 0;) {
+      if (col.IsNull(i)) continue;
+      Slot& slot = slots_[SlotOf(keys[i])];
+      if (slot.head == kEnd) {
+        slot.key = keys[i];
+        ++num_keys_;
       }
+      next_[i] = slot.head;
+      slot.head = static_cast<uint32_t>(i);
     }
   }
-}
 
-// Runs `build(begin, end, map*)` over [0, total) in kScanBatchRows
-// batches and merges the per-batch maps in batch order; with one
-// thread (or one batch) it builds straight into `hash` instead.
-template <typename Map, typename BuildFn>
-Status BatchedHashBuild(size_t total, bool serial, Map* hash,
-                        const BuildFn& build) {
-  const size_t nb = NumScanBatches(total);
-  BatchCounter()->Inc(nb);
-  if (serial || nb <= 1) {
-    build(0, total, hash);
-    return Status::OK();
+  // Lowest build row holding `key`, or kEnd.
+  uint32_t Find(int64_t key) const { return slots_[SlotOf(key)].head; }
+  // Next build row holding the same key as `row`, or kEnd.
+  uint32_t Next(uint32_t row) const { return next_[row]; }
+  size_t num_keys() const { return num_keys_; }
+
+ private:
+  struct Slot {
+    int64_t key;
+    uint32_t head;  // kEnd: empty slot
+  };
+
+  // The slot holding `key`, else the empty slot that ends its probe.
+  size_t SlotOf(int64_t key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t s = static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (slots_[s].head != kEnd && slots_[s].key != key) s = (s + 1) & mask;
+    return s;
   }
-  std::vector<Map> parts(nb);
-  ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
-      total, kScanBatchRows, [&](size_t begin, size_t end, size_t b) -> Status {
-        build(begin, end, &parts[b]);
-        return Status::OK();
-      }));
-  MergeBuildParts(&parts, hash);
-  return Status::OK();
+
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> next_;
+  int shift_ = 63;
+  size_t num_keys_ = 0;
+};
+
+// True if `sel` selects all n rows in order.
+bool IsIdentity(const std::vector<uint32_t>& sel, size_t n) {
+  if (sel.size() != n) return false;
+  for (size_t i = 0; i < n; ++i) {
+    if (sel[i] != i) return false;
+  }
+  return true;
 }
 
 // Runs `probe(begin, end, MatchList*)` over [0, total) in
@@ -368,10 +400,10 @@ Result<Executor::Input> Executor::JoinPair(
     const std::vector<std::pair<const Expr*, const Expr*>>& keys) {
   obs::ProfileOpScope op_scope("join");
   ExecStats* stats = db_->stats();
-  // With one thread the per-batch buffers and their batch-order merges
-  // are pure overhead, so every phase below takes its direct serial
-  // path instead. Both paths produce byte-identical output (the
-  // parallel merges reproduce serial order exactly), so this is a
+  // With one thread the per-batch match buffers and their batch-order
+  // merges are pure overhead, so the probe loops below take their
+  // direct serial path instead. Both paths produce byte-identical
+  // output (the merges reproduce serial order exactly), so this is a
   // perf gate only — enforced by the property tests, which compare
   // --threads=1 against --threads={2,4}.
   const bool serial_exec = ExecThreads() == 1;
@@ -447,34 +479,23 @@ Result<Executor::Input> Executor::JoinPair(
         // "hash table on rids, sequential scan on the data table").
         // NULL keys never participate in equi-joins.
         //
-        // Both phases are batch-parallel: the build accumulates
-        // per-batch partial tables merged in batch order (postings
-        // stay in ascending row order — the serial build), and the
-        // probe emits per-batch match lists concatenated in batch
-        // order (the serial probe's output order). See executor.h for
-        // the determinism contract.
+        // The build is one serial pass into a FlatJoinTable, whose
+        // chains list each key's rows in ascending order. The probe
+        // is batch-parallel and emits per-batch match lists
+        // concatenated in batch order, so the output order is the
+        // serial probe's at every thread count (see executor.h).
         op_scope.SetDetail("hash");
         bool build_right = rc.num_rows() <= lc.num_rows();
         const Column& bcol = build_right ? rc.column(rcols[0]) : lc.column(lcols[0]);
         const Column& pcol = build_right ? lc.column(lcols[0]) : rc.column(rcols[0]);
-        const std::vector<int64_t>& bkeys = bcol.ints();
         const std::vector<int64_t>& pkeys = pcol.ints();
-        using IntMap = std::unordered_map<int64_t, std::vector<uint32_t>>;
-        IntMap hash;
-        hash.reserve(bkeys.size() * 2);
+        FlatJoinTable table;
         {
           obs::ProfileOpScope build_scope("hash_build");
-          build_scope.AddRowsIn(bkeys.size());
-          build_scope.AddBatches(NumScanBatches(bkeys.size()));
-          ORPHEUS_RETURN_NOT_OK(BatchedHashBuild(
-              bkeys.size(), serial_exec, &hash,
-              [&](size_t begin, size_t end, IntMap* out) {
-                for (size_t i = begin; i < end; ++i) {
-                  if (bcol.IsNull(i)) continue;
-                  (*out)[bkeys[i]].push_back(static_cast<uint32_t>(i));
-                }
-              }));
-          build_scope.AddRowsOut(hash.size());
+          build_scope.AddRowsIn(bcol.size());
+          build_scope.AddBatches(1);
+          table.Build(bcol);
+          build_scope.AddRowsOut(table.num_keys());
         }
         {
           obs::ProfileOpScope probe_scope("hash_probe");
@@ -485,9 +506,8 @@ Result<Executor::Input> Executor::JoinPair(
               [&](size_t begin, size_t end, MatchList* out) {
                 for (size_t i = begin; i < end; ++i) {
                   if (pcol.IsNull(i)) continue;
-                  auto hit = hash.find(pkeys[i]);
-                  if (hit == hash.end()) continue;
-                  for (uint32_t m : hit->second) {
+                  for (uint32_t m = table.Find(pkeys[i]);
+                       m != FlatJoinTable::kEnd; m = table.Next(m)) {
                     if (build_right) {
                       out->l.push_back(static_cast<uint32_t>(i));
                       out->r.push_back(m);
@@ -504,7 +524,7 @@ Result<Executor::Input> Executor::JoinPair(
       } else {
         // Generic multi-key hash join via encoded keys; rows with any
         // NULL key are skipped (SQL equi-join semantics). Same
-        // batch-parallel build/probe discipline as the int fast path,
+        // serial build and batch-parallel probe as the int fast path,
         // with string-encoded composite keys.
         auto any_null = [](const Chunk& chunk, const std::vector<int>& cols,
                            size_t row) {
@@ -514,23 +534,18 @@ Result<Executor::Input> Executor::JoinPair(
           return false;
         };
         op_scope.SetDetail("hash multi-key");
-        using StrMap = std::unordered_map<std::string, std::vector<uint32_t>>;
-        StrMap hash;
+        std::unordered_map<std::string, std::vector<uint32_t>> hash;
         {
           obs::ProfileOpScope build_scope("hash_build");
           build_scope.AddRowsIn(rc.num_rows());
-          build_scope.AddBatches(NumScanBatches(rc.num_rows()));
-          ORPHEUS_RETURN_NOT_OK(BatchedHashBuild(
-              rc.num_rows(), serial_exec, &hash,
-              [&](size_t begin, size_t end, StrMap* out) {
-                std::string key;
-                for (size_t r = begin; r < end; ++r) {
-                  if (any_null(rc, rcols, r)) continue;
-                  key.clear();
-                  for (int col : rcols) EncodeValue(rc.Get(r, col), &key);
-                  (*out)[key].push_back(static_cast<uint32_t>(r));
-                }
-              }));
+          build_scope.AddBatches(1);
+          std::string key;
+          for (size_t r = 0; r < rc.num_rows(); ++r) {
+            if (any_null(rc, rcols, r)) continue;
+            key.clear();
+            for (int col : rcols) EncodeValue(rc.Get(r, col), &key);
+            hash[key].push_back(static_cast<uint32_t>(r));
+          }
           build_scope.AddRowsOut(hash.size());
         }
         {
@@ -764,6 +779,10 @@ Result<Executor::Input> Executor::JoinPair(
       out->mutable_column(c).Gather(rc.column(c - num_left_cols), ridx);
     }
   });
+  // Free the consumed inputs while op_scope is open, so their teardown
+  // is charged to this join rather than to no operator.
+  left = Input();
+  right = Input();
   Input result;
   result.schema = out->schema();
   result.owned = std::move(out);
@@ -782,7 +801,7 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
     input.data = &dummy;
     input.schema = dummy_schema;
     std::vector<uint32_t> sel = {0};
-    return Project(select, input, sel);
+    return Project(select, std::move(input), sel);
   }
 
   std::vector<Input> inputs;
@@ -841,7 +860,7 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
   Chunk out;
   bool ordered_on_input = false;
   if (aggregating) {
-    ORPHEUS_ASSIGN_OR_RETURN(out, Aggregate(select, joined, sel));
+    ORPHEUS_ASSIGN_OR_RETURN(out, Aggregate(select, std::move(joined), sel));
     ORPHEUS_RETURN_NOT_OK(ApplyHaving(select, &out));
   } else {
     // SQL permits ORDER BY on columns absent from the select list;
@@ -898,7 +917,7 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
         ordered_on_input = true;
       }
     }
-    ORPHEUS_ASSIGN_OR_RETURN(out, Project(select, joined, sel));
+    ORPHEUS_ASSIGN_OR_RETURN(out, Project(select, std::move(joined), sel));
   }
 
   if (select.distinct) {
@@ -915,7 +934,7 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
   return out;
 }
 
-Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
+Result<Chunk> Executor::Project(const SelectStmt& select, Input input,
                                 const std::vector<uint32_t>& sel) {
   obs::ProfileOpScope op_scope("project");
   op_scope.AddRowsIn(sel.size());
@@ -974,7 +993,11 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
 
   if (unnest_count == 0) {
     // Bulk path: gathers for direct columns, row loop only for
-    // computed expressions.
+    // computed expressions. An owned input is consumed here: under the
+    // identity selection a direct column referenced once is moved into
+    // the output instead of gathered. Computed columns are evaluated
+    // first, so no expression reads a moved-from column. A base table
+    // is never moved from.
     Schema out_schema;
     for (const OutCol& oc : out_cols) {
       DataType type;
@@ -992,19 +1015,33 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
     }
     Chunk out(out_schema);
     std::vector<Value> computed;
+    std::vector<int> refs(static_cast<size_t>(schema.num_columns()), 0);
     for (size_t c = 0; c < out_cols.size(); ++c) {
       const OutCol& oc = out_cols[c];
-      Column& dst = out.mutable_column(static_cast<int>(c));
       if (oc.source_col >= 0) {
-        dst.Gather(data.column(oc.source_col), sel);
+        ++refs[static_cast<size_t>(oc.source_col)];
+        continue;
+      }
+      // Evaluate into a slot-per-row buffer on the pool, then append
+      // in row order on this thread.
+      ORPHEUS_RETURN_NOT_OK(
+          EvalScalarBatched(eval, *oc.expr, data, sel, &computed));
+      Column& dst = out.mutable_column(static_cast<int>(c));
+      for (const Value& v : computed) dst.Append(v);
+    }
+    const bool movable =
+        input.owned != nullptr && IsIdentity(sel, data.num_rows());
+    for (size_t c = 0; c < out_cols.size(); ++c) {
+      const int src = out_cols[c].source_col;
+      if (src < 0) continue;
+      Column& dst = out.mutable_column(static_cast<int>(c));
+      if (movable && refs[static_cast<size_t>(src)] == 1) {
+        dst = std::move(input.owned->mutable_column(src));
       } else {
-        // Evaluate into a slot-per-row buffer on the pool, then append
-        // in row order on this thread.
-        ORPHEUS_RETURN_NOT_OK(
-            EvalScalarBatched(eval, *oc.expr, data, sel, &computed));
-        for (const Value& v : computed) dst.Append(v);
+        dst.Gather(data.column(src), sel);
       }
     }
+    input = Input();  // consumed: free it inside op_scope
     op_scope.AddRowsOut(out.num_rows());
     return out;
   }
@@ -1049,11 +1086,12 @@ Result<Chunk> Executor::Project(const SelectStmt& select, const Input& input,
       }
     }
   }
+  input = Input();  // consumed: free it inside op_scope
   op_scope.AddRowsOut(out.num_rows());
   return out;
 }
 
-Result<Chunk> Executor::Aggregate(const SelectStmt& select, const Input& input,
+Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
                                   const std::vector<uint32_t>& sel) {
   obs::ProfileOpScope op_scope("aggregate");
   op_scope.AddRowsIn(sel.size());
@@ -1303,6 +1341,7 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, const Input& input,
     }
     out.AppendRow(row_values);
   }
+  input = Input();  // consumed: free it inside op_scope
   op_scope.AddBatches(nb);
   op_scope.AddRowsOut(out.num_rows());
   return out;

@@ -7,14 +7,15 @@
 //   -> ORDER BY -> LIMIT.
 //
 // Parallel batched execution. Filter evaluation, computed projections,
-// aggregation, hash-join build and probe, the index-nested-loop probe
+// aggregation, the hash-join probe, the index-nested-loop probe
 // loop, merge-join key sorts, and ORDER BY all operate on fixed-size
 // row batches (kScanBatchRows) scheduled across the shared execution
 // pool (common/thread_pool.h, the --threads knob). Batch boundaries
 // depend only on the data, never on the thread count, and per-batch
-// partial results (selection vectors, aggregate states, hash-table
-// partials, join match lists) are merged on the calling thread in
-// batch order; sorts use the deterministic parallel merge sort
+// partial results (selection vectors, aggregate states, join match
+// lists) are merged on the calling thread in batch order; the hash
+// build is serial, and its chains list each key's rows in row order;
+// sorts use the deterministic parallel merge sort
 // (ParallelStableSort), whose run/merge tree is likewise fixed by the
 // input size alone. So results are bit-identical for every --threads
 // setting, including the floating-point aggregates. With --threads=1
@@ -171,10 +172,14 @@ class Executor {
 
   // Joins two inputs on the given equi-key pairs with the configured
   // JoinMethod (falling back to hash when the method's preconditions
-  // don't hold — see docs/QUERY_ENGINE.md). Build, probe, key sorts,
-  // and the output materialization run batch-parallel on the pool;
+  // don't hold — see docs/QUERY_ENGINE.md). The hash build is one
+  // serial pass; probe, key sorts, and the output materialization run
+  // batch-parallel on the pool;
   // per-batch match lists are concatenated in batch order so the
-  // output row order matches the serial algorithms exactly.
+  // output row order matches the serial algorithms exactly. The
+  // inputs are consumed: JoinPair, Aggregate and Project free their
+  // input before their operator scope closes, so the teardown is
+  // charged to the operator that consumed it.
   Result<Input> JoinPair(Input left, Input right,
                          const std::vector<std::pair<const Expr*, const Expr*>>& keys);
 
@@ -182,9 +187,11 @@ class Executor {
   // computes per-batch partial aggregate states and merges them in
   // batch order (deterministic group order = first occurrence in row
   // order; deterministic float rounding for any thread count).
-  Result<Chunk> Aggregate(const SelectStmt& select, const Input& input,
+  Result<Chunk> Aggregate(const SelectStmt& select, Input input,
                           const std::vector<uint32_t>& sel);
-  Result<Chunk> Project(const SelectStmt& select, const Input& input,
+  // Moves, rather than gathers, each direct column referenced once when
+  // `sel` is the identity over an owned input.
+  Result<Chunk> Project(const SelectStmt& select, Input input,
                         const std::vector<uint32_t>& sel);
 
   Status ApplyHaving(const SelectStmt& select, Chunk* out);

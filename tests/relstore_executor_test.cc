@@ -1,12 +1,18 @@
 // End-to-end tests for the relstore engine: DDL, DML, scans, joins
 // (all three algorithms), aggregation, unnest, the exact SQL shapes
 // OrpheusDB's query translator emits (the paper's Table 1), and the
-// chunk-boundary cases of the batched parallel scan pipeline.
+// chunk-boundary cases of the batched parallel scan pipeline, the
+// flat hash-join table, and the consume-once projection.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "relstore/database.h"
 
@@ -136,6 +142,58 @@ TEST_F(ExecutorTest, ExecuteScriptReturnsLast) {
   EXPECT_EQ(r.value().Get(0, 0).AsInt(), 5);
 }
 
+// --- Consume-once projection ------------------------------------------
+//
+// Project moves a direct column out of an owned input when the
+// selection is the identity and the column is referenced once; every
+// other case gathers. These pin the result of each case.
+
+TEST_F(ExecutorTest, DuplicateRefAndComputedItemOverDerivedTable) {
+  Chunk r = MustQuery(
+      "SELECT x.a, x.a, x.a + 1, x.b FROM (SELECT a, b FROM t) AS x");
+  ASSERT_EQ(r.num_rows(), 3u);
+  ASSERT_EQ(r.num_columns(), 4);
+  for (size_t row = 0; row < 3; ++row) {
+    const int64_t a = static_cast<int64_t>(row) + 1;
+    EXPECT_EQ(r.Get(row, 0).AsInt(), a);
+    EXPECT_EQ(r.Get(row, 1).AsInt(), a);
+    EXPECT_EQ(r.Get(row, 2).AsInt(), a + 1);
+  }
+  EXPECT_EQ(r.Get(0, 3).AsString(), "x");
+  EXPECT_EQ(r.Get(1, 3).AsString(), "y");
+  EXPECT_EQ(r.Get(2, 3).AsString(), "x");
+}
+
+TEST_F(ExecutorTest, NonIdentitySelectionOverDerivedTableGathers) {
+  Chunk r = MustQuery("SELECT * FROM (SELECT a, b FROM t) AS x WHERE x.a >= 2");
+  ASSERT_EQ(r.num_rows(), 2u);
+  EXPECT_EQ(r.Get(0, 0).AsInt(), 2);
+  EXPECT_EQ(r.Get(0, 1).AsString(), "y");
+  EXPECT_EQ(r.Get(1, 0).AsInt(), 3);
+  EXPECT_EQ(r.Get(1, 1).AsString(), "x");
+  // A pre-projection ORDER BY selects every row, but permuted.
+  Chunk sorted = MustQuery(
+      "SELECT x.a, x.b FROM (SELECT a, b, c FROM t) AS x ORDER BY x.c DESC");
+  ASSERT_EQ(sorted.num_rows(), 3u);
+  EXPECT_EQ(sorted.Get(0, 0).AsInt(), 3);
+  EXPECT_EQ(sorted.Get(1, 0).AsInt(), 2);
+  EXPECT_EQ(sorted.Get(2, 0).AsInt(), 1);
+  EXPECT_EQ(sorted.Get(1, 1).AsString(), "y");
+}
+
+TEST_F(ExecutorTest, SelectStarLeavesBaseTableIntact) {
+  for (int pass = 0; pass < 2; ++pass) {
+    Chunk r = MustQuery("SELECT * FROM t");
+    ASSERT_EQ(r.num_rows(), 3u) << "pass " << pass;
+    EXPECT_EQ(r.Get(2, 0).AsInt(), 3);
+    EXPECT_EQ(r.Get(1, 1).AsString(), "y");
+    EXPECT_DOUBLE_EQ(r.Get(0, 2).AsDouble(), 1.5);
+  }
+  Chunk agg = MustQuery("SELECT count(*), sum(a) FROM t");
+  EXPECT_EQ(agg.Get(0, 0).AsInt(), 3);
+  EXPECT_EQ(agg.Get(0, 1).AsInt(), 6);
+}
+
 // --- Array handling: the versioning columns --------------------------
 
 class ArrayTest : public ::testing::Test {
@@ -234,6 +292,30 @@ TEST_F(JoinTest, HashJoinCheckout) {
   auto cols = db_.Execute("SELECT * FROM tprime LIMIT 1");
   ASSERT_TRUE(cols.ok());
   EXPECT_EQ(cols.value().num_columns(), 2);
+}
+
+TEST_F(JoinTest, CheckoutMovesJoinOutputAndLeavesDataIntact) {
+  for (int vid : {1, 2, 1}) {
+    ASSERT_TRUE(db_.Execute(CheckoutSql(vid)).ok()) << "vid " << vid;
+    auto r = db_.Execute("SELECT * FROM tprime");
+    ASSERT_TRUE(r.ok());
+    const std::vector<int64_t> rids =
+        vid == 1 ? std::vector<int64_t>{5, 10, 15} : std::vector<int64_t>{0, 99};
+    ASSERT_EQ(r.value().num_rows(), rids.size());
+    ASSERT_EQ(r.value().num_columns(), 2);
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXPECT_EQ(r.value().Get(i, 0).AsInt(), rids[i]);
+      EXPECT_EQ(r.value().Get(i, 1).AsString(), "p" + std::to_string(rids[i]));
+    }
+    ASSERT_TRUE(db_.Execute("DROP TABLE tprime").ok());
+  }
+  auto d = db_.Execute("SELECT count(*), sum(rid) FROM d");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.value().Get(0, 0).AsInt(), 100);
+  EXPECT_EQ(d.value().Get(0, 1).AsInt(), 4950);
+  auto v = db_.Execute("SELECT rlist FROM v WHERE vid = 1");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value().Get(0, 0).AsArray(), (IntArray{5, 10, 15}));
 }
 
 TEST_F(JoinTest, MergeJoinSameResult) {
@@ -393,6 +475,123 @@ TEST_P(BatchBoundaryTest, GroupOrderIsFirstOccurrenceAcrossBatches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadSettings, BatchBoundaryTest,
+                         ::testing::Values(1, 4));
+
+// --- Flat hash-join table -----------------------------------------------
+//
+// The single-INT-key hash join against a nested-loop reference at
+// --threads 1 and 4. The hash join builds on the smaller input (the
+// right one on a tie) and emits, per probe row in order, the build
+// rows holding its key in ascending order; the reference loops the
+// same way, so it fixes the output order as well as the match set.
+
+using JoinKeys = std::vector<std::optional<int64_t>>;
+
+class FlatHashJoinTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override { SetExecThreads(GetParam()); }
+  void TearDown() override { SetExecThreads(0); }
+
+  // Table `name` (id INT, k INT) with id = row number; nullopt is NULL.
+  static void BuildTable(Database* db, const std::string& name,
+                         const JoinKeys& keys) {
+    ASSERT_TRUE(db->Execute("CREATE TABLE " + name + " (id INT, k INT)").ok());
+    Chunk& chunk = db->GetTable(name).value()->mutable_chunk();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      chunk.mutable_column(0).AppendInt(static_cast<int64_t>(i));
+      chunk.mutable_column(1).Append(keys[i] ? Value::Int(*keys[i])
+                                             : Value::Null());
+    }
+  }
+
+  // Joins l and r on k, in both FROM orders, and checks the
+  // (l.id, r.id) pairs against the nested-loop reference.
+  static void ExpectJoinMatchesReference(const JoinKeys& l, const JoinKeys& r) {
+    for (bool swap : {false, true}) {
+      const JoinKeys& left = swap ? r : l;
+      const JoinKeys& right = swap ? l : r;
+      Database db;
+      BuildTable(&db, "lt", left);
+      BuildTable(&db, "rt", right);
+      auto res = db.Execute("SELECT lt.id, rt.id FROM lt, rt WHERE lt.k = rt.k");
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+
+      const bool build_right = right.size() <= left.size();
+      const JoinKeys& probe = build_right ? left : right;
+      const JoinKeys& build = build_right ? right : left;
+      std::vector<std::pair<int64_t, int64_t>> expect;
+      for (size_t p = 0; p < probe.size(); ++p) {
+        for (size_t b = 0; b < build.size(); ++b) {
+          if (!probe[p] || !build[b] || *probe[p] != *build[b]) continue;
+          const auto pi = static_cast<int64_t>(p);
+          const auto bi = static_cast<int64_t>(b);
+          expect.emplace_back(build_right ? pi : bi, build_right ? bi : pi);
+        }
+      }
+      const Chunk& out = res.value();
+      ASSERT_EQ(out.num_rows(), expect.size()) << "swap " << swap;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        ASSERT_EQ(out.Get(i, 0).AsInt(), expect[i].first)
+            << "swap " << swap << " row " << i;
+        ASSERT_EQ(out.Get(i, 1).AsInt(), expect[i].second)
+            << "swap " << swap << " row " << i;
+      }
+    }
+  }
+};
+
+TEST_P(FlatHashJoinTest, DuplicateBuildKeysMatchInBuildRowOrder) {
+  ExpectJoinMatchesReference({5, 3, 9, 5, 1, 3, 5},
+                             {5, 3, 5, 5, 3});
+  // Equal sizes: the right side is the build side in both FROM orders.
+  ExpectJoinMatchesReference({2, 2, 1, 2}, {2, 1, 2, 2});
+}
+
+TEST_P(FlatHashJoinTest, NullKeysNeverJoin) {
+  // NULL is stored as the placeholder 0, beside genuine zeros.
+  ExpectJoinMatchesReference({std::nullopt, 0, 1, std::nullopt, 0, 2},
+                             {0, std::nullopt, 2, std::nullopt});
+  ExpectJoinMatchesReference({std::nullopt, std::nullopt, std::nullopt},
+                             {std::nullopt, 0});
+}
+
+TEST_P(FlatHashJoinTest, ExtremeAndNegativeKeys) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  ExpectJoinMatchesReference({lo, hi, 0, -1, -42, lo, 1, hi - 1, lo + 1},
+                             {hi, lo, -42, 0, 5, -1, lo});
+}
+
+TEST_P(FlatHashJoinTest, KeysSharingAHomeSlot) {
+  // 3000 build rows get 8192 slots. Keys that are multiples of the
+  // slot count (positive and negative, three rows each) all share
+  // slot 0 under a low-bits hash; the dense random keys collide under
+  // any hash. The probe side also holds keys absent from the table.
+  const int64_t slots = 8192;
+  JoinKeys build;
+  for (int64_t i = 0; i < 3000; ++i) build.push_back(((i % 1000) - 500) * slots);
+  JoinKeys probe;
+  for (int64_t i = 0; i < 4500; ++i) probe.push_back(((i * 7) % 1500 - 700) * slots);
+  ExpectJoinMatchesReference(probe, build);
+
+  Rng rng(GetParam());
+  JoinKeys dense_build;
+  JoinKeys dense_probe;
+  for (int i = 0; i < 3000; ++i) {
+    dense_build.push_back(static_cast<int64_t>(rng.Uniform(4000)) - 2000);
+  }
+  for (int i = 0; i < 5000; ++i) {
+    dense_probe.push_back(static_cast<int64_t>(rng.Uniform(5000)) - 2500);
+  }
+  ExpectJoinMatchesReference(dense_probe, dense_build);
+}
+
+TEST_P(FlatHashJoinTest, EmptySides) {
+  ExpectJoinMatchesReference({1, 2, 3}, {});
+  ExpectJoinMatchesReference({}, {});
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadSettings, FlatHashJoinTest,
                          ::testing::Values(1, 4));
 
 // --- Error paths -------------------------------------------------------
