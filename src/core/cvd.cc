@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "common/flat_join_table.h"
 #include "common/str_util.h"
 
 namespace orpheus::core {
@@ -39,6 +38,13 @@ std::string EscapeSqlString(const std::string& s) {
   return out;
 }
 
+// True if no two of the n rows of `cols` are equal.
+bool AllDistinct(const RecordColumns& cols, size_t n) {
+  std::vector<int64_t> keys;
+  AppendRecordKeys(cols, n, &keys);
+  return FirstOccurrences({cols}, keys)[0].size() == n;
+}
+
 std::string IntArrayLiteral(const std::vector<int64_t>& values) {
   std::vector<std::string> parts;
   parts.reserve(values.size());
@@ -64,6 +70,9 @@ Result<std::unique_ptr<Cvd>> Cvd::Create(rel::Database* db,
     if (data_schema.FindColumn(pk) < 0) {
       return Status::InvalidArgument("primary key attribute not in schema: " + pk);
     }
+  }
+  if (data_schema.num_columns() == 0) {
+    return Status::InvalidArgument("a CVD needs at least one data attribute");
   }
   if (data_schema.FindColumn("rid") >= 0) {
     return Status::InvalidArgument("'rid' is reserved for internal record ids");
@@ -146,12 +155,9 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
     for (const std::string& pk : primary_key_) {
       pk_cols.push_back(rows.schema().FindColumn(pk));
     }
-    std::unordered_set<uint64_t> seen;
-    for (size_t r = 0; r < rows.num_rows(); ++r) {
-      if (!seen.insert(HashRecord(rows, r, pk_cols)).second) {
-        return Status::ConstraintViolation(
-            "duplicate primary key in initial version");
-      }
+    if (!AllDistinct(ColumnsOf(rows, pk_cols), rows.num_rows())) {
+      return Status::ConstraintViolation(
+          "duplicate primary key in initial version");
     }
   }
 
@@ -241,32 +247,29 @@ Status Cvd::Checkout(const std::vector<VersionId>& vids,
     ORPHEUS_RETURN_NOT_OK(CheckoutSingle(vids[0], table_name));
   } else {
     // Merging checkout: precedence order with primary-key conflict
-    // resolution (§2.2). Without a primary key, rid identity dedupes.
-    rel::Chunk merged;
-    bool first = true;
-    std::vector<int> pk_cols;
-    std::unordered_set<uint64_t> seen_keys;
-    std::unordered_set<RecordId> seen_rids;
+    // resolution (§2.2) — the first row holding a key wins. Without a
+    // primary key, rid identity dedupes.
+    std::vector<rel::Chunk> versions;
     for (VersionId vid : vids) {
       ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(vid));
-      if (first) {
-        merged = rel::Chunk(rows.schema());
-        for (const std::string& pk : primary_key_) {
-          pk_cols.push_back(rows.schema().FindColumn(pk));
-        }
-        first = false;
-      }
-      int rid_col = rows.schema().FindColumn("rid");
-      std::vector<uint32_t> keep;
-      for (size_t r = 0; r < rows.num_rows(); ++r) {
-        if (!primary_key_.empty()) {
-          if (!seen_keys.insert(HashRecord(rows, r, pk_cols)).second) continue;
-        } else {
-          if (!seen_rids.insert(rows.column(rid_col).ints()[r]).second) continue;
-        }
-        keep.push_back(static_cast<uint32_t>(r));
-      }
-      merged.GatherFrom(rows, keep);
+      versions.push_back(std::move(rows));
+    }
+    std::vector<int> key_cols;
+    for (const std::string& pk : primary_key_) {
+      key_cols.push_back(versions[0].schema().FindColumn(pk));
+    }
+    if (key_cols.empty()) key_cols.push_back(versions[0].schema().FindColumn("rid"));
+    std::vector<RecordColumns> parts;
+    std::vector<int64_t> keys;
+    for (const rel::Chunk& rows : versions) {
+      parts.push_back(ColumnsOf(rows, key_cols));
+      AppendRecordKeys(parts.back(), rows.num_rows(), &keys);
+    }
+    std::vector<std::vector<uint32_t>> keep =
+        FirstOccurrences(std::move(parts), keys);
+    rel::Chunk merged(versions[0].schema());
+    for (size_t i = 0; i < versions.size(); ++i) {
+      merged.GatherFrom(versions[i], keep[i]);
     }
     ORPHEUS_RETURN_NOT_OK(db_->AdoptTable(table_name, std::move(merged)));
   }
@@ -303,8 +306,155 @@ Result<std::vector<int64_t>> Cvd::ReconcileSchema(const rel::Schema& staged_sche
   return attr_ids;
 }
 
+Result<std::vector<rel::Chunk>> Cvd::ParentRows(
+    const std::vector<VersionId>& parents) {
+  const rel::Schema record_schema = model_->RecordSchema();
+  std::vector<rel::Chunk> out;
+  out.reserve(parents.size());
+  for (VersionId parent : parents) {
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(parent));
+    if (!rows.schema().Equals(record_schema)) {
+      return Status::Internal("version " + std::to_string(parent) + " rows " +
+                              rows.schema().ToString() +
+                              " do not match the record schema " +
+                              record_schema.ToString());
+    }
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
 Result<VersionId> Cvd::Commit(const std::string& table_name,
                               const std::string& message) {
+  ORPHEUS_ASSIGN_OR_RETURN(ResolvedCommit commit, ResolveCommit(table_name));
+  return ApplyCommit(table_name, message, commit);
+}
+
+Result<ResolvedCommit> Cvd::ResolveCommit(const std::string& table_name) {
+  auto staged_it = staged_.find(table_name);
+  if (staged_it == staged_.end()) {
+    return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
+                            table_name);
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged_table, db_->GetTable(table_name));
+  const rel::Chunk& staged_rows = staged_table->data();
+  if (staged_rows.schema().FindColumn("rid") < 0) {
+    return Status::Internal("staged table lost its rid column");
+  }
+
+  // --- Schema reconciliation (may ALTER the pool tables) -------------
+  ResolvedCommit out;
+  for (const rel::ColumnDef& def : staged_rows.schema().columns()) {
+    if (def.name != "rid") out.staged_schema.AddColumn(def.name, def.type);
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(out.attr_ids, ReconcileSchema(out.staged_schema));
+
+  // --- Staged columns aligned to the (possibly evolved) attributes ----
+  // A staged column of the attribute's type is compared in place; one
+  // of a narrower type is widened into a copy (e.g. an INT column
+  // committed into a DOUBLE pool attribute); a missing one reads NULL.
+  const rel::Schema& data_schema = model_->data_schema();
+  const size_t n = staged_rows.num_rows();
+  std::vector<rel::Column> converted;  // reserved: staged_cols points in
+  converted.reserve(static_cast<size_t>(data_schema.num_columns()));
+  RecordColumns staged_cols;
+  for (const rel::ColumnDef& def : data_schema.columns()) {
+    int src = staged_rows.schema().FindColumn(def.name);
+    if (src >= 0 && staged_rows.column(src).type() == def.type) {
+      staged_cols.push_back(&staged_rows.column(src));
+      continue;
+    }
+    if (src < 0) {
+      converted.emplace_back(def.type);
+      converted.back().AppendNulls(n);
+    } else {
+      std::vector<uint32_t> all(n);
+      std::iota(all.begin(), all.end(), 0);
+      converted.emplace_back(staged_rows.column(src).type());
+      converted.back().Gather(staged_rows.column(src), all);
+      ORPHEUS_RETURN_NOT_OK(converted.back().ConvertTo(def.type));
+    }
+    staged_cols.push_back(&converted.back());
+  }
+
+  // --- Primary-key check within the committed version ----------------
+  if (!primary_key_.empty()) {
+    RecordColumns pk_cols;
+    for (const std::string& pk : primary_key_) {
+      pk_cols.push_back(staged_cols[static_cast<size_t>(data_schema.FindColumn(pk))]);
+    }
+    if (!AllDistinct(pk_cols, n)) {
+      return Status::ConstraintViolation(
+          "duplicate primary key in committed table " + table_name);
+    }
+  }
+
+  // --- Record resolution (the no-cross-version-diff rule) -----------
+  // The parents' records, concatenated in parent order, keyed by
+  // content; each staged row takes the rid of the first equal one.
+  ORPHEUS_ASSIGN_OR_RETURN(out.parent_rows, ParentRows(staged_it->second.parents));
+  std::vector<int> data_cols(static_cast<size_t>(data_schema.num_columns()));
+  std::iota(data_cols.begin(), data_cols.end(), 1);
+  std::vector<RecordColumns> parent_cols;
+  std::vector<int64_t> parent_keys;
+  for (const rel::Chunk& rows : out.parent_rows) {
+    parent_cols.push_back(ColumnsOf(rows, data_cols));
+    AppendRecordKeys(parent_cols.back(), rows.num_rows(), &parent_keys);
+  }
+  RecordIndex parents(std::move(parent_cols), parent_keys);
+  std::vector<int64_t> keys;
+  AppendRecordKeys(staged_cols, n, &keys);
+
+  out.rids.resize(n);
+  std::vector<uint32_t> new_rows;
+  RecordId next_rid = next_rid_;
+  for (size_t r = 0; r < n; ++r) {
+    uint32_t m = parents.FindFirst(keys[r], staged_cols, r);
+    if (m == RecordIndex::kNone) {
+      out.rids[r] = next_rid++;
+      new_rows.push_back(static_cast<uint32_t>(r));
+    } else {
+      auto [parent, row] = parents.Locate(m);
+      out.rids[r] = out.parent_rows[parent].column(0).ints()[row];
+    }
+  }
+
+  out.new_records = rel::Chunk(model_->RecordSchema());
+  rel::Column& new_rids = out.new_records.mutable_column(0);
+  for (uint32_t r : new_rows) new_rids.AppendInt(out.rids[r]);
+  for (size_t c = 0; c < staged_cols.size(); ++c) {
+    out.new_records.mutable_column(static_cast<int>(c) + 1)
+        .Gather(*staged_cols[c], new_rows);
+  }
+  return out;
+}
+
+Result<VersionId> Cvd::ReplayCommit(const std::string& table_name,
+                                    const std::string& message,
+                                    rel::Schema staged_schema,
+                                    std::vector<RecordId> rids,
+                                    rel::Chunk new_records) {
+  auto staged_it = staged_.find(table_name);
+  if (staged_it == staged_.end()) {
+    return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
+                            table_name);
+  }
+  if (staged_schema.FindColumn("rid") >= 0) {
+    return Status::Internal("commit schema names the reserved rid column");
+  }
+  ResolvedCommit commit;
+  ORPHEUS_ASSIGN_OR_RETURN(commit.attr_ids, ReconcileSchema(staged_schema));
+  commit.staged_schema = std::move(staged_schema);
+  commit.rids = std::move(rids);
+  commit.new_records = std::move(new_records);
+  ORPHEUS_ASSIGN_OR_RETURN(commit.parent_rows,
+                           ParentRows(staged_it->second.parents));
+  return ApplyCommit(table_name, message, commit);
+}
+
+Result<VersionId> Cvd::ApplyCommit(const std::string& table_name,
+                                   const std::string& message,
+                                   const ResolvedCommit& commit) {
   auto staged_it = staged_.find(table_name);
   if (staged_it == staged_.end()) {
     return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
@@ -312,139 +462,75 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
   }
   const std::vector<VersionId> parents = staged_it->second.parents;
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged_table, db_->GetTable(table_name));
-
-  // --- Schema reconciliation (may ALTER the pool tables) -------------
-  rel::Schema staged_data_schema;
-  for (const rel::ColumnDef& def : staged_table->schema().columns()) {
-    if (def.name != "rid") staged_data_schema.AddColumn(def.name, def.type);
+  const rel::Schema record_schema = model_->RecordSchema();
+  if (!commit.new_records.schema().Equals(record_schema)) {
+    return Status::Internal("new records " + commit.new_records.schema().ToString() +
+                            " do not match the record schema " +
+                            record_schema.ToString());
   }
-  std::vector<int64_t> attr_ids;
-  {
-    auto r = ReconcileSchema(staged_data_schema);
-    ORPHEUS_RETURN_NOT_OK(r.status());
-    attr_ids = std::move(r).value();
-  }
-
-  // --- Align staged rows to the (possibly evolved) record schema -----
-  const rel::Schema& data_schema = model_->data_schema();
-  rel::Schema record_schema;
-  record_schema.AddColumn("rid", rel::DataType::kInt64);
-  for (const rel::ColumnDef& def : data_schema.columns()) {
-    record_schema.AddColumn(def.name, def.type);
-  }
-  const rel::Chunk& staged_rows = staged_table->data();
-  size_t n = staged_rows.num_rows();
-  rel::Chunk aligned(record_schema);
-  std::vector<uint32_t> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  for (int c = 0; c < data_schema.num_columns(); ++c) {
-    const rel::ColumnDef& def = data_schema.column(c);
-    int src = staged_rows.schema().FindColumn(def.name);
-    rel::Column& dst = aligned.mutable_column(c + 1);
-    if (src < 0) {
-      dst.AppendNulls(n);
-    } else if (staged_rows.column(src).type() == def.type) {
-      dst.Gather(staged_rows.column(src), all);
-    } else {
-      // Widen staged values (e.g. INT column committed into a DOUBLE
-      // pool attribute).
-      rel::Column tmp(staged_rows.column(src).type());
-      tmp.Gather(staged_rows.column(src), all);
-      ORPHEUS_RETURN_NOT_OK(tmp.ConvertTo(def.type));
-      for (size_t r = 0; r < n; ++r) dst.AppendFrom(tmp, r);
-    }
+  if (commit.parent_rows.size() != parents.size()) {
+    return Status::Internal("commit carries rows of " +
+                            std::to_string(commit.parent_rows.size()) +
+                            " parents, the staged table has " +
+                            std::to_string(parents.size()));
   }
 
-  // --- Primary-key check within the committed version ----------------
-  std::vector<int> data_cols(static_cast<size_t>(data_schema.num_columns()));
-  std::iota(data_cols.begin(), data_cols.end(), 1);
-  if (!primary_key_.empty()) {
-    std::vector<int> pk_cols;
-    for (const std::string& pk : primary_key_) {
-      pk_cols.push_back(record_schema.FindColumn(pk));
-    }
-    std::unordered_set<uint64_t> seen;
-    for (size_t r = 0; r < n; ++r) {
-      if (!seen.insert(HashRecord(aligned, r, pk_cols)).second) {
-        return Status::ConstraintViolation(
-            "duplicate primary key in committed table " + table_name);
-      }
-    }
+  // --- Check the rids; find each committed row's source record -------
+  // The parents' rids, concatenated in parent order and keyed by rid,
+  // give both the source of every reused rid and the edge weights.
+  std::vector<int64_t> parent_rids;
+  std::vector<size_t> parent_of;     // per concatenated row
+  std::vector<size_t> parent_begin;  // per parent: its first row
+  for (size_t p = 0; p < parents.size(); ++p) {
+    const std::vector<int64_t>& rids = commit.parent_rows[p].column(0).ints();
+    parent_begin.push_back(parent_rids.size());
+    parent_rids.insert(parent_rids.end(), rids.begin(), rids.end());
+    parent_of.insert(parent_of.end(), rids.size(), p);
   }
+  FlatJoinTable by_rid;
+  by_rid.Build(parent_rids);
 
-  // --- Record resolution (the no-cross-version-diff rule) -----------
-  // Build content-hash -> rid over the parents' records only.
-  struct ParentRef {
-    size_t parent_index;
-    size_t row;
-    RecordId rid;
+  struct Source {
+    const rel::Chunk* rows;
+    uint32_t row;
   };
-  std::unordered_map<uint64_t, std::vector<ParentRef>> parent_hash;
-  std::vector<rel::Chunk> parent_rows;
-  std::vector<std::unordered_set<RecordId>> parent_rid_sets;
-  parent_rows.reserve(parents.size());
-  for (size_t p = 0; p < parents.size(); ++p) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(parents[p]));
-    int rid_col = rows.schema().FindColumn("rid");
-    std::unordered_set<RecordId> rid_set;
-    for (size_t r = 0; r < rows.num_rows(); ++r) {
-      RecordId rid = rows.column(rid_col).ints()[r];
-      rid_set.insert(rid);
-      parent_hash[HashRecord(rows, r, data_cols)].push_back({p, r, rid});
-    }
-    parent_rid_sets.push_back(std::move(rid_set));
-    parent_rows.push_back(std::move(rows));
-  }
-
-  std::vector<RecordId> rids(n);
-  std::vector<uint32_t> new_rows;
-  for (size_t r = 0; r < n; ++r) {
-    uint64_t h = HashRecord(aligned, r, data_cols);
-    RecordId found = -1;
-    auto hit = parent_hash.find(h);
-    if (hit != parent_hash.end()) {
-      for (const ParentRef& ref : hit->second) {
-        if (RecordsEqual(aligned, r, data_cols, parent_rows[ref.parent_index],
-                         ref.row, data_cols)) {
-          found = ref.rid;
-          break;
-        }
-      }
-    }
-    if (found >= 0) {
-      rids[r] = found;
-    } else {
-      rids[r] = next_rid_++;
-      new_rows.push_back(static_cast<uint32_t>(r));
-    }
-  }
-
-  // Write resolved rids back into the staged table so the Table 1
-  // commit SQL — which reads `SELECT rid FROM T'` — sees them.
-  {
-    rel::Chunk& staged_mut = staged_table->mutable_chunk();
-    int rid_col = staged_mut.schema().FindColumn("rid");
-    if (rid_col < 0) {
-      return Status::Internal("staged table lost its rid column");
-    }
-    for (size_t r = 0; r < n; ++r) {
-      staged_mut.mutable_column(rid_col).Set(r, rel::Value::Int(rids[r]));
-    }
-  }
-  // Fill the aligned chunk's (still empty) rid column and slice out
-  // the new records.
-  for (size_t r = 0; r < n; ++r) {
-    aligned.mutable_column(0).AppendInt(rids[r]);
-  }
-  rel::Chunk new_records(record_schema);
-  new_records.GatherFrom(aligned, new_rows);
-
-  // --- Edge weights and primary parent --------------------------------
+  const size_t n = commit.rids.size();
+  const std::vector<int64_t>& new_rids = commit.new_records.column(0).ints();
+  std::vector<Source> sources(n);
   std::vector<int64_t> weights(parents.size(), 0);
-  for (size_t p = 0; p < parents.size(); ++p) {
-    for (RecordId rid : rids) {
-      if (parent_rid_sets[p].count(rid) > 0) ++weights[p];
+  size_t next_new = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const RecordId rid = commit.rids[i];
+    if (rid >= next_rid_) {
+      const RecordId expected = next_rid_ + static_cast<RecordId>(next_new);
+      if (rid != expected || next_new >= new_rids.size() ||
+          new_rids[next_new] != rid) {
+        return Status::Internal("committed row " + std::to_string(i) +
+                                " has rid " + std::to_string(rid) +
+                                ", but the next new record is rid " +
+                                std::to_string(expected));
+      }
+      sources[i] = {&commit.new_records, static_cast<uint32_t>(next_new++)};
+      continue;
     }
+    uint32_t m = by_rid.Find(rid);
+    if (m == FlatJoinTable::kEnd) {
+      return Status::Internal("committed row " + std::to_string(i) + " has rid " +
+                              std::to_string(rid) +
+                              ", which is neither new nor in a parent");
+    }
+    sources[i] = {&commit.parent_rows[parent_of[m]],
+                  static_cast<uint32_t>(m - parent_begin[parent_of[m]])};
+    // Each parent holding the rid counts it once; the chain lists the
+    // holders in parent order.
+    for (size_t last = parents.size(); m != FlatJoinTable::kEnd; m = by_rid.Next(m)) {
+      if (parent_of[m] != last) ++weights[last = parent_of[m]];
+    }
+  }
+  if (next_new != new_rids.size()) {
+    return Status::Internal(std::to_string(new_rids.size()) +
+                            " new records, but the committed rows use " +
+                            std::to_string(next_new));
   }
   VersionId primary_parent = -1;
   if (!parents.empty()) {
@@ -455,16 +541,35 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
     primary_parent = parents[best];
   }
 
+  // --- The committed content replaces the staged rows ------------------
+  // The data models read the version's full rows (TPV, delta) or its
+  // rids (the others) from the staged table, so it must hold exactly
+  // what a replay rebuilds: the source records, rids included.
+  // Gathered a run at a time: consecutive rows from one source chunk.
+  rel::Chunk content(record_schema);
+  content.Reserve(n);
+  std::vector<uint32_t> run;
+  for (size_t begin = 0, end = 0; begin < n; begin = end) {
+    run.clear();
+    for (; end < n && sources[end].rows == sources[begin].rows; ++end) {
+      run.push_back(sources[end].row);
+    }
+    content.GatherFrom(*sources[begin].rows, run);
+  }
+  staged_table->mutable_chunk() = std::move(content);
+  next_rid_ += static_cast<RecordId>(new_rids.size());
+
   // --- Persist ----------------------------------------------------------
   VersionId vid = next_vid_++;
-  ORPHEUS_RETURN_NOT_OK(
-      model_->AddVersion(vid, table_name, rids, new_records, primary_parent));
+  ORPHEUS_RETURN_NOT_OK(model_->AddVersion(vid, table_name, commit.rids,
+                                           commit.new_records, primary_parent));
   ORPHEUS_RETURN_NOT_OK(
       graph_.AddVersion(vid, parents, weights, static_cast<int64_t>(n)));
-  version_attrs_[vid] = attr_ids;
+  version_attrs_[vid] = commit.attr_ids;
   ORPHEUS_RETURN_NOT_OK(AppendMetadataRow(vid, parents,
                                           staged_it->second.checkout_time,
-                                          ++logical_clock_, message, attr_ids));
+                                          ++logical_clock_, message,
+                                          commit.attr_ids));
 
   // Commit removes the table from the staging area (§2.3).
   ORPHEUS_RETURN_NOT_OK(db_->DropTable(table_name));
@@ -475,11 +580,12 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
 Result<rel::Chunk> Cvd::Diff(VersionId a, VersionId b) {
   ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows_a, model_->VersionRows(a));
   ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> rids_b, model_->VersionRecords(b));
-  std::unordered_set<RecordId> b_set(rids_b.begin(), rids_b.end());
+  FlatJoinTable b_set;
+  b_set.Build(rids_b);
   int rid_col = rows_a.schema().FindColumn("rid");
   std::vector<uint32_t> keep;
   for (size_t r = 0; r < rows_a.num_rows(); ++r) {
-    if (b_set.count(rows_a.column(rid_col).ints()[r]) == 0) {
+    if (b_set.Find(rows_a.column(rid_col).ints()[r]) == FlatJoinTable::kEnd) {
       keep.push_back(static_cast<uint32_t>(r));
     }
   }

@@ -54,6 +54,17 @@ struct AttributeEntry {
   rel::DataType type;
 };
 
+// A staged table resolved to records. The first three fields are what
+// the commit WAL record carries; the rest is derived state that replay
+// recomputes.
+struct ResolvedCommit {
+  rel::Schema staged_schema;     // the staged data attributes (no rid)
+  std::vector<RecordId> rids;    // one per committed row, staged order
+  rel::Chunk new_records;        // rid + data attributes, rid ascending
+  std::vector<int64_t> attr_ids;          // the version's attributes
+  std::vector<rel::Chunk> parent_rows;    // each parent's VersionRows
+};
+
 // Provenance of an uncommitted staged table.
 struct StagedTableInfo {
   std::string table_name;
@@ -82,8 +93,39 @@ class Cvd {
   Status Checkout(const std::vector<VersionId>& vids, const std::string& table_name);
 
   // Commits a staged table as a new version; parents come from the
-  // table's checkout provenance. Returns the new vid.
+  // table's checkout provenance. Returns the new vid. This is
+  // ApplyCommit(ResolveCommit(...)); OrpheusDB::Commit runs the two
+  // halves itself so it can log the resolved commit.
   Result<VersionId> Commit(const std::string& table_name, const std::string& message);
+
+  // Resolve: turns a staged table into records. Reconciles its schema
+  // with the CVD (which may ALTER the pool tables), checks the primary
+  // key, and gives each staged row the rid of the first equal record
+  // in parent order, then row order — or a fresh rid, continuing from
+  // total_records(), if no parent holds an equal record (the paper's
+  // no-cross-version-diff rule).
+  Result<ResolvedCommit> ResolveCommit(const std::string& table_name);
+
+  // Apply: installs a resolved commit as the next version. Rebuilds
+  // the committed content from the parents' records plus the new
+  // records (replacing the staged table's rows, which the data models
+  // read), then adds the version, its graph edges and its metadata
+  // row, and drops the staged table. Checks the commit first: the new
+  // records must have the record schema and rids that continue from
+  // total_records() in row order, and every other rid must belong to
+  // a parent.
+  Result<VersionId> ApplyCommit(const std::string& table_name,
+                                const std::string& message,
+                                const ResolvedCommit& commit);
+
+  // WAL replay of a logged commit: reconciles the logged schema (to
+  // the same attribute ids as the live run), then applies the logged
+  // rids and new records without resolving anything.
+  Result<VersionId> ReplayCommit(const std::string& table_name,
+                                 const std::string& message,
+                                 rel::Schema staged_schema,
+                                 std::vector<RecordId> rids,
+                                 rel::Chunk new_records);
 
   // Records in `a` but not in `b`.
   Result<rel::Chunk> Diff(VersionId a, VersionId b);
@@ -138,6 +180,9 @@ class Cvd {
   // Applies schema differences between a staged table and the CVD
   // (new / widened attributes), returning this version's attribute ids.
   Result<std::vector<int64_t>> ReconcileSchema(const rel::Schema& staged_schema);
+
+  // Each parent's rows (rid + data attributes), in precedence order.
+  Result<std::vector<rel::Chunk>> ParentRows(const std::vector<VersionId>& parents);
 
   // Registers an attribute entry and returns its id.
   int64_t AddAttributeEntry(const std::string& name, rel::DataType type);

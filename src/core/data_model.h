@@ -61,10 +61,10 @@ class DataModel {
   virtual Status Init() = 0;
 
   // Registers version `vid` whose full record set is `rids`.
-  // `staged_table` is the materialized table being committed; its rid
-  // column has already been resolved by the record manager and matches
-  // `rids` row-for-row. `new_records` contains exactly the records not
-  // previously in the CVD (schema: rid + data attributes).
+  // `staged_table` holds the committed content: the version's records
+  // (rid + data attributes), row for row with `rids`. `new_records`
+  // contains exactly the records not previously in the CVD (same
+  // schema).
   // `primary_parent` is the parent sharing the most records (-1 for
   // the initial version); only the delta model depends on it.
   virtual Status AddVersion(VersionId vid, const std::string& staged_table,
@@ -99,10 +99,10 @@ class DataModel {
 
   const rel::Schema& data_schema() const { return data_schema_; }
   const std::string& cvd_name() const { return cvd_name_; }
+  // rid + data attributes: the schema of records and version rows.
+  rel::Schema RecordSchema() const;
 
  protected:
-  // rid + data attributes.
-  rel::Schema RecordSchema() const;
   // Comma-separated "rid, a1, a2, ..." projection list.
   std::string RecordColumnList() const;
 

@@ -97,18 +97,14 @@ Result<VersionId> OrpheusDB::Commit(const std::string& cvd_name,
                                     const std::string& table_name,
                                     const std::string& message) {
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  // Encode the WAL record before committing: Commit resolves rids in
-  // place and then drops the table, and replay needs the rows as the
-  // user committed them (they may differ from the checkout).
-  std::string commit_body;
+  // Resolve, apply, then log the resolved commit: the rids and the new
+  // records are what replay applies, so it never resolves again.
+  ORPHEUS_ASSIGN_OR_RETURN(ResolvedCommit commit, cvd->ResolveCommit(table_name));
+  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
+                           cvd->ApplyCommit(table_name, message, commit));
   if (storage_ != nullptr) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, db_.GetTable(table_name));
-    commit_body = storage::StorageManager::EncodeCommitBody(
-        cvd_name, table_name, message, staged->data());
-  }
-  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, cvd->Commit(table_name, message));
-  if (storage_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(storage_->AppendCommitBody(commit_body));
+    ORPHEUS_RETURN_NOT_OK(
+        storage_->LogCommit(cvd_name, table_name, message, commit));
   }
   return vid;
 }

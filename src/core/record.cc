@@ -1,72 +1,178 @@
 #include "core/record.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <string_view>
+
 namespace orpheus::core {
 
 namespace {
 
-inline void HashBytes(const void* data, size_t len, uint64_t* h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= p[i];
-    *h *= 1099511628211ULL;
+constexpr uint64_t kKeySeed = 0x243F6A8885A308D3ull;
+constexpr uint64_t kNullTag = 0x6E756C6C6E756C6Cull;
+
+// Folds one 64-bit word into a running row key.
+inline uint64_t Mix(uint64_t h, uint64_t v) {
+  v *= 0xBF58476D1CE4E5B9ull;
+  v ^= v >> 31;
+  h = (h ^ v) * 0x94D049BB133111EBull;
+  return h ^ (h >> 29);
+}
+
+inline uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+inline uint64_t BytesHash(const void* data, size_t len) {
+  return std::hash<std::string_view>()(
+      std::string_view(static_cast<const char*>(data), len));
+}
+
+// Mixes word(r) into keys[r] for each of n rows; NULL rows mix the tag.
+template <typename WordFn>
+void MixColumn(const rel::Column& col, size_t n, uint64_t* keys,
+               const WordFn& word) {
+  if (!col.has_null_bitmap()) {
+    for (size_t r = 0; r < n; ++r) keys[r] = Mix(keys[r], word(r));
+    return;
+  }
+  for (size_t r = 0; r < n; ++r) {
+    keys[r] = Mix(keys[r], col.IsNull(r) ? kNullTag : word(r));
   }
 }
 
 }  // namespace
 
-uint64_t HashRecord(const rel::Chunk& chunk, size_t row,
-                    const std::vector<int>& cols) {
-  uint64_t h = 1469598103934665603ULL;
-  for (int c : cols) {
-    const rel::Column& col = chunk.column(c);
-    if (col.IsNull(row)) {
-      unsigned char tag = 0xff;
-      HashBytes(&tag, 1, &h);
-      continue;
-    }
-    switch (col.type()) {
+RecordColumns ColumnsOf(const rel::Chunk& chunk, const std::vector<int>& cols) {
+  RecordColumns out;
+  out.reserve(cols.size());
+  for (int c : cols) out.push_back(&chunk.column(c));
+  return out;
+}
+
+void AppendRecordKeys(const RecordColumns& cols, size_t n,
+                      std::vector<int64_t>* keys) {
+  std::vector<uint64_t> h(n, kKeySeed);
+  for (const rel::Column* col : cols) {
+    switch (col->type()) {
       case rel::DataType::kInt64:
       case rel::DataType::kBool: {
-        int64_t v = col.ints()[row];
-        HashBytes(&v, sizeof(v), &h);
+        const int64_t* v = col->ints().data();
+        MixColumn(*col, n, h.data(),
+                  [v](size_t r) { return static_cast<uint64_t>(v[r]); });
         break;
       }
       case rel::DataType::kDouble: {
-        double v = col.doubles()[row];
-        HashBytes(&v, sizeof(v), &h);
+        const double* v = col->doubles().data();
+        MixColumn(*col, n, h.data(),
+                  [v](size_t r) { return DoubleBits(v[r]); });
         break;
       }
       case rel::DataType::kString: {
-        const std::string& s = col.strings()[row];
-        size_t len = s.size();
-        HashBytes(&len, sizeof(len), &h);
-        HashBytes(s.data(), s.size(), &h);
+        const std::string* v = col->strings().data();
+        MixColumn(*col, n, h.data(), [v](size_t r) {
+          return static_cast<uint64_t>(BytesHash(v[r].data(), v[r].size()));
+        });
         break;
       }
       case rel::DataType::kIntArray: {
-        const rel::IntArray& a = col.arrays()[row];
-        size_t len = a.size();
-        HashBytes(&len, sizeof(len), &h);
-        HashBytes(a.data(), a.size() * sizeof(int64_t), &h);
+        const rel::IntArray* v = col->arrays().data();
+        MixColumn(*col, n, h.data(), [v](size_t r) {
+          return static_cast<uint64_t>(
+              BytesHash(v[r].data(), v[r].size() * sizeof(int64_t)));
+        });
         break;
       }
       case rel::DataType::kNull:
         break;
     }
   }
-  return h;
+  keys->reserve(keys->size() + n);
+  for (uint64_t k : h) keys->push_back(static_cast<int64_t>(k));
 }
 
-bool RecordsEqual(const rel::Chunk& a, size_t row_a, const std::vector<int>& cols_a,
-                  const rel::Chunk& b, size_t row_b, const std::vector<int>& cols_b) {
-  if (cols_a.size() != cols_b.size()) return false;
-  for (size_t i = 0; i < cols_a.size(); ++i) {
-    rel::Value va = a.Get(row_a, cols_a[i]);
-    rel::Value vb = b.Get(row_b, cols_b[i]);
-    if (va.is_null() && vb.is_null()) continue;
-    if (!va.Equals(vb)) return false;
+bool RecordsMatch(const RecordColumns& a, size_t row_a,
+                  const RecordColumns& b, size_t row_b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    const rel::Column& x = *a[i];
+    const rel::Column& y = *b[i];
+    const bool x_null = x.IsNull(row_a);
+    const bool y_null = y.IsNull(row_b);
+    if (x_null || y_null) {
+      if (x_null && y_null) continue;
+      return false;
+    }
+    switch (x.type()) {
+      case rel::DataType::kInt64:
+      case rel::DataType::kBool:
+        if (x.ints()[row_a] != y.ints()[row_b]) return false;
+        break;
+      case rel::DataType::kDouble: {
+        const double p = x.doubles()[row_a];
+        const double q = y.doubles()[row_b];
+        if (!(p == q) || std::signbit(p) != std::signbit(q)) return false;
+        break;
+      }
+      case rel::DataType::kString:
+        if (x.strings()[row_a] != y.strings()[row_b]) return false;
+        break;
+      case rel::DataType::kIntArray:
+        if (x.arrays()[row_a] != y.arrays()[row_b]) return false;
+        break;
+      case rel::DataType::kNull:
+        break;
+    }
   }
   return true;
+}
+
+RecordIndex::RecordIndex(std::vector<RecordColumns> parts,
+                         const std::vector<int64_t>& keys)
+    : parts_(std::move(parts)) {
+  uint32_t total = 0;
+  for (const RecordColumns& part : parts_) {
+    offsets_.push_back(total);
+    total += static_cast<uint32_t>(part.empty() ? 0 : part[0]->size());
+  }
+  table_.Build(keys);
+}
+
+uint32_t RecordIndex::FindFirst(int64_t key, const RecordColumns& probe,
+                                size_t row, uint32_t limit) const {
+  for (uint32_t m = table_.Find(key); m != kNone && m < limit;
+       m = table_.Next(m)) {
+    auto [part, part_row] = Locate(m);
+    if (RecordsMatch(parts_[part], part_row, probe, row)) return m;
+  }
+  return kNone;
+}
+
+std::pair<size_t, size_t> RecordIndex::Locate(uint32_t i) const {
+  size_t part = static_cast<size_t>(
+      std::upper_bound(offsets_.begin(), offsets_.end(), i) -
+      offsets_.begin() - 1);
+  return {part, i - offsets_[part]};
+}
+
+std::vector<std::vector<uint32_t>> FirstOccurrences(
+    std::vector<RecordColumns> parts, const std::vector<int64_t>& keys) {
+  RecordIndex index(std::move(parts), keys);
+  std::vector<std::vector<uint32_t>> keep(index.parts().size());
+  uint32_t i = 0;
+  for (size_t p = 0; p < index.parts().size(); ++p) {
+    const RecordColumns& part = index.parts()[p];
+    const size_t n = part.empty() ? 0 : part[0]->size();
+    for (size_t r = 0; r < n; ++r, ++i) {
+      if (index.FindFirst(keys[i], part, r, i) == RecordIndex::kNone) {
+        keep[p].push_back(static_cast<uint32_t>(r));
+      }
+    }
+  }
+  return keep;
 }
 
 }  // namespace orpheus::core

@@ -36,6 +36,10 @@ void Chunk::FilterRows(const std::vector<bool>& keep) {
   for (Column& col : columns_) col.Filter(keep);
 }
 
+void Chunk::Reserve(size_t n) {
+  for (Column& col : columns_) col.Reserve(n);
+}
+
 void Chunk::Clear() {
   for (Column& col : columns_) col.Clear();
 }

@@ -43,6 +43,9 @@ class Chunk {
 
   void Clear();
 
+  // Reserves room for `n` rows in every column (see Column::Reserve).
+  void Reserve(size_t n);
+
   // Appends a new column filled with NULLs (ALTER TABLE ADD COLUMN).
   void AddNullColumn(const std::string& name, DataType type);
 

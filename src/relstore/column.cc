@@ -192,6 +192,26 @@ void Column::Clear() {
   size_ = 0;
 }
 
+void Column::Reserve(size_t n) {
+  switch (type_) {
+    case DataType::kInt64:
+    case DataType::kBool:
+      ints_.reserve(n);
+      break;
+    case DataType::kDouble:
+      doubles_.reserve(n);
+      break;
+    case DataType::kString:
+      strings_.reserve(n);
+      break;
+    case DataType::kIntArray:
+      arrays_.reserve(n);
+      break;
+    case DataType::kNull:
+      break;
+  }
+}
+
 Status Column::ConvertTo(DataType new_type) {
   if (new_type == type_) return Status::OK();
   if (type_ == DataType::kInt64 && new_type == DataType::kDouble) {

@@ -87,6 +87,10 @@ class Column {
 
   void Clear();
 
+  // Reserves room for `n` elements in all, so appends and gathers up
+  // to that size do not reallocate.
+  void Reserve(size_t n);
+
   // In-place type widening (INT -> DOUBLE -> TEXT), used for the
   // paper's single-pool schema evolution (§3.3). Narrowing fails.
   Status ConvertTo(DataType new_type);

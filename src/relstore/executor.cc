@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/flat_join_table.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -138,67 +139,6 @@ void AppendMatches(const std::vector<MatchList>& parts,
     ridx->insert(ridx->end(), part.r.begin(), part.r.end());
   }
 }
-
-// Hash table from the non-NULL keys of an INT build column to the
-// build rows holding them. Power-of-two open-addressing slots hold
-// {key, head row} (multiplicative hashing, linear probing, load at
-// most 1/2); next_[row] chains the further rows holding the same key.
-// The build walks rows in reverse and pushes each onto the front of
-// its key's chain, so every chain lists its rows in ascending order.
-// Built serially by the coordinating thread and read-only afterwards,
-// so pool workers probe it concurrently.
-class FlatJoinTable {
- public:
-  static constexpr uint32_t kEnd = UINT32_MAX;
-
-  void Build(const Column& col) {
-    const std::vector<int64_t>& keys = col.ints();
-    next_.assign(keys.size(), kEnd);
-    size_t capacity = 2;
-    shift_ = 63;
-    while (capacity < 2 * keys.size()) {
-      capacity *= 2;
-      --shift_;
-    }
-    slots_.assign(capacity, Slot{0, kEnd});
-    for (size_t i = keys.size(); i-- > 0;) {
-      if (col.IsNull(i)) continue;
-      Slot& slot = slots_[SlotOf(keys[i])];
-      if (slot.head == kEnd) {
-        slot.key = keys[i];
-        ++num_keys_;
-      }
-      next_[i] = slot.head;
-      slot.head = static_cast<uint32_t>(i);
-    }
-  }
-
-  // Lowest build row holding `key`, or kEnd.
-  uint32_t Find(int64_t key) const { return slots_[SlotOf(key)].head; }
-  // Next build row holding the same key as `row`, or kEnd.
-  uint32_t Next(uint32_t row) const { return next_[row]; }
-  size_t num_keys() const { return num_keys_; }
-
- private:
-  struct Slot {
-    int64_t key;
-    uint32_t head;  // kEnd: empty slot
-  };
-
-  // The slot holding `key`, else the empty slot that ends its probe.
-  size_t SlotOf(int64_t key) const {
-    const size_t mask = slots_.size() - 1;
-    size_t s = static_cast<size_t>(
-        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
-    while (slots_[s].head != kEnd && slots_[s].key != key) s = (s + 1) & mask;
-    return s;
-  }
-
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> next_;
-  int shift_ = 63;
-  size_t num_keys_ = 0;
-};
 
 // True if `sel` selects all n rows in order.
 bool IsIdentity(const std::vector<uint32_t>& sel, size_t n) {
@@ -494,7 +434,8 @@ Result<Executor::Input> Executor::JoinPair(
           obs::ProfileOpScope build_scope("hash_build");
           build_scope.AddRowsIn(bcol.size());
           build_scope.AddBatches(1);
-          table.Build(bcol);
+          table.Build(bcol.ints(),
+                      [&](size_t i) { return bcol.IsNull(i); });
           build_scope.AddRowsOut(table.num_keys());
         }
         {

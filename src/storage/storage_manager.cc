@@ -43,6 +43,7 @@ const char* RecordTypeName(WalRecordType type) {
     case WalRecordType::kLogin: return "login";
     case WalRecordType::kInitCvd: return "init_cvd";
     case WalRecordType::kCheckout: return "checkout";
+    case WalRecordType::kStagedCommit: return "staged_commit";
     case WalRecordType::kCommit: return "commit";
     case WalRecordType::kDiscardStaged: return "discard_staged";
     case WalRecordType::kDropCvd: return "drop_cvd";
@@ -495,20 +496,18 @@ Status StorageManager::LogCheckout(const std::string& cvd_name,
   return AppendChecked(WalRecordType::kCheckout, body.data());
 }
 
-std::string StorageManager::EncodeCommitBody(const std::string& cvd_name,
-                                             const std::string& table_name,
-                                             const std::string& message,
-                                             const rel::Chunk& staged_rows) {
+Status StorageManager::LogCommit(const std::string& cvd_name,
+                                 const std::string& table_name,
+                                 const std::string& message,
+                                 const core::ResolvedCommit& commit) {
   BinaryWriter body;
   body.PutString(cvd_name);
   body.PutString(table_name);
   body.PutString(message);
-  EncodeChunk(staged_rows, &body);
-  return body.Release();
-}
-
-Status StorageManager::AppendCommitBody(const std::string& body) {
-  return AppendChecked(WalRecordType::kCommit, body);
+  EncodeSchema(commit.staged_schema, &body);
+  EncodeI64Vec(commit.rids, &body);
+  EncodeChunk(commit.new_records, &body);
+  return AppendChecked(WalRecordType::kCommit, body.data());
 }
 
 Status StorageManager::LogDiscardStaged(const std::string& cvd_name,
@@ -579,18 +578,24 @@ Status StorageManager::ApplyRecord(const WalRecord& record) {
       std::string cvd_name = r.GetString();
       std::string table = r.GetString();
       std::string message = r.GetString();
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk staged_rows, DecodeChunk(&r));
+      ORPHEUS_ASSIGN_OR_RETURN(rel::Schema staged_schema, DecodeSchema(&r));
+      ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> rids, DecodeI64Vec(&r));
+      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk new_records, DecodeChunk(&r));
       ORPHEUS_RETURN_NOT_OK(r.status());
-      // The log carries the staged content as of commit time (the user
-      // may have edited the checkout); overwrite before committing.
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged,
-                               db_->db()->GetTable(table));
-      staged->mutable_chunk() = std::move(staged_rows);
-      ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
-                               db_->Commit(cvd_name, table, message));
-      (void)vid;
-      return Status::OK();
+      if (r.remaining() != 0) {
+        return Status::Internal("commit record has trailing bytes");
+      }
+      ORPHEUS_ASSIGN_OR_RETURN(core::Cvd * cvd, db_->GetCvd(cvd_name));
+      return cvd
+          ->ReplayCommit(table, message, std::move(staged_schema),
+                         std::move(rids), std::move(new_records))
+          .status();
     }
+    case WalRecordType::kStagedCommit:
+      return Status::InvalidArgument(
+          "commit record in the retired full-staged-chunk format, which this "
+          "build no longer reads (open the directory once with an older "
+          "build and checkpoint it to migrate)");
     case WalRecordType::kDiscardStaged: {
       std::string cvd_name = r.GetString();
       std::string table = r.GetString();

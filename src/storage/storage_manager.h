@@ -31,9 +31,10 @@
 // operation's durability point — unless group commit is enabled, in
 // which case appenders only enqueue and the durability point moves to
 // WaitDurable() (see the group-commit section below). Replay applies
-// records through the same OrpheusDB verbs — logging is disarmed
-// during recovery because the manager is not yet attached to the
-// engine.
+// records through the same OrpheusDB verbs (a commit through
+// Cvd::ReplayCommit, which applies the logged resolution) — logging is
+// disarmed during recovery because the manager is not yet attached to
+// the engine.
 
 #ifndef ORPHEUS_STORAGE_STORAGE_MANAGER_H_
 #define ORPHEUS_STORAGE_STORAGE_MANAGER_H_
@@ -184,14 +185,11 @@ class StorageManager {
   Status LogCheckout(const std::string& cvd_name,
                      const std::vector<core::VersionId>& vids,
                      const std::string& table_name);
-  // Commit is logged in two steps so the record body can be encoded
-  // straight out of the staged table *before* Commit resolves rids in
-  // place and drops it — no intermediate chunk copy.
-  static std::string EncodeCommitBody(const std::string& cvd_name,
-                                      const std::string& table_name,
-                                      const std::string& message,
-                                      const rel::Chunk& staged_rows);
-  Status AppendCommitBody(const std::string& body);
+  // Logs the resolved commit (see WalRecordType::kCommit): the staged
+  // schema, the rid of every committed row and the new records only.
+  Status LogCommit(const std::string& cvd_name, const std::string& table_name,
+                   const std::string& message,
+                   const core::ResolvedCommit& commit);
   Status LogDiscardStaged(const std::string& cvd_name,
                           const std::string& table_name);
   Status LogDropCvd(const std::string& cvd_name);

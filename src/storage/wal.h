@@ -37,10 +37,13 @@ enum class WalRecordType : uint8_t {
   kLogin = 2,
   kInitCvd = 3,
   kCheckout = 4,      // checkout / merging checkout (stages a table)
-  kCommit = 5,        // carries the full staged chunk: self-contained
+  kStagedCommit = 5,  // retired: the full staged chunk; refused on replay
   kDiscardStaged = 6,
   kDropCvd = 7,
   kRepartition = 8,   // partition-store (re)build from `optimize`
+  // The resolved commit: cvd, table, message, the staged data schema,
+  // the rid of every committed row (staged order), the new records.
+  kCommit = 9,
 };
 
 struct WalRecord {

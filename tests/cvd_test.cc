@@ -1,15 +1,24 @@
 // Integration tests for the CVD layer across all five data models:
 // init / checkout / commit round trips, record immutability and rid
 // reuse, branching, merging with primary-key precedence, diff, schema
-// evolution, and the metadata tables.
+// evolution, and the metadata tables. Also exact (collision-proof)
+// record identity, and a seeded property test that checks commit
+// resolution against a brute-force reference of the resolution rule
+// and live engines against their WAL-recovered copies.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
 #include <set>
 
 #include "core/cvd.h"
 #include "core/data_model.h"
+#include "core/orpheus.h"
 #include "relstore/database.h"
+#include "storage/io_util.h"
+#include "storage/snapshot.h"
 
 namespace orpheus::core {
 namespace {
@@ -333,6 +342,429 @@ TEST_F(SchemaEvolutionTest, MetadataTablesPopulated) {
   ASSERT_TRUE(attrs.ok());
   EXPECT_EQ(attrs.value().Get(0, 0).AsInt(), 5);
 }
+
+// --- Exact record identity -----------------------------------------------
+
+rel::Schema KeyedSchema() {
+  return rel::Schema({{"k", rel::DataType::kInt64},
+                      {"name", rel::DataType::kString},
+                      {"d", rel::DataType::kDouble}});
+}
+
+// Constant keys put every row into one chain, so only typed content
+// equality tells rows apart: a 64-bit key collision can neither merge
+// two distinct records nor hide a real duplicate.
+TEST(RecordIdentityTest, ConstantKeysKeepDistinctRowsAndCatchDuplicates) {
+  rel::Chunk rows(KeyedSchema());
+  for (int i = 0; i < 60; ++i) {
+    rows.AppendRow({rel::Value::Int(i % 10),
+                    rel::Value::String("n" + std::to_string(i / 10)),
+                    rel::Value::Double(1.5)});
+  }
+  std::vector<int64_t> keys(rows.num_rows(), 0);
+  auto keep = FirstOccurrences({ColumnsOf(rows, {0, 1})}, keys);
+  ASSERT_EQ(1u, keep.size());
+  EXPECT_EQ(60u, keep[0].size());  // every (k, name) is distinct
+
+  // A real duplicate of row 7 is caught; the earlier row wins.
+  rows.AppendRowFrom(rows, 7);
+  keys.push_back(0);
+  keep = FirstOccurrences({ColumnsOf(rows, {0, 1})}, keys);
+  ASSERT_EQ(60u, keep[0].size());
+  EXPECT_EQ(59u, keep[0].back());
+
+  // Across parts (a merging checkout): rows equal to an earlier
+  // part's rows are dropped, the rest survive.
+  rel::Chunk later(KeyedSchema());
+  later.AppendRow({rel::Value::Int(3), rel::Value::String("n0"),
+                   rel::Value::Double(9.0)});  // (3, n0) is in `rows`
+  later.AppendRow({rel::Value::Int(3), rel::Value::String("fresh"),
+                   rel::Value::Double(9.0)});
+  std::vector<int64_t> all_keys(rows.num_rows() + later.num_rows(), 7);
+  keep = FirstOccurrences({ColumnsOf(rows, {0, 1}), ColumnsOf(later, {0, 1})},
+                          all_keys);
+  ASSERT_EQ(2u, keep.size());
+  EXPECT_EQ(60u, keep[0].size());
+  EXPECT_EQ(std::vector<uint32_t>{1}, keep[1]);
+}
+
+TEST(RecordIdentityTest, TypedEqualityOnNullsZerosAndNaN) {
+  rel::Chunk rows(KeyedSchema());
+  auto row = [&](rel::Value k, rel::Value name, rel::Value d) {
+    rows.AppendRow({std::move(k), std::move(name), std::move(d)});
+  };
+  row(rel::Value::Int(1), rel::Value::Null(), rel::Value::Double(0.0));   // 0
+  row(rel::Value::Int(1), rel::Value::Null(), rel::Value::Double(-0.0));  // 1
+  row(rel::Value::Int(1), rel::Value::Null(), rel::Value::Double(std::nan("")));
+  row(rel::Value::Int(1), rel::Value::Null(), rel::Value::Double(std::nan("")));
+  row(rel::Value::Int(1), rel::Value::String(""), rel::Value::Double(0.0));
+  row(rel::Value::Int(9), rel::Value::Null(), rel::Value::Double(0.0));    // 5
+  // A NULL whose slot still holds an old value equals any other NULL,
+  // and hashes like it.
+  rows.mutable_column(0).Set(5, rel::Value::Null());
+  row(rel::Value::Null(), rel::Value::Null(), rel::Value::Double(0.0));    // 6
+
+  RecordColumns cols = ColumnsOf(rows, {0, 1, 2});
+  std::vector<int64_t> keys;
+  AppendRecordKeys(cols, rows.num_rows(), &keys);
+  EXPECT_EQ(keys[5], keys[6]);
+  EXPECT_TRUE(RecordsMatch(cols, 5, cols, 6));
+  EXPECT_FALSE(RecordsMatch(cols, 0, cols, 1));  // 0.0 vs -0.0
+  EXPECT_FALSE(RecordsMatch(cols, 2, cols, 3));  // NaN vs NaN
+  EXPECT_FALSE(RecordsMatch(cols, 2, cols, 2));
+  EXPECT_FALSE(RecordsMatch(cols, 0, cols, 4));  // NULL vs ''
+  EXPECT_TRUE(RecordsMatch(cols, 4, cols, 4));
+  // Both NaN rows survive a dedupe; the two NULL-keyed rows do not.
+  EXPECT_EQ((std::vector<uint32_t>{0, 1, 2, 3, 4, 5}),
+            FirstOccurrences({cols}, keys)[0]);
+}
+
+// --- Commit resolution: reference property test ----------------------------
+
+// The resolution rule as the record manager first implemented it, kept
+// as a brute-force oracle: FNV-1a over each row's typed bytes (NULL as
+// a tag byte), then boxed Value equality with NULL equal to NULL. A
+// staged row takes the rid of the first parent record, in parent order
+// then row order, that passes both; otherwise the next fresh rid.
+uint64_t ReferenceHash(const rel::Chunk& chunk, size_t row) {
+  uint64_t h = 1469598103934665603ULL;
+  auto bytes = [&h](const void* data, size_t len) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (int c = 0; c < chunk.num_columns(); ++c) {
+    const rel::Column& col = chunk.column(c);
+    if (col.IsNull(row)) {
+      unsigned char tag = 0xff;
+      bytes(&tag, 1);
+      continue;
+    }
+    switch (col.type()) {
+      case rel::DataType::kInt64:
+      case rel::DataType::kBool:
+        bytes(&col.ints()[row], sizeof(int64_t));
+        break;
+      case rel::DataType::kDouble:
+        bytes(&col.doubles()[row], sizeof(double));
+        break;
+      case rel::DataType::kString: {
+        size_t len = col.strings()[row].size();
+        bytes(&len, sizeof(len));
+        bytes(col.strings()[row].data(), len);
+        break;
+      }
+      case rel::DataType::kIntArray: {
+        size_t len = col.arrays()[row].size();
+        bytes(&len, sizeof(len));
+        bytes(col.arrays()[row].data(), len * sizeof(int64_t));
+        break;
+      }
+      case rel::DataType::kNull:
+        break;
+    }
+  }
+  return h;
+}
+
+bool ReferenceEqual(const rel::Chunk& a, size_t ra, const rel::Chunk& b,
+                    size_t rb) {
+  if (ReferenceHash(a, ra) != ReferenceHash(b, rb)) return false;
+  for (int c = 0; c < a.num_columns(); ++c) {
+    rel::Value va = a.Get(ra, c);
+    rel::Value vb = b.Get(rb, c);
+    if (va.is_null() && vb.is_null()) continue;
+    if (!va.Equals(vb)) return false;
+  }
+  return true;
+}
+
+// `rows`' data attributes aligned by name to `data_schema`: missing
+// attributes read NULL, narrower values widen to the attribute's type.
+rel::Chunk AlignTo(const rel::Chunk& rows, const rel::Schema& data_schema) {
+  rel::Chunk out(data_schema);
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    std::vector<rel::Value> values;
+    for (const rel::ColumnDef& def : data_schema.columns()) {
+      int src = rows.schema().FindColumn(def.name);
+      rel::Value v = src < 0 ? rel::Value::Null() : rows.Get(r, src);
+      if (!v.is_null() && def.type == rel::DataType::kDouble &&
+          v.type() == rel::DataType::kInt64) {
+        v = rel::Value::Double(static_cast<double>(v.AsInt()));
+      }
+      values.push_back(std::move(v));
+    }
+    out.AppendRow(values);
+  }
+  return out;
+}
+
+struct ReferenceParent {
+  rel::Chunk data;
+  std::vector<RecordId> rids;
+};
+
+std::vector<RecordId> ReferenceRids(const rel::Chunk& staged,
+                                    const std::vector<ReferenceParent>& parents,
+                                    RecordId next_rid) {
+  std::vector<RecordId> rids;
+  for (size_t r = 0; r < staged.num_rows(); ++r) {
+    RecordId found = -1;
+    for (const ReferenceParent& parent : parents) {
+      for (size_t pr = 0; pr < parent.data.num_rows() && found < 0; ++pr) {
+        if (ReferenceEqual(staged, r, parent.data, pr)) found = parent.rids[pr];
+      }
+      if (found >= 0) break;
+    }
+    rids.push_back(found >= 0 ? found : next_rid++);
+  }
+  return rids;
+}
+
+rel::Schema ScriptSchema() {
+  return rel::Schema({{"k", rel::DataType::kInt64},
+                      {"d", rel::DataType::kDouble},
+                      {"s", rel::DataType::kString},
+                      {"arr", rel::DataType::kIntArray},
+                      {"x", rel::DataType::kInt64}});
+}
+
+// Small domains, so edits often recreate parent content; NULL, 0.0
+// against -0.0, and NaN all appear.
+rel::Value RandomValue(rel::DataType type, std::mt19937_64& rng) {
+  const int pick = static_cast<int>(rng() % 5);
+  if (pick == 4) return rel::Value::Null();
+  switch (type) {
+    case rel::DataType::kInt64:
+      return rel::Value::Int(pick % 3);
+    case rel::DataType::kDouble: {
+      const double values[] = {0.0, -0.0, std::nan(""), 1.5};
+      return rel::Value::Double(values[pick]);
+    }
+    case rel::DataType::kString: {
+      const char* values[] = {"a", "b", "", "a"};
+      return rel::Value::String(values[pick]);
+    }
+    case rel::DataType::kIntArray: {
+      const rel::IntArray values[] = {{}, {1}, {1, 2}, {2}};
+      return rel::Value::Array(values[pick]);
+    }
+    default:
+      return rel::Value::Null();
+  }
+}
+
+// One random edit of staged table `w` (rid first, then data columns).
+// With a primary key, k is never edited and inserted keys are fresh.
+void RandomEdit(rel::Table* staged, const std::vector<ReferenceParent>& parents,
+                bool with_pk, int64_t* next_key, std::mt19937_64& rng) {
+  rel::Chunk& rows = staged->mutable_chunk();
+  const rel::Schema schema = rows.schema();
+  const size_t n = rows.num_rows();
+  const int op = static_cast<int>(rng() % 5);
+  if (op == 0 && n > 0) {  // update one attribute
+    const size_t r = rng() % n;
+    const int c = 1 + static_cast<int>(rng() % (schema.num_columns() - 1));
+    if (with_pk && schema.column(c).name == "k") return;
+    rows.mutable_column(c).Set(r, RandomValue(schema.column(c).type, rng));
+  } else if (op == 1 && n > 0) {  // delete a row
+    std::vector<bool> keep(n, true);
+    keep[rng() % n] = false;
+    rows.FilterRows(keep);
+  } else if (op == 2) {  // insert a new row (rid left NULL)
+    std::vector<rel::Value> values = {rel::Value::Null()};
+    for (int c = 1; c < schema.num_columns(); ++c) {
+      values.push_back(with_pk && schema.column(c).name == "k"
+                           ? rel::Value::Int((*next_key)++)
+                           : RandomValue(schema.column(c).type, rng));
+    }
+    rows.AppendRow(values);
+  } else if ((op == 3 || op == 4) && !parents.empty()) {
+    // Copy a parent record's content: over an existing row (a revert)
+    // or as an extra row (an equal duplicate of the record).
+    const ReferenceParent& parent = parents[rng() % parents.size()];
+    if (parent.data.num_rows() == 0) return;
+    const size_t pr = rng() % parent.data.num_rows();
+    size_t r = n;
+    if (op == 3 && n > 0) {
+      r = rng() % n;
+    } else {
+      std::vector<rel::Value> values(static_cast<size_t>(schema.num_columns()));
+      rows.AppendRow(values);
+    }
+    for (int c = 1; c < schema.num_columns(); ++c) {
+      int pc = parent.data.schema().FindColumn(schema.column(c).name);
+      if (pc < 0 || parent.data.schema().column(pc).type != schema.column(c).type) {
+        continue;
+      }
+      rows.mutable_column(c).Set(r, parent.data.Get(pr, pc));
+    }
+    if (with_pk) {  // a copied key must stay unique
+      int k = schema.FindColumn("k");
+      for (size_t other = 0; other < rows.num_rows(); ++other) {
+        if (other != r && !rows.column(k).IsNull(other) &&
+            rows.column(k).ints()[other] == rows.column(k).ints()[r]) {
+          rows.mutable_column(k).Set(r, rel::Value::Int((*next_key)++));
+          break;
+        }
+      }
+    }
+  }
+}
+
+class ResolutionPropertyTest : public ::testing::TestWithParam<DataModelKind> {};
+
+TEST_P(ResolutionPropertyTest, ScriptsMatchReferenceAndReplayBitIdentically) {
+  const DataModelKind model = GetParam();
+  const bool evolves = model == DataModelKind::kSplitByRlist ||
+                       model == DataModelKind::kSplitByVlist;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const bool with_pk = seed % 2 == 0;
+    const std::string dir =
+        storage::MakeTempDir("orpheus_resolve_").ValueOrDie();
+    std::string image;
+    {
+      OrpheusDB db;
+      ASSERT_TRUE(db.Open(dir).ok());
+      CvdOptions options;
+      options.model = model;
+      if (with_pk) options.primary_key = {"k"};
+      // Rows 0-2 pin 0.0, NaN and NULLs; without a primary key the
+      // random rows repeat content, so v1 holds duplicate rows.
+      rel::Chunk init(ScriptSchema());
+      int64_t next_key = 0;
+      for (int i = 0; i < 12; ++i) {
+        std::vector<rel::Value> values;
+        for (const rel::ColumnDef& def : init.schema().columns()) {
+          values.push_back(def.name == "k" && with_pk
+                               ? rel::Value::Int(next_key++)
+                               : RandomValue(def.type, rng));
+        }
+        if (i == 0) values[1] = rel::Value::Double(0.0);
+        if (i == 1) values[1] = rel::Value::Double(std::nan(""));
+        if (i == 2) values[2] = values[3] = rel::Value::Null();
+        init.AppendRow(values);
+      }
+      ASSERT_TRUE(db.InitCvd("t", init, options, "init").ok());
+      Cvd* cvd = db.GetCvd("t").ValueOrDie();
+
+      std::vector<VersionId> versions = {1};
+      std::vector<RecordId> same_edit_rids;
+      for (int step = 0; step < 10; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        // Steps 0-2: two branches of v1 make the same edit (equal
+        // content under two rids), then a merge of both. Later steps
+        // pick one or two random versions.
+        std::vector<VersionId> parents = {1};
+        if (step == 2) {
+          parents = {versions[1], versions[2]};
+        } else if (step > 2) {
+          parents = {versions[rng() % versions.size()]};
+          VersionId other = versions[rng() % versions.size()];
+          if (rng() % 3 == 0 && other != parents[0]) parents.push_back(other);
+        }
+        ASSERT_TRUE(db.Checkout("t", parents, "w").ok());
+        rel::Table* staged = db.db()->GetTable("w").ValueOrDie();
+
+        std::vector<ReferenceParent> before;
+        for (VersionId p : parents) {
+          rel::Chunk rows = cvd->model()->VersionRows(p).ValueOrDie();
+          before.push_back({std::move(rows), {}});
+        }
+        if (step < 2) {
+          rel::Chunk& rows = staged->mutable_chunk();
+          rows.mutable_column(rows.schema().FindColumn("s"))
+              .Set(0, rel::Value::String("same edit"));
+          rows.mutable_column(rows.schema().FindColumn("d"))
+              .Set(0, rel::Value::Double(-0.0));
+        } else {
+          const int edits = 1 + static_cast<int>(rng() % 5);
+          for (int e = 0; e < edits; ++e) {
+            RandomEdit(staged, before, with_pk, &next_key, rng);
+          }
+        }
+        if (evolves && step == 5) {  // an added attribute
+          ASSERT_TRUE(staged->AddColumn("extra", rel::DataType::kInt64).ok());
+          rel::Chunk& rows = staged->mutable_chunk();
+          if (rows.num_rows() > 0) {
+            rows.mutable_column(rows.num_columns() - 1).Set(0, rel::Value::Int(4));
+          }
+        }
+        if (evolves && step == 7) {  // x widens from INT to DOUBLE
+          ASSERT_TRUE(staged->AlterColumnType("x", rel::DataType::kDouble).ok());
+        }
+
+        Result<ResolvedCommit> plan = cvd->ResolveCommit("w");
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        // The reference reads the parents after schema reconciliation,
+        // in the same row order resolution saw.
+        const rel::Schema data_schema = cvd->model()->data_schema();
+        std::vector<ReferenceParent> reference;
+        for (VersionId p : parents) {
+          rel::Chunk rows = cvd->model()->VersionRows(p).ValueOrDie();
+          reference.push_back(
+              {AlignTo(rows, data_schema), rows.column(0).ints()});
+        }
+        EXPECT_EQ(ReferenceRids(AlignTo(staged->data(), data_schema), reference,
+                                cvd->total_records()),
+                  plan.value().rids);
+
+        Result<VersionId> vid = db.Commit("t", "w", "step");
+        ASSERT_TRUE(vid.ok()) << vid.status().ToString();
+        if (model == DataModelKind::kSplitByRlist) {
+          EXPECT_EQ(plan.value().rids,
+                    cvd->model()->VersionRecords(vid.value()).ValueOrDie());
+        }
+        // Edge weights: committed rows whose rid the parent holds.
+        std::vector<int64_t> weights;
+        for (const ReferenceParent& parent : reference) {
+          std::set<RecordId> held(parent.rids.begin(), parent.rids.end());
+          weights.push_back(std::count_if(
+              plan.value().rids.begin(), plan.value().rids.end(),
+              [&](RecordId rid) { return held.count(rid) > 0; }));
+        }
+        EXPECT_EQ(weights,
+                  cvd->graph().GetNode(vid.value()).value()->parent_weights);
+        const std::vector<RecordId>& rids = plan.value().rids;
+        if (step < 2) {
+          same_edit_rids.push_back(rids[0]);
+        } else if (step == 2) {  // the first parent's rid wins the merge
+          ASSERT_NE(same_edit_rids[0], same_edit_rids[1]);
+          EXPECT_NE(rids.end(),
+                    std::find(rids.begin(), rids.end(), same_edit_rids[0]));
+          EXPECT_EQ(rids.end(),
+                    std::find(rids.begin(), rids.end(), same_edit_rids[1]));
+        }
+        versions.push_back(vid.value());
+      }
+      image = storage::SnapshotCodec::Encode(db, 0);
+    }
+    {
+      OrpheusDB recovered;
+      ASSERT_TRUE(recovered.Open(dir).ok());
+      EXPECT_TRUE(image == storage::SnapshotCodec::Encode(recovered, 0))
+          << "live and WAL-recovered engines differ";
+    }
+    ASSERT_TRUE(storage::RemoveDirRecursive(dir).ok());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, ResolutionPropertyTest,
+    ::testing::Values(DataModelKind::kSplitByRlist, DataModelKind::kSplitByVlist,
+                      DataModelKind::kCombinedTable, DataModelKind::kDeltaBased,
+                      DataModelKind::kTablePerVersion),
+    [](const ::testing::TestParamInfo<DataModelKind>& info) {
+      std::string name = DataModelKindName(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace orpheus::core

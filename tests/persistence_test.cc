@@ -638,6 +638,263 @@ TEST(Persistence, CrcCorruptedRecordStopsReplayCleanly) {
   }
 }
 
+// --- Hostile commit records --------------------------------------------
+
+// A database whose WAL ends with a staged checkout of v2 ("w2"), ready
+// for a crafted commit record. v1 holds rids 0-5; v2 drops rid 5 and
+// replaces rid 1 with rid 6, so total_records() is 7.
+void BuildCommitBase(const std::string& dir) {
+  OrpheusDB db;
+  ASSERT_TRUE(db.Open(dir).ok());
+  CvdOptions options;
+  ASSERT_TRUE(db.InitCvd("t", SampleRows(6), options, "init").ok());
+  ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
+  ASSERT_TRUE(db.db()->Execute("DELETE FROM w WHERE k = 5").ok());
+  ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 7.5 WHERE k = 1").ok());
+  ASSERT_EQ(2, db.Commit("t", "w", "v2").ValueOrDie());
+  ASSERT_EQ(7, db.GetCvd("t").ValueOrDie()->total_records());
+  ASSERT_TRUE(db.Checkout("t", {2}, "w2").ok());
+}
+
+rel::Schema SampleDataSchema() { return SampleRows(0).schema(); }
+
+rel::Schema SampleRecordSchema() {
+  rel::Schema schema;
+  schema.AddColumn("rid", rel::DataType::kInt64);
+  const rel::Schema data_schema = SampleDataSchema();
+  for (const rel::ColumnDef& def : data_schema.columns()) {
+    schema.AddColumn(def.name, def.type);
+  }
+  return schema;
+}
+
+// New records (schema: rid + SampleRows attributes) with the given rids.
+rel::Chunk NewRecords(const std::vector<int64_t>& rids) {
+  rel::Chunk rows(SampleRecordSchema());
+  for (int64_t rid : rids) {
+    rows.AppendRow({rel::Value::Int(rid), rel::Value::Int(100 + rid),
+                    rel::Value::String("new"), rel::Value::Double(0.25)});
+  }
+  return rows;
+}
+
+std::string CommitBody(const std::vector<int64_t>& rids,
+                       const rel::Chunk& new_records,
+                       const rel::Schema& staged_schema = SampleDataSchema()) {
+  storage::BinaryWriter body;
+  body.PutString("t");
+  body.PutString("w2");
+  body.PutString("crafted");
+  storage::EncodeSchema(staged_schema, &body);
+  storage::EncodeI64Vec(rids, &body);
+  storage::EncodeChunk(new_records, &body);
+  return body.Release();
+}
+
+// Clones `base` and appends one record to the clone's WAL; returns the
+// record's LSN.
+uint64_t CloneWithRecord(const std::string& base, const std::string& clone,
+                         storage::WalRecordType type, const std::string& body) {
+  CloneDbDir(base, clone);
+  std::string bytes = storage::ReadFileToString(WalPath(base)).ValueOrDie();
+  size_t valid = 0;
+  std::vector<storage::WalRecord> records = storage::ParseWal(bytes, 0, &valid);
+  const uint64_t lsn = records.back().lsn + 1;
+  auto writer =
+      storage::WalWriter::Open(WalPath(clone), lsn, records.size()).ValueOrDie();
+  EXPECT_TRUE(writer->Append(type, body).ok());
+  return lsn;
+}
+
+void ExpectOpenFailsAt(const std::string& dir, uint64_t lsn,
+                       const std::string& want = "") {
+  OrpheusDB db;
+  Status st = db.Open(dir);
+  ASSERT_FALSE(st.ok());
+  EXPECT_FALSE(db.durable());
+  EXPECT_NE(std::string::npos, st.message().find("lsn " + std::to_string(lsn)))
+      << st.message();
+  EXPECT_NE(std::string::npos, st.message().find(want)) << st.message();
+}
+
+TEST(Persistence, HostileCommitRecordsFailReplayCleanly) {
+  TempDir base;
+  BuildCommitBase(base.path());
+  TempDir clones;
+  int id = 0;
+  auto next_clone = [&] { return clones.Sub("c" + std::to_string(id++)); };
+
+  // The well-formed record replays: rid 7 is the one new record.
+  const std::vector<int64_t> good_rids = {0, 6, 2, 3, 4, 7};
+  const std::string good = CommitBody(good_rids, NewRecords({7}));
+  {
+    const std::string clone = next_clone();
+    CloneWithRecord(base.path(), clone, storage::WalRecordType::kCommit, good);
+    OrpheusDB db;
+    ASSERT_TRUE(db.Open(clone).ok());
+    Cvd* cvd = db.GetCvd("t").ValueOrDie();
+    EXPECT_EQ(3, cvd->latest_version());
+    EXPECT_EQ(8, cvd->total_records());
+    EXPECT_EQ(good_rids, cvd->model()->VersionRecords(3).ValueOrDie());
+  }
+
+  // Truncated at every byte.
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    SCOPED_TRACE("truncated to " + std::to_string(cut));
+    const std::string clone = next_clone();
+    uint64_t lsn = CloneWithRecord(base.path(), clone,
+                                   storage::WalRecordType::kCommit,
+                                   good.substr(0, cut));
+    ExpectOpenFailsAt(clone, lsn);
+  }
+
+  struct Case {
+    std::string name;
+    std::string body;
+    std::string want;  // part of the expected message
+  };
+  std::vector<Case> cases;
+  {
+    // A rid count that runs past the end of the body.
+    storage::BinaryWriter body;
+    body.PutString("t");
+    body.PutString("w2");
+    body.PutString("crafted");
+    storage::EncodeSchema(SampleDataSchema(), &body);
+    body.PutU32(1000);
+    for (int64_t rid : good_rids) body.PutI64(rid);
+    storage::EncodeChunk(NewRecords({7}), &body);
+    cases.push_back({"rid count past the end", body.Release(), "truncated"});
+  }
+  cases.push_back({"rid in no parent and not new",
+                   CommitBody({0, 6, 2, 3, 5, 7}, NewRecords({7})),
+                   "neither new nor in a parent"});
+  cases.push_back({"negative rid", CommitBody({0, 6, 2, 3, -1, 7}, NewRecords({7})),
+                   "neither new nor in a parent"});
+  cases.push_back({"new rids skip ahead",
+                   CommitBody({0, 6, 2, 3, 4, 9}, NewRecords({9})),
+                   "next new record is rid 7"});
+  cases.push_back({"rid list and new records disagree",
+                   CommitBody({0, 6, 2, 3, 4, 8}, NewRecords({7, 8})),
+                   "next new record is rid 7"});
+  cases.push_back({"new rid reused", CommitBody({7, 7}, NewRecords({7})),
+                   "next new record is rid 8"});
+  cases.push_back({"unreferenced new record",
+                   CommitBody({0, 6, 2, 3, 4}, NewRecords({7})),
+                   "1 new records, but the committed rows use 0"});
+  {
+    // New records missing an attribute the schema names.
+    rel::Schema narrow;
+    narrow.AddColumn("rid", rel::DataType::kInt64);
+    narrow.AddColumn("k", rel::DataType::kInt64);
+    narrow.AddColumn("name", rel::DataType::kString);
+    rel::Chunk rows(narrow);
+    rows.AppendRow({rel::Value::Int(7), rel::Value::Int(1), rel::Value::String("x")});
+    cases.push_back({"schema does not match new records",
+                     CommitBody(good_rids, rows), "do not match the record schema"});
+    // A logged schema that narrows an attribute's type.
+    rel::Schema int_score;
+    const rel::Schema data_schema = SampleDataSchema();
+  for (const rel::ColumnDef& def : data_schema.columns()) {
+      int_score.AddColumn(def.name, def.name == "score" ? rel::DataType::kInt64
+                                                        : def.type);
+    }
+    rel::Schema int_records;
+    int_records.AddColumn("rid", rel::DataType::kInt64);
+    for (const rel::ColumnDef& def : int_score.columns()) {
+      int_records.AddColumn(def.name, def.type);
+    }
+    rel::Chunk int_rows(int_records);
+    int_rows.AppendRow({rel::Value::Int(7), rel::Value::Int(1),
+                        rel::Value::String("x"), rel::Value::Int(3)});
+    cases.push_back({"new records narrower than the pool",
+                     CommitBody(good_rids, int_rows, int_score),
+                     "do not match the record schema"});
+    rel::Schema with_rid = SampleDataSchema();
+    with_rid.AddColumn("rid", rel::DataType::kInt64);
+    cases.push_back({"schema names rid", CommitBody(good_rids, NewRecords({7}), with_rid),
+                     "reserved rid column"});
+  }
+  cases.push_back({"trailing bytes", good + "x", "trailing bytes"});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string clone = next_clone();
+    uint64_t lsn = CloneWithRecord(base.path(), clone,
+                                   storage::WalRecordType::kCommit, c.body);
+    ExpectOpenFailsAt(clone, lsn, c.want);
+  }
+}
+
+// A commit record in the retired format (the full staged chunk) is
+// refused by name, like a v1 snapshot.orph — never silently skipped.
+TEST(Persistence, RetiredStagedCommitRecordFailsOpenNamingItsLsn) {
+  TempDir base;
+  BuildCommitBase(base.path());
+  storage::BinaryWriter body;
+  body.PutString("t");
+  body.PutString("w2");
+  body.PutString("old format");
+  storage::EncodeChunk(NewRecords({0, 6, 2, 3, 4}), &body);
+  TempDir clone;
+  uint64_t lsn = CloneWithRecord(base.path(), clone.Sub("db"),
+                                 storage::WalRecordType::kStagedCommit,
+                                 body.Release());
+  ExpectOpenFailsAt(clone.Sub("db"), lsn, "retired full-staged-chunk format");
+}
+
+// Fig. 3 of the paper as an exact gate: on split-by-rlist, a commit's
+// WAL record and its new records depend on the edit and the version's
+// size, not on the history length. The record is the rid list (8
+// bytes per row) plus the four new records.
+TEST(Persistence, CommitWalBytesTrackTheEditNotTheHistory) {
+  constexpr int kRows = 1000;
+  rel::Schema schema;
+  schema.AddColumn("k", rel::DataType::kInt64);
+  for (int c = 0; c < 4; ++c) {
+    schema.AddColumn("i" + std::to_string(c), rel::DataType::kInt64);
+    schema.AddColumn("s" + std::to_string(c), rel::DataType::kString);
+  }
+  rel::Chunk rows(schema);
+  for (int r = 0; r < kRows; ++r) {
+    std::vector<rel::Value> values = {rel::Value::Int(r)};
+    for (int c = 0; c < 4; ++c) {
+      values.push_back(rel::Value::Int(r * 7 + c));
+      values.push_back(rel::Value::String("value-" + std::to_string(r)));
+    }
+    rows.AppendRow(values);
+  }
+  TempDir dir;
+  OrpheusDB db;
+  ASSERT_TRUE(db.Open(dir.path()).ok());
+  db.storage()->set_fsync(false);
+  CvdOptions options;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(db.InitCvd("t", rows, options, "init").ok());
+  Cvd* cvd = db.GetCvd("t").ValueOrDie();
+
+  std::map<int, uint64_t> wal_bytes;
+  std::map<int, int64_t> new_records;
+  for (int history = 2; history <= 100; ++history) {
+    ASSERT_TRUE(db.Checkout("t", {cvd->latest_version()}, "w").ok());
+    for (int k : {10, 20, 30, 40}) {  // a fixed 4-row edit
+      ASSERT_TRUE(db.db()
+                      ->Execute("UPDATE w SET i0 = " + std::to_string(100000 + history) +
+                                " WHERE k = " + std::to_string(k))
+                      .ok());
+    }
+    const uint64_t bytes_before = db.storage()->wal_bytes();
+    const int64_t records_before = cvd->total_records();
+    ASSERT_EQ(history, db.Commit("t", "w", "bump").ValueOrDie());
+    wal_bytes[history] = db.storage()->wal_bytes() - bytes_before;
+    new_records[history] = cvd->total_records() - records_before;
+  }
+  EXPECT_EQ(4, new_records[10]);
+  EXPECT_EQ(new_records[10], new_records[100]);
+  EXPECT_EQ(wal_bytes[10], wal_bytes[100]);
+  EXPECT_LE(wal_bytes[100], uint64_t{16} * kRows + 1024) << wal_bytes[100];
+}
+
 TEST(Persistence, EmptyDirectoryOpensFresh) {
   TempDir dir;
   std::string nested = dir.Sub("a/b/dbdir");
