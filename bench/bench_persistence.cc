@@ -1,9 +1,8 @@
 // Durable storage benchmarks: snapshot write/load and commit-WAL
 // append/replay throughput at --scale'd dataset sizes.
 //
-// Six phases, each reported with wall time and MB/s or records/s:
+// Seven phases, each reported with wall time and MB/s or records/s:
 //   1. durable commit loop    — checkout + commit through the WAL
-//                               (fsync on and off)
 //   2. checkpoint             — segment encode + atomic manifest
 //                               replace (size = MANIFEST + segments)
 //   3. cold open (segments)   — restore from the manifest alone
@@ -55,7 +54,6 @@ namespace {
 
 struct Numbers {
   double commit_fsync_s = 0;
-  double commit_nosync_s = 0;
   int64_t wal_bytes = 0;
   double checkpoint_s = 0;
   int64_t checkpoint_bytes = 0;  // MANIFEST + live segments
@@ -97,9 +95,12 @@ struct GroupCommitPoint {
   int64_t wal_syncs = 0;    // fdatasyncs it cost
 };
 
-// N sessions, each checkout+commit-ing `ops` times over EngineApi.
-// Small rows: the point is sync cost, not chunk encoding. Returns
-// throughput + the records/syncs the WAL saw.
+// N sessions, each checkout+commit-ing `ops` times over EngineApi on
+// a CVD of its own, so every point's commits cost the same CPU (a
+// checkout's cost grows with its CVD's version count) and the points
+// differ only in how their syncs group. Small rows: the point is sync
+// cost, not chunk encoding. Returns throughput + the records/syncs the
+// WAL saw.
 Result<GroupCommitPoint> RunGroupCommitPoint(int sessions, int ops,
                                              const std::string& dir) {
   GroupCommitPoint point;
@@ -118,9 +119,12 @@ Result<GroupCommitPoint> RunGroupCommitPoint(int sessions, int ops,
   }
   core::CvdOptions options;
   options.primary_key = {"k"};
-  ORPHEUS_ASSIGN_OR_RETURN(core::Cvd * cvd,
-                           api.orpheus()->InitCvd("gc", rows, options, "init"));
-  (void)cvd;
+  for (int s = 0; s < sessions; ++s) {
+    ORPHEUS_ASSIGN_OR_RETURN(
+        core::Cvd * cvd, api.orpheus()->InitCvd("gc" + std::to_string(s), rows,
+                                                options, "init"));
+    (void)cvd;
+  }
   storage::StorageManager* sm = api.orpheus()->storage();
   const uint64_t records_before = sm->wal_records();
   const uint64_t syncs_before = sm->wal_syncs();
@@ -134,8 +138,9 @@ Result<GroupCommitPoint> RunGroupCommitPoint(int sessions, int ops,
       auto session = api.NewSession();
       for (int i = 0; i < ops; ++i) {
         std::string w = "w" + std::to_string(s) + "_" + std::to_string(i);
-        auto checkout =
-            api.Execute(session.get(), "checkout gc -v 1 -t " + w);
+        auto checkout = api.Execute(
+            session.get(),
+            "checkout gc" + std::to_string(s) + " -v 1 -t " + w);
         if (!checkout.ok()) {
           failures[static_cast<size_t>(s)] = checkout.status();
           return;
@@ -248,7 +253,7 @@ Result<Numbers> RunOnce(const wl::Dataset& data, int commits,
                            db.InitCvd("bench", rows, options, "init"));
   (void)cvd;
 
-  // Phase 1a: durable commits with per-record fsync.
+  // Phase 1: durable commits, each waiting for its own fdatasync.
   WallTimer commit_timer;
   for (int i = 0; i < commits; ++i) {
     std::string table = "w" + std::to_string(i);
@@ -259,18 +264,6 @@ Result<Numbers> RunOnce(const wl::Dataset& data, int commits,
   }
   out.commit_fsync_s = commit_timer.ElapsedSeconds();
 
-  // Phase 1b: same, fsync off (page-cache throughput).
-  db.storage()->set_fsync(false);
-  WallTimer nosync_timer;
-  for (int i = 0; i < commits; ++i) {
-    std::string table = "n" + std::to_string(i);
-    ORPHEUS_RETURN_NOT_OK(db.Checkout("bench", {1}, table));
-    ORPHEUS_ASSIGN_OR_RETURN(core::VersionId vid,
-                             db.Commit("bench", table, "commit"));
-    (void)vid;
-  }
-  out.commit_nosync_s = nosync_timer.ElapsedSeconds();
-  db.storage()->set_fsync(true);
   ORPHEUS_ASSIGN_OR_RETURN(
       out.wal_bytes,
       storage::FileSize(storage::StorageManager::WalPath(dir)));
@@ -330,7 +323,6 @@ std::string ToJson(const std::vector<Numbers>& phases,
     out << "    {\"dataset\": \"" << phase_names[i]
         << "\", \"records\": " << n.records << ", \"commits\": " << n.commits
         << ", \"commit_fsync_s\": " << n.commit_fsync_s
-        << ", \"commit_nosync_s\": " << n.commit_nosync_s
         << ", \"wal_bytes\": " << n.wal_bytes
         << ", \"checkpoint_s\": " << n.checkpoint_s
         << ", \"checkpoint_bytes\": " << n.checkpoint_bytes
@@ -373,12 +365,12 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   double scale = flags.GetDouble("scale", 1.0);
   int commits = static_cast<int>(flags.GetInt("commits", 4));
-  int gc_ops = static_cast<int>(flags.GetInt("gc-ops", 8));
+  int gc_ops = static_cast<int>(flags.GetInt("gc-ops", 400));
   SetExecThreads(static_cast<int>(flags.GetInt("threads", 0)));
 
   std::cout << "=== Durable storage: snapshot + WAL throughput ===\n\n";
-  TablePrinter table({"Dataset", "|R|", "commit(fsync)", "commit(nosync)",
-                      "WAL MB/s", "checkpoint", "ckpt size", "open(segs)",
+  TablePrinter table({"Dataset", "|R|", "commit(fsync)", "WAL MB/s",
+                      "checkpoint", "ckpt size", "open(segs)",
                       "open(segs+WAL)"});
   std::vector<Numbers> phases;
   std::vector<std::string> phase_names;
@@ -403,9 +395,7 @@ int main(int argc, char** argv) {
     phase_names.push_back(spec.Name());
     table.AddRow({spec.Name(), WithThousandsSep(n.records),
                   FormatSeconds(n.commit_fsync_s / n.commits),
-                  FormatSeconds(n.commit_nosync_s / n.commits),
-                  StrFormat("%.1f", MbPerSec(n.wal_bytes, n.commit_fsync_s +
-                                                              n.commit_nosync_s)),
+                  StrFormat("%.1f", MbPerSec(n.wal_bytes, n.commit_fsync_s)),
                   FormatSeconds(n.checkpoint_s),
                   FormatBytes(n.checkpoint_bytes),
                   FormatSeconds(n.open_snapshot_s),
@@ -483,9 +473,11 @@ int main(int argc, char** argv) {
                "rewritten anyway.\n";
 
   // Phase 7: the observability tax. Same committer loop as phase 5
-  // (4 sessions), once with the registry live and
-  // once with every Inc/Observe no-op'd; best-of-3 interleaved so a
-  // scheduler hiccup can't be charged to either side.
+  // (4 sessions, a fixed 8 ops each whatever --gc-ops says: the CI
+  // gate's absolute slack is sized for these short runs), once with
+  // the registry live and once with every Inc/Observe no-op'd;
+  // best-of-3 interleaved so a scheduler hiccup can't be charged to
+  // either side.
   std::cout << "\n=== Metrics overhead: registry live vs no-op ===\n\n";
   MetricsOverhead overhead;
   overhead.enabled_s = 1e18;
@@ -498,7 +490,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       obs::SetMetricsEnabled(enabled);
-      auto point = RunGroupCommitPoint(4, gc_ops, tmp.value() + "/db");
+      auto point = RunGroupCommitPoint(4, 8, tmp.value() + "/db");
       obs::SetMetricsEnabled(true);
       (void)storage::RemoveDirRecursive(tmp.value());
       if (!point.ok()) {

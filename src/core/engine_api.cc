@@ -378,21 +378,20 @@ Result<std::string> EngineApi::RunLocked(LockMode mode, SessionContext* session,
     return body();
   }
   // The exclusive hold covers the in-memory apply plus the WAL enqueue
-  // only. Tickets for the records this statement enqueued are taken
-  // before the lock drops; the durable wait happens after, so other
-  // sessions' statements can join the commit group while this one
-  // blocks on the leader's single fdatasync.
+  // only. A durability scope collects the tickets of the records this
+  // statement enqueued and hands them over before the lock drops; the
+  // durable wait happens after, so other sessions' statements can join
+  // the commit group while this one blocks on the leader's single
+  // fdatasync.
   std::vector<storage::AppendTicket> tickets;
   Result<std::string> result = std::string();
   {
     std::unique_lock<std::shared_mutex> lock(lock_.mu(), std::defer_lock);
     wait_for(lock);
     obs::TraceSpan exec_span(obs::TraceStage::kExecute);
-    // Storage opened through orpheus()->Open() starts in the embedder's
-    // synchronous mode; every statement over this API is grouped.
-    if (orpheus_.durable()) orpheus_.storage()->SetGroupCommit(true);
+    storage::DurabilityScope scope(orpheus_.storage());
     result = body();
-    if (orpheus_.durable()) tickets = orpheus_.storage()->TakePendingTickets();
+    tickets = scope.Close();
     if (result.ok()) lock_.BumpEpoch();
   }
   if (tickets.empty()) return result;

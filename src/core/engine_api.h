@@ -17,7 +17,8 @@
 //    holding it form a correct total order), and by-SQL (shared iff
 //    the SQL is a SELECT without INTO).
 //  * Durability is group commit: on a durable engine the exclusive
-//    hold covers only the in-memory apply plus the WAL enqueue;
+//    hold covers only the in-memory apply plus the WAL enqueue, with
+//    a storage::DurabilityScope collecting the statement's tickets;
 //    Execute then releases the lock and blocks in
 //    StorageManager::WaitDurable until a group leader has written the
 //    record — with the records of every other session that reached

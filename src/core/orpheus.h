@@ -11,8 +11,10 @@
 // Durability contract: with Open() active, every version-control verb
 // (CreateUser/Login/InitCvd/Checkout/Commit/DiscardStaged/DropCvd and
 // partition-store attachment) is appended to the commit WAL after its
-// in-memory apply succeeds; reopening the directory replays the log on
-// top of the latest checkpoint. Raw SQL against db() is NOT logged — it
+// in-memory apply succeeds, and the verb returns only once its record
+// is durable (written and fdatasynced through the WAL's commit queue;
+// EngineApi defers that wait until its engine lock drops). Reopening
+// the directory replays the log on top of the latest checkpoint. Raw SQL against db() is NOT logged — it
 // becomes durable at the next Checkpoint() (a SaveSnapshot() export
 // carries it too). See docs/PERSISTENCE.md for the recovery contract.
 

@@ -252,26 +252,15 @@ Status StorageManager::Recover() {
 
 // --- Group commit -------------------------------------------------------
 
-void StorageManager::SetGroupCommit(bool on) {
-  {
-    std::lock_guard<std::mutex> lock(group_mu_);
-    if (group_commit_ == on) return;
-  }
-  // Turning the mode off must not strand queued records: drain first,
-  // so the synchronous path resumes on a clean frame boundary.
-  if (!on) (void)FlushPending();
-  std::lock_guard<std::mutex> lock(group_mu_);
-  group_commit_ = on;
+DurabilityScope::DurabilityScope(StorageManager* storage)
+    : storage_(storage) {
+  if (storage_ != nullptr) storage_->scope_ = this;
 }
 
-bool StorageManager::group_commit() const {
-  std::lock_guard<std::mutex> lock(group_mu_);
-  return group_commit_;
-}
-
-std::vector<AppendTicket> StorageManager::TakePendingTickets() {
-  std::lock_guard<std::mutex> lock(group_mu_);
-  return std::move(unclaimed_);
+std::vector<AppendTicket> DurabilityScope::Close() {
+  if (storage_ != nullptr) storage_->scope_ = nullptr;
+  storage_ = nullptr;
+  return std::exchange(tickets_, {});
 }
 
 void StorageManager::LeadGroup(std::unique_lock<std::mutex>& lock) {
@@ -337,40 +326,32 @@ Status StorageManager::FlushPending() {
 
 Status StorageManager::AppendChecked(WalRecordType type,
                                      std::string_view body) {
-  obs::TraceSpan enqueue_span(obs::TraceStage::kWalEnqueue);
-  bool over_bytes = false;
-  bool over_records = false;
-  bool grouped;
+  AppendTicket ticket;
+  bool over_policy;
   {
+    obs::TraceSpan enqueue_span(obs::TraceStage::kWalEnqueue);
+    ticket = std::make_shared<PendingAppend>();
+    ticket->type = type;
+    ticket->body.assign(body.data(), body.size());
     std::lock_guard<std::mutex> lock(group_mu_);
-    grouped = group_commit_;
-    if (grouped) {
-      auto ticket = std::make_shared<PendingAppend>();
-      ticket->type = type;
-      ticket->body.assign(body.data(), body.size());
-      // Frame = [u32 len][u32 crc] + [u64 lsn][u8 type] + body.
-      queued_bytes_ += 17 + body.size();
-      queue_.push_back(ticket);
-      unclaimed_.push_back(std::move(ticket));
-      over_bytes = max_wal_bytes_ > 0 &&
-                   wal_->file_bytes() + queued_bytes_ > max_wal_bytes_;
-      over_records = max_wal_records_ > 0 &&
-                     wal_->records() + queue_.size() > max_wal_records_;
-    }
+    // Frame = [u32 len][u32 crc] + [u64 lsn][u8 type] + body.
+    queued_bytes_ += 17 + body.size();
+    queue_.push_back(ticket);
+    over_policy = (max_wal_bytes_ > 0 &&
+                   wal_->file_bytes() + queued_bytes_ > max_wal_bytes_) ||
+                  (max_wal_records_ > 0 &&
+                   wal_->records() + queue_.size() > max_wal_records_);
   }
-  if (!grouped) {
-    ORPHEUS_RETURN_NOT_OK(wal_->Append(type, body));
-    over_bytes = max_wal_bytes_ > 0 && wal_->file_bytes() > max_wal_bytes_;
-    over_records =
-        max_wal_records_ > 0 && wal_->records() > max_wal_records_;
+  if (scope_ != nullptr) {
+    scope_->tickets_.push_back(std::move(ticket));
+  } else {
+    obs::TraceSpan sync_span(obs::TraceStage::kGroupCommitSync);
+    ORPHEUS_RETURN_NOT_OK(WaitDurable({ticket}));
   }
-  if (over_bytes || over_records) {
-    // Safe here: the appender's caller holds the engine's exclusive
-    // lock, so the in-memory state the checkpoint encodes is stable and
-    // no new enqueues can race the flush.
-    return Checkpoint();
-  }
-  return Status::OK();
+  // Safe here: the appender's caller holds the engine's exclusive lock,
+  // so the in-memory state the checkpoint encodes is stable and no new
+  // enqueues can race the flush.
+  return over_policy ? Checkpoint() : Status::OK();
 }
 
 Status StorageManager::Checkpoint() {

@@ -27,14 +27,12 @@
 // the next checkpoint or open.
 //
 // OrpheusDB calls the typed Log* appenders after each version-control
-// verb succeeds in memory; the OK returned by an appender is the
-// operation's durability point — unless group commit is enabled, in
-// which case appenders only enqueue and the durability point moves to
-// WaitDurable() (see the group-commit section below). Replay applies
-// records through the same OrpheusDB verbs (a commit through
-// Cvd::ReplayCommit, which applies the logged resolution) — logging is
-// disarmed during recovery because the manager is not yet attached to
-// the engine.
+// verb succeeds in memory; every record reaches disk through the
+// group-commit queue (see below), and a verb is durable when its
+// record's ticket is. Replay applies records through the same
+// OrpheusDB verbs (a commit through Cvd::ReplayCommit, which applies
+// the logged resolution) — logging is disarmed during recovery because
+// the manager is not yet attached to the engine.
 
 #ifndef ORPHEUS_STORAGE_STORAGE_MANAGER_H_
 #define ORPHEUS_STORAGE_STORAGE_MANAGER_H_
@@ -70,6 +68,8 @@ struct PendingAppend {
   uint64_t lsn = 0;        // assigned at write time; 0 on failure
 };
 using AppendTicket = std::shared_ptr<PendingAppend>;
+
+class DurabilityScope;
 
 class StorageManager {
  public:
@@ -140,31 +140,18 @@ class StorageManager {
   // fdatasyncs the appender has issued (group-commit efficiency oracle).
   uint64_t wal_syncs() const { return wal_->syncs(); }
 
-  // Benches may trade per-record fdatasync for throughput.
-  void set_fsync(bool on) { wal_->set_fsync(on); }
-
   // --- Group commit (RocksDB write-group style) -------------------------
   //
-  // Off (the default), every appender writes + fdatasyncs its own
-  // record before returning — the appender's OK is the durability
-  // point, which is what direct OrpheusDB embedders expect.
-  //
-  // On, appenders only *enqueue*: the record joins the commit group
-  // queue and the appender returns OK immediately (the enqueue order —
-  // fixed by the engine's exclusive lock — is the LSN order). The
-  // durability point moves to WaitDurable(): the first waiter whose
+  // Appenders enqueue: the record joins the commit queue (the enqueue
+  // order — fixed by the engine's exclusive lock — is the LSN order).
+  // WaitDurable() is the durability point: the first waiter whose
   // record is still pending becomes the group leader, drains the whole
   // queue into ONE WalWriter::AppendBatch (one write, one fdatasync),
-  // and wakes every follower with its individual Status. EngineApi
-  // enables this mode and performs the wait after releasing the
-  // exclusive lock, so commit groups form while the leader syncs.
-  void SetGroupCommit(bool on);
-  bool group_commit() const;
-
-  // Hands over the tickets enqueued since the last call. Must be
-  // called by the thread that just ran the appenders, before it
-  // releases the engine's exclusive lock (tickets are per-statement).
-  std::vector<AppendTicket> TakePendingTickets();
+  // and wakes every follower with its individual Status. With no
+  // DurabilityScope open the appender waits on its own ticket before
+  // returning (a group of one for a lone embedder). EngineApi opens a
+  // scope around each exclusive statement and waits after releasing
+  // the lock, so commit groups form while the leader syncs.
 
   // Blocks until every ticket is durable (leading a group if needed);
   // returns the first ticket's error, if any. Safe from any thread.
@@ -198,6 +185,8 @@ class StorageManager {
       const std::vector<std::vector<core::VersionId>>& groups);
 
  private:
+  friend class DurabilityScope;
+
   StorageManager(std::string dir, core::OrpheusDB* db)
       : dir_(std::move(dir)), db_(db) {}
 
@@ -213,13 +202,13 @@ class StorageManager {
   // `*deleted` (optional) receives the count.
   Status DeleteOrphanSegments(uint64_t* deleted);
 
-  // Appends (or, in group-commit mode, enqueues) one record, then
-  // folds the WAL into a checkpoint if the policy's bounds are
-  // exceeded. Appenders call through here so every logged verb is a
-  // potential checkpoint trigger — the engine has fully applied the
-  // verb in memory by the time it logs, so the checkpoint is
-  // consistent, and the caller holds the engine's exclusive lock, so
-  // flushing the queue before checkpointing is race-free.
+  // Enqueues one record, waits for it unless a DurabilityScope takes
+  // its ticket, then folds the WAL into a checkpoint if the policy's
+  // bounds are exceeded. Appenders call through here so every logged
+  // verb is a potential checkpoint trigger — the engine has fully
+  // applied the verb in memory by the time it logs, so the checkpoint
+  // is consistent, and the caller holds the engine's exclusive lock,
+  // so flushing the queue before checkpointing is race-free.
   Status AppendChecked(WalRecordType type, std::string_view body);
 
   // Becomes the group leader: drains the queue into one AppendBatch
@@ -249,10 +238,35 @@ class StorageManager {
   mutable std::mutex group_mu_;
   std::condition_variable group_cv_;
   std::deque<AppendTicket> queue_;        // enqueued, not yet written
-  std::vector<AppendTicket> unclaimed_;   // enqueued, not yet taken
   bool writer_active_ = false;            // a leader is writing/syncing
-  bool group_commit_ = false;
   uint64_t queued_bytes_ = 0;             // frame bytes queued (policy input)
+
+  // The open DurabilityScope, if any. Touched only under the engine's
+  // exclusive lock, like the appenders.
+  DurabilityScope* scope_ = nullptr;
+};
+
+// Collects the tickets of every record appended while it is open, so
+// the appenders return without waiting. Open it under the engine's
+// exclusive lock, Close() it before the lock drops, and pass the
+// tickets to WaitDurable() afterwards. At most one is open per
+// manager; a null manager (engine not durable) makes it a no-op.
+class DurabilityScope {
+ public:
+  explicit DurabilityScope(StorageManager* storage);
+  ~DurabilityScope() { (void)Close(); }
+  DurabilityScope(const DurabilityScope&) = delete;
+  DurabilityScope& operator=(const DurabilityScope&) = delete;
+
+  // Detaches the scope (later appends wait for themselves again) and
+  // hands over its tickets in enqueue order.
+  std::vector<AppendTicket> Close();
+
+ private:
+  friend class StorageManager;
+
+  StorageManager* storage_;
+  std::vector<AppendTicket> tickets_;
 };
 
 }  // namespace orpheus::storage

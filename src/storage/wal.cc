@@ -94,11 +94,6 @@ WalWriter::~WalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status WalWriter::Append(WalRecordType type, std::string_view body) {
-  WalAppendEntry entry{type, body};
-  return AppendBatch(&entry, 1);
-}
-
 Status WalWriter::AppendBatch(const WalAppendEntry* entries, size_t n,
                               uint64_t* first_lsn) {
   if (first_lsn != nullptr) *first_lsn = 0;
@@ -152,18 +147,15 @@ Status WalWriter::AppendBatch(const WalAppendEntry* entries, size_t n,
     }
     written += static_cast<size_t>(w);
   }
-  if (fsync_) {
-    ++syncs_;
-    GetWalMetrics().syncs->Inc();
-    bool injected_fail = NextIoSyncFails(IoFileClass::kWal);
-    if (injected_fail || ::fdatasync(fd_) != 0) {
-      broken_ = Status::Internal(
-          injected_fail
-              ? "injected WAL fdatasync fault for " + path_
-              : "WAL fdatasync failed for " + path_ + ": " +
-                    std::strerror(errno));
-      return broken_;
-    }
+  ++syncs_;
+  GetWalMetrics().syncs->Inc();
+  bool injected_fail = NextIoSyncFails(IoFileClass::kWal);
+  if (injected_fail || ::fdatasync(fd_) != 0) {
+    broken_ = Status::Internal(
+        injected_fail ? "injected WAL fdatasync fault for " + path_
+                      : "WAL fdatasync failed for " + path_ + ": " +
+                            std::strerror(errno));
+    return broken_;
   }
   next_lsn_.fetch_add(n);
   file_bytes_.fetch_add(bytes.size());
@@ -182,7 +174,7 @@ Status WalWriter::Reset() {
     return Status::Internal("WAL truncate failed for " + path_ + ": " +
                             std::strerror(errno));
   }
-  if (fsync_ && ::fdatasync(fd_) != 0) {
+  if (::fdatasync(fd_) != 0) {
     return Status::Internal("WAL fdatasync failed for " + path_ + ": " +
                             std::strerror(errno));
   }

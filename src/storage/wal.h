@@ -66,8 +66,8 @@ struct WalAppendEntry {
 };
 
 // Appender. One writer per directory; the StorageManager serializes
-// access (either under the engine's exclusive lock, or through the
-// single group-commit leader at a time).
+// access: appends come from one group-commit leader at a time, and
+// Reset runs under the engine's exclusive lock once the queue drained.
 class WalWriter {
  public:
   // Opens `path` for appending (creating it if needed). `next_lsn` is
@@ -82,11 +82,7 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  // Appends one record and (by default) fdatasyncs — the returned OK
-  // is the durability point of the logged operation.
-  Status Append(WalRecordType type, std::string_view body);
-
-  // Group-commit append: all `n` records become consecutive frames
+  // Appends a commit group: all `n` records become consecutive frames
   // with consecutive LSNs (first one reported via `*first_lsn`),
   // written with ONE write() and made durable with ONE fdatasync —
   // this is what lets N concurrent commits cost ~1 sync. On failure
@@ -101,7 +97,7 @@ class WalWriter {
   Status Reset();
 
   // OK while the writer is usable; the first failed append/sync
-  // latches its error here (checked by Append/AppendBatch/Reset).
+  // latches its error here (checked by AppendBatch/Reset).
   Status health() const;
 
   uint64_t next_lsn() const { return next_lsn_.load(); }
@@ -115,10 +111,6 @@ class WalWriter {
   // fdatasyncs this writer issued — the group-commit tests' oracle
   // that N concurrent commits incurred < N syncs.
   uint64_t syncs() const { return syncs_.load(); }
-
-  // Benches may trade durability for throughput; records still reach
-  // the OS page cache on every append.
-  void set_fsync(bool on) { fsync_ = on; }
 
  private:
   WalWriter(std::string path, int fd, uint64_t next_lsn, uint64_t file_bytes,
@@ -135,7 +127,6 @@ class WalWriter {
   std::atomic<uint64_t> file_bytes_;
   std::atomic<uint64_t> records_;
   std::atomic<uint64_t> syncs_{0};
-  bool fsync_ = true;
   Status broken_ = Status::OK();  // latched first append failure
 };
 

@@ -278,7 +278,6 @@ void RunInterleavingSchedule(int exec_threads, uint32_t seed) {
   {
     EngineApi api;
     ASSERT_TRUE(api.orpheus()->Open(dir.path()).ok());
-    api.orpheus()->storage()->set_fsync(false);  // test speed only
     Seed(&api, "c", 10);
     Seed(&api, "d", 6);
 

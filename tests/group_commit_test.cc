@@ -4,9 +4,10 @@
 // docs/PERSISTENCE.md:
 //
 //  * Deterministic mechanics against a bare StorageManager — N
-//    enqueued records become ONE AppendBatch with consecutive LSNs and
-//    exactly one fdatasync; turning the mode off drains the queue; the
-//    synchronous path still syncs per record and leaves no tickets.
+//    records enqueued under a durability scope become ONE AppendBatch
+//    with consecutive LSNs and exactly one fdatasync; a direct verb
+//    (no scope) is on disk, behind exactly one fdatasync, when it
+//    returns.
 //
 //  * Stress over real server TCP — K sessions × M commits against a
 //    durable engine (with an injected fdatasync delay so commit groups
@@ -118,21 +119,20 @@ TEST(GroupCommit, BatchedEnqueuesCostOneSync) {
   OrpheusDB db;
   ASSERT_TRUE(db.Open(dir.path()).ok());
   storage::StorageManager* sm = db.storage();
-
-  sm->SetGroupCommit(true);
-  ASSERT_TRUE(sm->group_commit());
   uint64_t syncs_before = sm->wal_syncs();
 
-  // Three verbs enqueue three records; none of them syncs anything.
+  // Three verbs enqueue three records into the scope; none of them
+  // syncs anything.
+  storage::DurabilityScope scope(sm);
   ASSERT_TRUE(db.CreateUser("u1").ok());
   ASSERT_TRUE(db.CreateUser("u2").ok());
   ASSERT_TRUE(db.CreateUser("u3").ok());
   EXPECT_EQ(syncs_before, sm->wal_syncs());
 
-  std::vector<storage::AppendTicket> tickets = sm->TakePendingTickets();
+  std::vector<storage::AppendTicket> tickets = scope.Close();
   ASSERT_EQ(3u, tickets.size());
-  // A second take hands over nothing: the tickets moved out.
-  EXPECT_TRUE(sm->TakePendingTickets().empty());
+  // A second close hands over nothing: the tickets moved out.
+  EXPECT_TRUE(scope.Close().empty());
 
   ASSERT_TRUE(sm->WaitDurable(tickets).ok());
   EXPECT_EQ(syncs_before + 1, sm->wal_syncs())
@@ -150,38 +150,32 @@ TEST(GroupCommit, BatchedEnqueuesCostOneSync) {
   ExpectGaplessWal(dir.path(), 3);
 }
 
-TEST(GroupCommit, SyncModeSyncsEveryRecordAndLeavesNoTickets) {
-  TempDir dir;
-  OrpheusDB db;
-  ASSERT_TRUE(db.Open(dir.path()).ok());
-  storage::StorageManager* sm = db.storage();
-  ASSERT_FALSE(sm->group_commit());  // the embedder default
-
-  uint64_t syncs_before = sm->wal_syncs();
-  ASSERT_TRUE(db.CreateUser("u1").ok());
-  ASSERT_TRUE(db.CreateUser("u2").ok());
-  EXPECT_EQ(syncs_before + 2, sm->wal_syncs());
-  EXPECT_TRUE(sm->TakePendingTickets().empty());
-}
-
-TEST(GroupCommit, TurningModeOffDrainsTheQueue) {
+TEST(GroupCommit, DirectVerbIsDurableOnReturn) {
   TempDir dir;
   OrpheusDB db;
   ASSERT_TRUE(db.Open(dir.path()).ok());
   storage::StorageManager* sm = db.storage();
 
-  sm->SetGroupCommit(true);
-  ASSERT_TRUE(db.CreateUser("u1").ok());
-  ASSERT_TRUE(db.CreateUser("u2").ok());
-  std::vector<storage::AppendTicket> tickets = sm->TakePendingTickets();
-  ASSERT_EQ(2u, tickets.size());
-  EXPECT_FALSE(tickets[0]->done);
-
-  sm->SetGroupCommit(false);  // must not strand the queued records
-  EXPECT_TRUE(tickets[0]->done);
-  EXPECT_TRUE(tickets[1]->done);
-  EXPECT_TRUE(sm->WaitDurable(tickets).ok());
-  ExpectGaplessWal(dir.path(), 2);
+  // No scope, no flush, no destructor: each verb's record must be in
+  // the on-disk WAL, behind exactly one fdatasync, when it returns.
+  for (int i = 1; i <= 3; ++i) {
+    const std::string user = "u" + std::to_string(i);
+    const uint64_t syncs_before = sm->wal_syncs();
+    ASSERT_TRUE(db.CreateUser(user).ok());
+    EXPECT_EQ(syncs_before + 1, sm->wal_syncs()) << user;
+    // Nothing is left queued: the writer wrote every record logged.
+    EXPECT_EQ(static_cast<uint64_t>(i), sm->wal_records()) << user;
+    std::string bytes =
+        storage::ReadFileToString(storage::StorageManager::WalPath(dir.path()))
+            .ValueOrDie();
+    size_t valid = 0;
+    std::vector<storage::WalRecord> records =
+        storage::ParseWal(bytes, 0, &valid);
+    EXPECT_EQ(bytes.size(), valid) << user;
+    ASSERT_EQ(static_cast<size_t>(i), records.size()) << user;
+    EXPECT_EQ(storage::WalRecordType::kCreateUser, records.back().type);
+    EXPECT_EQ(static_cast<uint64_t>(i), records.back().lsn);
+  }
 }
 
 // --- EngineApi semantics -------------------------------------------------

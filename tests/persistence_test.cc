@@ -201,6 +201,13 @@ void CloneDbDir(const std::string& from, const std::string& to) {
   CopyFileIfExists(WalPath(from), WalPath(to));
 }
 
+// Appends one record to `writer` as a batch of one.
+Status AppendOne(storage::WalWriter* writer, storage::WalRecordType type,
+                 std::string_view body) {
+  storage::WalAppendEntry entry{type, body};
+  return writer->AppendBatch(&entry, 1);
+}
+
 // Offsets of WAL frame boundaries (end of each complete record).
 std::vector<size_t> FrameBoundaries(const std::string& bytes) {
   std::vector<size_t> boundaries;
@@ -265,8 +272,11 @@ TEST(Wal, AppendParseRoundTripAndWatermark) {
   std::string path = dir.Sub("wal.log");
   {
     auto writer = storage::WalWriter::Open(path, 1).ValueOrDie();
-    ASSERT_TRUE(writer->Append(storage::WalRecordType::kCreateUser, "alice").ok());
-    ASSERT_TRUE(writer->Append(storage::WalRecordType::kDropCvd, "t").ok());
+    ASSERT_TRUE(
+        AppendOne(writer.get(), storage::WalRecordType::kCreateUser, "alice")
+            .ok());
+    ASSERT_TRUE(
+        AppendOne(writer.get(), storage::WalRecordType::kDropCvd, "t").ok());
     EXPECT_EQ(3u, writer->next_lsn());
   }
   std::string bytes = storage::ReadFileToString(path).ValueOrDie();
@@ -288,8 +298,10 @@ TEST(Wal, TornTailStopsCleanly) {
   std::string path = dir.Sub("wal.log");
   {
     auto writer = storage::WalWriter::Open(path, 1).ValueOrDie();
-    ASSERT_TRUE(writer->Append(storage::WalRecordType::kCreateUser, "a").ok());
-    ASSERT_TRUE(writer->Append(storage::WalRecordType::kCreateUser, "b").ok());
+    ASSERT_TRUE(
+        AppendOne(writer.get(), storage::WalRecordType::kCreateUser, "a").ok());
+    ASSERT_TRUE(
+        AppendOne(writer.get(), storage::WalRecordType::kCreateUser, "b").ok());
   }
   std::string bytes = storage::ReadFileToString(path).ValueOrDie();
   std::vector<size_t> boundaries = FrameBoundaries(bytes);
@@ -702,7 +714,7 @@ uint64_t CloneWithRecord(const std::string& base, const std::string& clone,
   const uint64_t lsn = records.back().lsn + 1;
   auto writer =
       storage::WalWriter::Open(WalPath(clone), lsn, records.size()).ValueOrDie();
-  EXPECT_TRUE(writer->Append(type, body).ok());
+  EXPECT_TRUE(AppendOne(writer.get(), type, body).ok());
   return lsn;
 }
 
@@ -867,7 +879,6 @@ TEST(Persistence, CommitWalBytesTrackTheEditNotTheHistory) {
   TempDir dir;
   OrpheusDB db;
   ASSERT_TRUE(db.Open(dir.path()).ok());
-  db.storage()->set_fsync(false);
   CvdOptions options;
   options.primary_key = {"k"};
   ASSERT_TRUE(db.InitCvd("t", rows, options, "init").ok());
@@ -1139,8 +1150,9 @@ struct FaultGuard {
 
 // The 4-record schedule every crash-matrix run replays identically:
 // checkout, commit, checkout, commit against CVD "t" (version 1 is
-// seeded and synced before the batch). With group commit on, all four
-// records stay queued. `refs[k]` = in-memory state after k records.
+// seeded and synced before the batch). Callers hold a durability scope
+// across it, so all four records stay queued. `refs[k]` = in-memory
+// state after k records.
 void ApplyGroupSchedule(OrpheusDB* db, std::vector<EngineRef>* refs) {
   refs->push_back(Capture(db));
   ASSERT_TRUE(db->Checkout("t", {1}, "a").ok());
@@ -1157,7 +1169,6 @@ void SeedForGroupSchedule(OrpheusDB* db) {
   CvdOptions options;
   options.primary_key = {"k"};
   ASSERT_TRUE(db->InitCvd("t", SampleRows(6), options, "init").ok());
-  db->storage()->SetGroupCommit(true);
 }
 
 TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
@@ -1172,7 +1183,10 @@ TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
       OrpheusDB db;
       ASSERT_TRUE(db.Open(ref_dir.path()).ok());
       SeedForGroupSchedule(&db);
-      ApplyGroupSchedule(&db, &refs);
+      {
+        storage::DurabilityScope scope(db.storage());
+        ApplyGroupSchedule(&db, &refs);
+      }
       ASSERT_TRUE(db.storage()->FlushPending().ok());
     }
     ASSERT_EQ(5u, refs.size());
@@ -1212,7 +1226,10 @@ TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
         ASSERT_TRUE(db.Open(dir).ok());
         SeedForGroupSchedule(&db);
         std::vector<EngineRef> ignored;
-        ApplyGroupSchedule(&db, &ignored);
+        {
+          storage::DurabilityScope scope(db.storage());
+          ApplyGroupSchedule(&db, &ignored);
+        }
         FaultGuard guard;
         storage::IoFaultPlan plan;
         plan.fail_write_at = 1;  // the batch is the 1st write while armed
@@ -1221,10 +1238,8 @@ TEST(Persistence, CommitGroupTornWriteCrashMatrix) {
         Status st = db.storage()->FlushPending();
         EXPECT_FALSE(st.ok()) << "cut=" << cut;
         // The poisoned writer refuses to append past the torn tail —
-        // records after the damage would be unreadable. (Group mode
-        // would accept the enqueue and fail the wait; the synchronous
-        // path surfaces the latched error directly.)
-        db.storage()->SetGroupCommit(false);
+        // records after the damage would be unreadable. The enqueue is
+        // accepted; the verb's wait surfaces the latched error.
         EXPECT_FALSE(db.CreateUser("late").ok()) << "cut=" << cut;
       }
       // "Crash": the process state is gone, only the torn file remains.
@@ -1255,7 +1270,10 @@ TEST(Persistence, CommitGroupSyncFailurePoisonsWriter) {
     OrpheusDB db;
     ASSERT_TRUE(db.Open(dir.path()).ok());
     SeedForGroupSchedule(&db);
-    ApplyGroupSchedule(&db, &refs);
+    {
+      storage::DurabilityScope scope(db.storage());
+      ApplyGroupSchedule(&db, &refs);
+    }
     FaultGuard guard;
     storage::IoFaultPlan plan;
     plan.fail_sync_at = 1;  // the batch write lands, its fdatasync fails
@@ -1263,9 +1281,8 @@ TEST(Persistence, CommitGroupSyncFailurePoisonsWriter) {
     Status st = db.storage()->FlushPending();
     EXPECT_FALSE(st.ok());
     storage::DisarmIoFaults();
-    // A failed sync poisons the writer: neither the synchronous path
-    // nor a checkpoint may run on top of records of unknown durability.
-    db.storage()->SetGroupCommit(false);
+    // A failed sync poisons the writer: neither a later verb nor a
+    // checkpoint may run on top of records of unknown durability.
     EXPECT_FALSE(db.CreateUser("late").ok());
     EXPECT_FALSE(db.Checkpoint().ok());
   }
