@@ -199,7 +199,8 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
   return vid;
 }
 
-Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name) {
+Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name,
+                           std::vector<rel::Chunk>* parent_rows) {
   if (!graph_.Contains(vid)) {
     return Status::NotFound("version not found: " + std::to_string(vid));
   }
@@ -216,6 +217,8 @@ Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name) {
     ORPHEUS_RETURN_NOT_OK(checkout_override_(vid, target));
   } else {
     ORPHEUS_RETURN_NOT_OK(model_->CheckoutVersion(vid, target));
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rows, db_->GetTable(target));
+    parent_rows->push_back(rows->data());
   }
   if (!full) {
     // Project down to the attributes this version actually has.
@@ -243,8 +246,11 @@ Status Cvd::Checkout(const std::vector<VersionId>& vids,
     }
   }
 
+  StagedTableInfo info;
+  info.table_name = table_name;
+  info.parents = vids;
   if (vids.size() == 1) {
-    ORPHEUS_RETURN_NOT_OK(CheckoutSingle(vids[0], table_name));
+    ORPHEUS_RETURN_NOT_OK(CheckoutSingle(vids[0], table_name, &info.parent_rows));
   } else {
     // Merging checkout: precedence order with primary-key conflict
     // resolution (§2.2) — the first row holding a key wins. Without a
@@ -272,11 +278,9 @@ Status Cvd::Checkout(const std::vector<VersionId>& vids,
       merged.GatherFrom(versions[i], keep[i]);
     }
     ORPHEUS_RETURN_NOT_OK(db_->AdoptTable(table_name, std::move(merged)));
+    info.parent_rows = std::move(versions);
   }
 
-  StagedTableInfo info;
-  info.table_name = table_name;
-  info.parents = vids;
   info.checkout_time = ++logical_clock_;
   staged_[table_name] = std::move(info);
   return Status::OK();
@@ -306,12 +310,19 @@ Result<std::vector<int64_t>> Cvd::ReconcileSchema(const rel::Schema& staged_sche
   return attr_ids;
 }
 
-Result<std::vector<rel::Chunk>> Cvd::ParentRows(
-    const std::vector<VersionId>& parents) {
+Result<std::vector<rel::Chunk>> Cvd::ParentRows(StagedTableInfo* staged) {
   const rel::Schema record_schema = model_->RecordSchema();
+  std::vector<rel::Chunk> kept = std::move(staged->parent_rows);
+  staged->parent_rows.clear();
+  if (kept.size() == staged->parents.size() &&
+      std::all_of(kept.begin(), kept.end(), [&](const rel::Chunk& rows) {
+        return rows.schema().Equals(record_schema);
+      })) {
+    return kept;
+  }
   std::vector<rel::Chunk> out;
-  out.reserve(parents.size());
-  for (VersionId parent : parents) {
+  out.reserve(staged->parents.size());
+  for (VersionId parent : staged->parents) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(parent));
     if (!rows.schema().Equals(record_schema)) {
       return Status::Internal("version " + std::to_string(parent) + " rows " +
@@ -392,7 +403,7 @@ Result<ResolvedCommit> Cvd::ResolveCommit(const std::string& table_name) {
   // --- Record resolution (the no-cross-version-diff rule) -----------
   // The parents' records, concatenated in parent order, keyed by
   // content; each staged row takes the rid of the first equal one.
-  ORPHEUS_ASSIGN_OR_RETURN(out.parent_rows, ParentRows(staged_it->second.parents));
+  ORPHEUS_ASSIGN_OR_RETURN(out.parent_rows, ParentRows(&staged_it->second));
   std::vector<int> data_cols(static_cast<size_t>(data_schema.num_columns()));
   std::iota(data_cols.begin(), data_cols.end(), 1);
   std::vector<RecordColumns> parent_cols;
@@ -405,11 +416,12 @@ Result<ResolvedCommit> Cvd::ResolveCommit(const std::string& table_name) {
   std::vector<int64_t> keys;
   AppendRecordKeys(staged_cols, n, &keys);
 
+  const std::vector<uint32_t> matches = parents.FindFirstBatch(keys, staged_cols);
   out.rids.resize(n);
   std::vector<uint32_t> new_rows;
   RecordId next_rid = next_rid_;
   for (size_t r = 0; r < n; ++r) {
-    uint32_t m = parents.FindFirst(keys[r], staged_cols, r);
+    const uint32_t m = matches[r];
     if (m == RecordIndex::kNone) {
       out.rids[r] = next_rid++;
       new_rows.push_back(static_cast<uint32_t>(r));
@@ -447,8 +459,7 @@ Result<VersionId> Cvd::ReplayCommit(const std::string& table_name,
   commit.staged_schema = std::move(staged_schema);
   commit.rids = std::move(rids);
   commit.new_records = std::move(new_records);
-  ORPHEUS_ASSIGN_OR_RETURN(commit.parent_rows,
-                           ParentRows(staged_it->second.parents));
+  ORPHEUS_ASSIGN_OR_RETURN(commit.parent_rows, ParentRows(&staged_it->second));
   return ApplyCommit(table_name, message, commit);
 }
 
@@ -542,21 +553,24 @@ Result<VersionId> Cvd::ApplyCommit(const std::string& table_name,
   }
 
   // --- The committed content replaces the staged rows ------------------
-  // The data models read the version's full rows (TPV, delta) or its
-  // rids (the others) from the staged table, so it must hold exactly
-  // what a replay rebuilds: the source records, rids included.
-  // Gathered a run at a time: consecutive rows from one source chunk.
-  rel::Chunk content(record_schema);
-  content.Reserve(n);
-  std::vector<uint32_t> run;
-  for (size_t begin = 0, end = 0; begin < n; begin = end) {
-    run.clear();
-    for (; end < n && sources[end].rows == sources[begin].rows; ++end) {
-      run.push_back(sources[end].row);
+  // Models that read the staged table read the version's full rows
+  // (TPV, delta) or its rids through SQL (combined table, split-by-
+  // vlist), so it must hold exactly what a replay rebuilds: the source
+  // records, rids included. Gathered a run at a time: consecutive rows
+  // from one source chunk.
+  if (model_->ReadsStagedTable()) {
+    rel::Chunk content(record_schema);
+    content.Reserve(n);
+    std::vector<uint32_t> run;
+    for (size_t begin = 0, end = 0; begin < n; begin = end) {
+      run.clear();
+      for (; end < n && sources[end].rows == sources[begin].rows; ++end) {
+        run.push_back(sources[end].row);
+      }
+      content.GatherFrom(*sources[begin].rows, run);
     }
-    content.GatherFrom(*sources[begin].rows, run);
+    staged_table->mutable_chunk() = std::move(content);
   }
-  staged_table->mutable_chunk() = std::move(content);
   next_rid_ += static_cast<RecordId>(new_rids.size());
 
   // --- Persist ----------------------------------------------------------

@@ -65,11 +65,18 @@ struct ResolvedCommit {
   std::vector<rel::Chunk> parent_rows;    // each parent's VersionRows
 };
 
-// Provenance of an uncommitted staged table.
+// Provenance of an uncommitted staged table, and the parents' rows
+// its checkout built.
 struct StagedTableInfo {
   std::string table_name;
   std::vector<VersionId> parents;  // precedence order
   int64_t checkout_time = 0;
+  // Each parent's VersionRows as checkout built them, in precedence
+  // order, or empty: a merging checkout moves its per-version rows in,
+  // a single checkout copies its full-attribute table unless a
+  // partition override served it. Commit resolves against these rows
+  // instead of materializing the parents again. Not persisted.
+  std::vector<rel::Chunk> parent_rows;
 };
 
 class Cvd {
@@ -103,17 +110,19 @@ class Cvd {
   // key, and gives each staged row the rid of the first equal record
   // in parent order, then row order — or a fresh rid, continuing from
   // total_records(), if no parent holds an equal record (the paper's
-  // no-cross-version-diff rule).
+  // no-cross-version-diff rule). A parent's row order is its rows as
+  // checked out. The parents' rows come from ParentRows, which hands
+  // over the rows checkout kept.
   Result<ResolvedCommit> ResolveCommit(const std::string& table_name);
 
-  // Apply: installs a resolved commit as the next version. Rebuilds
-  // the committed content from the parents' records plus the new
-  // records (replacing the staged table's rows, which the data models
-  // read), then adds the version, its graph edges and its metadata
-  // row, and drops the staged table. Checks the commit first: the new
-  // records must have the record schema and rids that continue from
-  // total_records() in row order, and every other rid must belong to
-  // a parent.
+  // Apply: installs a resolved commit as the next version. Checks the
+  // commit first: the new records must have the record schema and rids
+  // that continue from total_records() in row order, and every other
+  // rid must belong to a parent. If the data model reads the staged
+  // table (DataModel::ReadsStagedTable), rebuilds the committed content
+  // into it from the parents' records plus the new records. Then adds
+  // the version, its graph edges and its metadata row, and drops the
+  // staged table.
   Result<VersionId> ApplyCommit(const std::string& table_name,
                                 const std::string& message,
                                 const ResolvedCommit& commit);
@@ -175,14 +184,22 @@ class Cvd {
 
   // Materializes a single version into `table_name`, honoring any
   // partition override and the version's attribute set.
-  Status CheckoutSingle(VersionId vid, const std::string& table_name);
+  // Appends the version's rows to `parent_rows` unless a partition
+  // override served the checkout.
+  Status CheckoutSingle(VersionId vid, const std::string& table_name,
+                        std::vector<rel::Chunk>* parent_rows);
 
   // Applies schema differences between a staged table and the CVD
   // (new / widened attributes), returning this version's attribute ids.
   Result<std::vector<int64_t>> ReconcileSchema(const rel::Schema& staged_schema);
 
-  // Each parent's rows (rid + data attributes), in precedence order.
-  Result<std::vector<rel::Chunk>> ParentRows(const std::vector<VersionId>& parents);
+  // Each parent's rows (rid + data attributes), in precedence order:
+  // the rows `staged` kept from its checkout, moved out, when every
+  // chunk still has the record schema; otherwise each parent's
+  // VersionRows (after a checkpoint restore, a partition-served
+  // checkout, schema evolution since the checkout, or an earlier
+  // resolve that took the rows).
+  Result<std::vector<rel::Chunk>> ParentRows(StagedTableInfo* staged);
 
   // Registers an attribute entry and returns its id.
   int64_t AddAttributeEntry(const std::string& name, rel::DataType type);

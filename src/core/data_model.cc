@@ -373,19 +373,18 @@ Status SplitByRlistModel::AddVersion(VersionId vid,
                                      const std::vector<RecordId>& rids,
                                      const rel::Chunk& new_records,
                                      VersionId primary_parent) {
+  (void)staged_table;
   (void)primary_parent;
-  (void)rids;
   if (new_records.num_rows() > 0) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
     ORPHEUS_RETURN_NOT_OK(BulkAppend(data, new_records));
   }
   // Table 1 commit: a single versioning-table tuple — no array appends.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("INSERT INTO " + VersioningTable() + " VALUES (" +
-                   std::to_string(vid) + ", ARRAY(SELECT rid FROM " +
-                   staged_table + "))"));
-  (void)unused;
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * versioning,
+                           db_->GetTable(VersioningTable()));
+  rel::Chunk& tuples = versioning->mutable_chunk();
+  tuples.mutable_column(0).AppendInt(vid);
+  tuples.mutable_column(1).AppendArray(rids);
   return Status::OK();
 }
 

@@ -60,17 +60,23 @@ class DataModel {
   // Creates the backing tables. Called once per CVD.
   virtual Status Init() = 0;
 
-  // Registers version `vid` whose full record set is `rids`.
-  // `staged_table` holds the committed content: the version's records
-  // (rid + data attributes), row for row with `rids`. `new_records`
-  // contains exactly the records not previously in the CVD (same
-  // schema).
+  // Registers version `vid` whose full record set is `rids`, in
+  // committed row order. `new_records` contains exactly the records
+  // not previously in the CVD (rid + data attributes, rid ascending).
+  // A model for which ReadsStagedTable() is true also reads
+  // `staged_table`, which then holds the committed content: the
+  // version's records, row for row with `rids`. For the others the
+  // staged table's rows are unspecified.
   // `primary_parent` is the parent sharing the most records (-1 for
   // the initial version); only the delta model depends on it.
   virtual Status AddVersion(VersionId vid, const std::string& staged_table,
                             const std::vector<RecordId>& rids,
                             const rel::Chunk& new_records,
                             VersionId primary_parent) = 0;
+
+  // Whether AddVersion reads the staged table. Commit rebuilds the
+  // committed content into it only for models that do.
+  virtual bool ReadsStagedTable() const { return true; }
 
   // Materializes version `vid` as `table_name` (schema: rid + data
   // attributes) — the checkout path.
@@ -181,10 +187,13 @@ class SplitByRlistModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kSplitByRlist; }
   Status Init() override;
+  // Appends the new records and one (vid, rids) tuple directly, as a
+  // bulk load would; the staged table is not read.
   Status AddVersion(VersionId vid, const std::string& staged_table,
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
+  bool ReadsStagedTable() const override { return false; }
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;

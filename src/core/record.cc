@@ -32,6 +32,37 @@ inline uint64_t BytesHash(const void* data, size_t len) {
       std::string_view(static_cast<const char*>(data), len));
 }
 
+inline bool DoublesMatch(double p, double q) {
+  return p == q && std::signbit(p) == std::signbit(q);
+}
+
+// Clears equal[r] where column `c` of hit r ({part, row within the
+// part}) differs from row r of `y` under RecordsMatch's rules. Values
+// is the columns' typed vector; `same` compares two non-NULL values.
+template <typename T, const std::vector<T>& (rel::Column::*Values)() const,
+          typename Same>
+void VerifyColumn(const std::vector<RecordColumns>& parts, size_t c,
+                  const rel::Column& y, const Same& same,
+                  const std::vector<std::pair<size_t, size_t>>& hits,
+                  std::vector<uint8_t>* equal) {
+  bool nulls = y.has_null_bitmap();
+  for (const RecordColumns& part : parts) {
+    nulls = nulls || part[c]->has_null_bitmap();
+  }
+  const T* v = (y.*Values)().data();
+  uint8_t* eq = equal->data();
+  for (size_t r = 0; r < hits.size(); ++r) {
+    if (!eq[r]) continue;
+    const auto [part, i] = hits[r];
+    const rel::Column& x = *parts[part][c];
+    if (nulls && (x.IsNull(i) || y.IsNull(r))) {
+      eq[r] = x.IsNull(i) && y.IsNull(r);
+    } else {
+      eq[r] = same((x.*Values)()[i], v[r]);
+    }
+  }
+}
+
 // Mixes word(r) into keys[r] for each of n rows; NULL rows mix the tag.
 template <typename WordFn>
 void MixColumn(const rel::Column& col, size_t n, uint64_t* keys,
@@ -111,12 +142,9 @@ bool RecordsMatch(const RecordColumns& a, size_t row_a,
       case rel::DataType::kBool:
         if (x.ints()[row_a] != y.ints()[row_b]) return false;
         break;
-      case rel::DataType::kDouble: {
-        const double p = x.doubles()[row_a];
-        const double q = y.doubles()[row_b];
-        if (!(p == q) || std::signbit(p) != std::signbit(q)) return false;
+      case rel::DataType::kDouble:
+        if (!DoublesMatch(x.doubles()[row_a], y.doubles()[row_b])) return false;
         break;
-      }
       case rel::DataType::kString:
         if (x.strings()[row_a] != y.strings()[row_b]) return false;
         break;
@@ -143,12 +171,62 @@ RecordIndex::RecordIndex(std::vector<RecordColumns> parts,
 
 uint32_t RecordIndex::FindFirst(int64_t key, const RecordColumns& probe,
                                 size_t row, uint32_t limit) const {
-  for (uint32_t m = table_.Find(key); m != kNone && m < limit;
-       m = table_.Next(m)) {
+  return FirstMatchFrom(table_.Find(key), probe, row, limit);
+}
+
+uint32_t RecordIndex::FirstMatchFrom(uint32_t m, const RecordColumns& probe,
+                                     size_t row, uint32_t limit) const {
+  for (; m != kNone && m < limit; m = table_.Next(m)) {
     auto [part, part_row] = Locate(m);
     if (RecordsMatch(parts_[part], part_row, probe, row)) return m;
   }
   return kNone;
+}
+
+std::vector<uint32_t> RecordIndex::FindFirstBatch(
+    const std::vector<int64_t>& keys, const RecordColumns& probe) const {
+  // The first key hit of every row; the chains are ascending, so a hit
+  // that is equal is the first equal row.
+  const size_t n = keys.size();
+  std::vector<uint32_t> out(n);
+  std::vector<std::pair<size_t, size_t>> hits(n);
+  std::vector<uint8_t> equal(n);
+  for (size_t r = 0; r < n; ++r) {
+    out[r] = table_.Find(keys[r]);
+    equal[r] = out[r] != kNone;
+    if (equal[r]) hits[r] = Locate(out[r]);
+  }
+  for (size_t c = 0; c < probe.size(); ++c) {
+    const rel::Column& y = *probe[c];
+    switch (y.type()) {
+      case rel::DataType::kInt64:
+      case rel::DataType::kBool:
+        VerifyColumn<int64_t, &rel::Column::ints>(parts_, c, y, std::equal_to<>(),
+                                                  hits, &equal);
+        break;
+      case rel::DataType::kDouble:
+        VerifyColumn<double, &rel::Column::doubles>(
+            parts_, c, y, [](double p, double q) { return DoublesMatch(p, q); },
+            hits, &equal);
+        break;
+      case rel::DataType::kString:
+        VerifyColumn<std::string, &rel::Column::strings>(
+            parts_, c, y, std::equal_to<>(), hits, &equal);
+        break;
+      case rel::DataType::kIntArray:
+        VerifyColumn<rel::IntArray, &rel::Column::arrays>(
+            parts_, c, y, std::equal_to<>(), hits, &equal);
+        break;
+      case rel::DataType::kNull:
+        break;
+    }
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (out[r] != kNone && !equal[r]) {
+      out[r] = FirstMatchFrom(table_.Next(out[r]), probe, r, kNone);
+    }
+  }
+  return out;
 }
 
 std::pair<size_t, size_t> RecordIndex::Locate(uint32_t i) const {

@@ -56,12 +56,24 @@ class RecordIndex {
   uint32_t FindFirst(int64_t key, const RecordColumns& probe, size_t row,
                      uint32_t limit = kNone) const;
 
+  // FindFirst for every row of `probe`, whose row r has key keys[r]:
+  // the result equals per-row FindFirst. Each row's first key hit is
+  // verified a column at a time with typed loops; only rows whose
+  // first hit differs walk the rest of their chain.
+  std::vector<uint32_t> FindFirstBatch(const std::vector<int64_t>& keys,
+                                       const RecordColumns& probe) const;
+
   // {part, row within the part} of concatenated row i.
   std::pair<size_t, size_t> Locate(uint32_t i) const;
 
   const std::vector<RecordColumns>& parts() const { return parts_; }
 
  private:
+  // The first row before `limit` that equals probe row `row`, walking
+  // the key chain from `m`.
+  uint32_t FirstMatchFrom(uint32_t m, const RecordColumns& probe, size_t row,
+                          uint32_t limit) const;
+
   std::vector<RecordColumns> parts_;
   std::vector<uint32_t> offsets_;  // first concatenated row of each part
   FlatJoinTable table_;

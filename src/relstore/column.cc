@@ -1,5 +1,6 @@
 #include "relstore/column.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace orpheus::rel {
@@ -90,24 +91,37 @@ void Column::AppendFrom(const Column& src, size_t row) {
   }
 }
 
+namespace {
+
+// Makes room for `n` more elements, at least doubling the capacity when
+// it must grow, so a run of k-row appends costs amortized O(k) rather
+// than a copy of the whole column each time.
+template <typename T>
+void GrowFor(std::vector<T>& vec, size_t n) {
+  const size_t need = vec.size() + n;
+  if (need > vec.capacity()) vec.reserve(std::max(need, 2 * vec.capacity()));
+}
+
+}  // namespace
+
 void Column::Gather(const Column& src, const std::vector<uint32_t>& rows) {
   assert(src.type_ == type_);
   switch (type_) {
     case DataType::kInt64:
     case DataType::kBool:
-      ints_.reserve(ints_.size() + rows.size());
+      GrowFor(ints_, rows.size());
       for (uint32_t r : rows) ints_.push_back(src.ints_[r]);
       break;
     case DataType::kDouble:
-      doubles_.reserve(doubles_.size() + rows.size());
+      GrowFor(doubles_, rows.size());
       for (uint32_t r : rows) doubles_.push_back(src.doubles_[r]);
       break;
     case DataType::kString:
-      strings_.reserve(strings_.size() + rows.size());
+      GrowFor(strings_, rows.size());
       for (uint32_t r : rows) strings_.push_back(src.strings_[r]);
       break;
     case DataType::kIntArray:
-      arrays_.reserve(arrays_.size() + rows.size());
+      GrowFor(arrays_, rows.size());
       for (uint32_t r : rows) arrays_.push_back(src.arrays_[r]);
       break;
     case DataType::kNull:

@@ -76,6 +76,8 @@ class Column {
   void AppendFrom(const Column& src, size_t row);
 
   // Appends src[i] for every i in `rows` (the core of a gather/join).
+  // Capacity grows geometrically, so appending k rows to a column of
+  // any size costs amortized O(k).
   void Gather(const Column& src, const std::vector<uint32_t>& rows);
 
   // Overwrites element `row` (UPDATE path).

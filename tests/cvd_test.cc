@@ -10,12 +10,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <random>
 #include <set>
 
 #include "core/cvd.h"
 #include "core/data_model.h"
 #include "core/orpheus.h"
+#include "partition/partition_store.h"
 #include "relstore/database.h"
 #include "storage/io_util.h"
 #include "storage/snapshot.h"
@@ -765,6 +768,283 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// --- Batched record lookup ---------------------------------------------
+
+// The batch lookup behind commit resolution equals per-row FindFirst:
+// across two parts (a merge's parents), over NULLs, 0.0 against -0.0,
+// NaN, strings and arrays, with real keys and with constant keys, under
+// which most first hits differ and the rows walk their chains.
+TEST(RecordIdentityTest, BatchLookupEqualsPerRowFindFirst) {
+  std::mt19937_64 rng(19);
+  auto random_rows = [&](size_t n) {
+    rel::Chunk rows(ScriptSchema());
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<rel::Value> values;
+      for (const rel::ColumnDef& def : rows.schema().columns()) {
+        // x never holds a NULL, so its column takes the bitmap-free loop.
+        values.push_back(def.name == "x"
+                             ? rel::Value::Int(static_cast<int64_t>(rng() % 2))
+                             : RandomValue(def.type, rng));
+      }
+      rows.AppendRow(values);
+    }
+    return rows;
+  };
+  rel::Chunk first = random_rows(40);
+  rel::Chunk second = random_rows(40);
+  rel::Chunk probe = random_rows(60);
+  // Probe rows copied from each part are sure to have an equal row.
+  for (size_t r = 0; r < 10; ++r) {
+    probe.AppendRowFrom(r % 2 == 0 ? first : second, r * 3);
+  }
+  // A NULL whose slot still holds the old value.
+  probe.mutable_column(0).Set(1, rel::Value::Null());
+  // Rows differing from the first part's row 0, the head of every chain
+  // under constant keys, only by 0.0 against -0.0 or by a NULL.
+  first.mutable_column(1).Set(0, rel::Value::Double(0.0));
+  first.mutable_column(2).Set(0, rel::Value::String("a"));
+  probe.AppendRowFrom(first, 0);
+  probe.mutable_column(1).Set(probe.num_rows() - 1, rel::Value::Double(-0.0));
+  probe.AppendRowFrom(first, 0);
+  probe.mutable_column(2).Set(probe.num_rows() - 1, rel::Value::Null());
+
+  const std::vector<int> cols = {0, 1, 2, 3, 4};
+  RecordColumns probe_cols = ColumnsOf(probe, cols);
+  for (const bool constant_keys : {false, true}) {
+    SCOPED_TRACE(constant_keys ? "constant keys" : "content keys");
+    std::vector<int64_t> keys;
+    std::vector<int64_t> probe_keys;
+    AppendRecordKeys(ColumnsOf(first, cols), first.num_rows(), &keys);
+    AppendRecordKeys(ColumnsOf(second, cols), second.num_rows(), &keys);
+    AppendRecordKeys(probe_cols, probe.num_rows(), &probe_keys);
+    if (constant_keys) {
+      std::fill(keys.begin(), keys.end(), 5);
+      std::fill(probe_keys.begin(), probe_keys.end(), 5);
+    }
+    RecordIndex index({ColumnsOf(first, cols), ColumnsOf(second, cols)}, keys);
+    std::vector<uint32_t> expected;
+    for (size_t r = 0; r < probe.num_rows(); ++r) {
+      expected.push_back(index.FindFirst(probe_keys[r], probe_cols, r));
+    }
+    EXPECT_EQ(expected, index.FindFirstBatch(probe_keys, probe_cols));
+    // The cases the loops must tell apart all occur: misses, hits in
+    // either part, and (under constant keys) hits past a chain's head.
+    EXPECT_NE(expected.end(),
+              std::find(expected.begin(), expected.end(), RecordIndex::kNone));
+    EXPECT_TRUE(std::any_of(expected.begin(), expected.end(),
+                            [](uint32_t m) { return m < 40; }));
+    EXPECT_TRUE(std::any_of(expected.begin(), expected.end(), [](uint32_t m) {
+      return m >= 40 && m != RecordIndex::kNone;
+    }));
+    if (constant_keys) {
+      EXPECT_TRUE(std::any_of(expected.begin(), expected.end(), [](uint32_t m) {
+        return m > 0 && m != RecordIndex::kNone;
+      }));
+    }
+  }
+}
+
+// --- The parents' rows: kept from checkout vs materialized again ----------
+//
+// Commit resolves against the parents' rows its checkout built. Where
+// those are gone or stale it materializes the parents through
+// VersionRows instead. Each route below commits through the fallback
+// and checks the outcome against a twin engine whose commit uses the
+// kept rows: same rids, same new records, same engine image.
+
+// v1 of 24 rows without a primary key (repeated content, so the rid a
+// staged row takes depends on the parents' row order), then v2 and v3:
+// two branches of v1 that make the same edit (equal content under two
+// rids).
+void SeedBranches(OrpheusDB* db) {
+  std::mt19937_64 rng(23);
+  rel::Chunk init(ScriptSchema());
+  for (int i = 0; i < 24; ++i) {
+    std::vector<rel::Value> values;
+    for (const rel::ColumnDef& def : init.schema().columns()) {
+      values.push_back(def.name == "k" ? rel::Value::Int(i % 8)
+                                       : RandomValue(def.type, rng));
+    }
+    init.AppendRow(values);
+  }
+  ASSERT_TRUE(db->InitCvd("t", init, CvdOptions(), "init").ok());
+  for (VersionId expected : {2, 3}) {
+    ASSERT_TRUE(db->Checkout("t", {1}, "branch").ok());
+    ASSERT_TRUE(
+        db->db()->Execute("UPDATE branch SET s = 'same edit' WHERE k = 3").ok());
+    ASSERT_EQ(expected, db->Commit("t", "branch", "branch").ValueOrDie());
+  }
+}
+
+// One fixed edit: an update, a revert to a parent record's content, a
+// delete and an insert.
+void EditStaged(OrpheusDB* db, const std::string& table) {
+  for (const std::string& sql :
+       {"UPDATE " + table + " SET x = 7 WHERE k = 1",
+        "UPDATE " + table + " SET s = 'same edit' WHERE k = 4",
+        "UPDATE " + table + " SET s = 'same edit' WHERE k = 3",
+        "DELETE FROM " + table + " WHERE k = 2",
+        "INSERT INTO " + table + " (k, s, x) VALUES (100, 'new', 1)"}) {
+    ASSERT_TRUE(db->db()->Execute(sql).ok()) << sql;
+  }
+}
+
+struct CommitOutcome {
+  std::vector<RecordId> rids;
+  std::string new_records;  // the data table's rows from the commit on
+  int64_t rows_scanned = 0;
+};
+
+std::string ChunkBytes(const rel::Chunk& chunk) {
+  storage::BinaryWriter w;
+  storage::EncodeChunk(chunk, &w);
+  return w.Release();
+}
+
+CommitOutcome CommitStaged(OrpheusDB* db, const std::string& table) {
+  Cvd* cvd = db->GetCvd("t").ValueOrDie();
+  const RecordId first_new = cvd->total_records();
+  const int64_t scanned = db->db()->stats()->rows_scanned;
+  Result<VersionId> vid = db->Commit("t", table, "edit");
+  EXPECT_TRUE(vid.ok()) << vid.status().ToString();
+  CommitOutcome out;
+  if (!vid.ok()) return out;
+  out.rows_scanned = db->db()->stats()->rows_scanned - scanned;
+  out.rids = cvd->model()->VersionRecords(vid.value()).ValueOrDie();
+  out.new_records = ChunkBytes(
+      db->db()
+          ->Execute("SELECT * FROM t_data WHERE rid >= " + std::to_string(first_new))
+          .ValueOrDie());
+  return out;
+}
+
+// The fallback engine's commit re-materialized its parents (it scanned
+// rows); the twin's used the kept rows and scanned none. Both resolved
+// to the same records.
+void ExpectSameCommit(const CommitOutcome& fallback, const CommitOutcome& kept) {
+  EXPECT_GT(fallback.rows_scanned, 0);
+  EXPECT_EQ(0, kept.rows_scanned);
+  EXPECT_FALSE(kept.rids.empty());
+  EXPECT_EQ(kept.rids, fallback.rids);
+  EXPECT_FALSE(kept.new_records.empty());
+  EXPECT_TRUE(kept.new_records == fallback.new_records);
+}
+
+// Every table's segment bytes, except `skip`.
+std::string TableImage(OrpheusDB* db, const std::string& skip) {
+  storage::BinaryWriter w;
+  for (const std::string& name : db->db()->ListTables()) {
+    if (name != skip) {
+      storage::SnapshotCodec::EncodeTableSection(*db->db()->GetTable(name).value(),
+                                                 &w);
+    }
+  }
+  return w.Release();
+}
+
+// A checkpoint and reopen between checkout and commit: the restored
+// staged table has no kept rows. Run for a single and a merging
+// checkout; the merge lists v3 first, so v3's rid wins for the content
+// both branches share.
+TEST(CommitParentRowsTest, CheckpointAndReopenMatchesKeptRows) {
+  for (const std::vector<VersionId>& parents :
+       {std::vector<VersionId>{3}, std::vector<VersionId>{3, 2}}) {
+    SCOPED_TRACE("parents " + std::to_string(parents.size()));
+    const std::string dir = storage::MakeTempDir("orpheus_memo_").ValueOrDie();
+    {
+      OrpheusDB db;
+      ASSERT_TRUE(db.Open(dir).ok());
+      SeedBranches(&db);
+      ASSERT_TRUE(db.Checkout("t", parents, "w").ok());
+      EditStaged(&db, "w");
+      ASSERT_TRUE(db.Checkpoint().ok());
+    }
+    OrpheusDB reopened;
+    ASSERT_TRUE(reopened.Open(dir).ok());
+    const CommitOutcome fallback = CommitStaged(&reopened, "w");
+
+    OrpheusDB twin;
+    SeedBranches(&twin);
+    ASSERT_TRUE(twin.Checkout("t", parents, "w").ok());
+    EditStaged(&twin, "w");
+    const CommitOutcome kept = CommitStaged(&twin, "w");
+
+    ExpectSameCommit(fallback, kept);
+    EXPECT_TRUE(storage::SnapshotCodec::Encode(reopened, 0) ==
+                storage::SnapshotCodec::Encode(twin, 0));
+    ASSERT_TRUE(storage::RemoveDirRecursive(dir).ok());
+  }
+}
+
+// A checkout served by a partition override keeps no rows. The twin
+// checks out before the same partitioning is attached.
+TEST(CommitParentRowsTest, PartitionOverrideMatchesKeptRows) {
+  auto attach = [](OrpheusDB* db) {
+    auto* model = dynamic_cast<SplitByRlistModel*>(
+        db->GetCvd("t").ValueOrDie()->model());
+    ASSERT_NE(nullptr, model);
+    part::Partitioning partitioning;
+    partitioning.groups = {{1, 2}, {3}};
+    std::map<VersionId, std::vector<RecordId>> version_rids;
+    for (VersionId v : {1, 2, 3}) {
+      version_rids[v] = model->VersionRecords(v).ValueOrDie();
+    }
+    auto store =
+        std::make_unique<part::PartitionStore>(db->db(), "t", model->DataTable());
+    ASSERT_TRUE(store->Build(partitioning, std::move(version_rids)).ok());
+    ASSERT_TRUE(db->AttachPartitionStore("t", std::move(store)).ok());
+  };
+  OrpheusDB db;
+  SeedBranches(&db);
+  attach(&db);
+  ASSERT_TRUE(db.Checkout("t", {3}, "w").ok());
+  EditStaged(&db, "w");
+  const CommitOutcome fallback = CommitStaged(&db, "w");
+
+  OrpheusDB twin;
+  SeedBranches(&twin);
+  ASSERT_TRUE(twin.Checkout("t", {3}, "w").ok());
+  attach(&twin);
+  EditStaged(&twin, "w");
+  const CommitOutcome kept = CommitStaged(&twin, "w");
+
+  ExpectSameCommit(fallback, kept);
+  EXPECT_TRUE(storage::SnapshotCodec::Encode(db, 0) ==
+              storage::SnapshotCodec::Encode(twin, 0));
+}
+
+// Another staged table's commit adds an attribute between this table's
+// checkout and commit, so the kept rows lack a column. The twin checks
+// out after that commit. Its checkout time differs, so the metadata
+// table (which records it) is left out of the comparison.
+TEST(CommitParentRowsTest, SchemaEvolutionMatchesKeptRows) {
+  auto evolve = [](OrpheusDB* db) {
+    rel::Table* staged = db->db()->GetTable("grow").ValueOrDie();
+    ASSERT_TRUE(staged->AddColumn("extra", rel::DataType::kInt64).ok());
+    staged->mutable_chunk().mutable_column(staged->schema().num_columns() - 1)
+        .Set(0, rel::Value::Int(4));
+    ASSERT_EQ(4, db->Commit("t", "grow", "add extra").ValueOrDie());
+  };
+  OrpheusDB db;
+  SeedBranches(&db);
+  ASSERT_TRUE(db.Checkout("t", {3}, "w").ok());
+  ASSERT_TRUE(db.Checkout("t", {2}, "grow").ok());
+  evolve(&db);
+  EditStaged(&db, "w");
+  const CommitOutcome fallback = CommitStaged(&db, "w");
+
+  OrpheusDB twin;
+  SeedBranches(&twin);
+  ASSERT_TRUE(twin.Checkout("t", {2}, "grow").ok());
+  evolve(&twin);
+  ASSERT_TRUE(twin.Checkout("t", {3}, "w").ok());
+  EditStaged(&twin, "w");
+  const CommitOutcome kept = CommitStaged(&twin, "w");
+
+  ExpectSameCommit(fallback, kept);
+  EXPECT_TRUE(TableImage(&db, "t_meta") == TableImage(&twin, "t_meta"));
+}
 
 }  // namespace
 }  // namespace orpheus::core

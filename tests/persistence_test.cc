@@ -856,9 +856,9 @@ TEST(Persistence, RetiredStagedCommitRecordFailsOpenNamingItsLsn) {
 }
 
 // Fig. 3 of the paper as an exact gate: on split-by-rlist, a commit's
-// WAL record and its new records depend on the edit and the version's
-// size, not on the history length. The record is the rid list (8
-// bytes per row) plus the four new records.
+// WAL record, its new records and the rows it scans depend on the edit
+// and the version's size, not on the history length. The record is the
+// rid list (8 bytes per row) plus the four new records.
 TEST(Persistence, CommitWalBytesTrackTheEditNotTheHistory) {
   constexpr int kRows = 1000;
   rel::Schema schema;
@@ -886,6 +886,7 @@ TEST(Persistence, CommitWalBytesTrackTheEditNotTheHistory) {
 
   std::map<int, uint64_t> wal_bytes;
   std::map<int, int64_t> new_records;
+  std::map<int, int64_t> rows_scanned;  // Fig. 3 left: rows scanned
   for (int history = 2; history <= 100; ++history) {
     ASSERT_TRUE(db.Checkout("t", {cvd->latest_version()}, "w").ok());
     for (int k : {10, 20, 30, 40}) {  // a fixed 4-row edit
@@ -896,13 +897,16 @@ TEST(Persistence, CommitWalBytesTrackTheEditNotTheHistory) {
     }
     const uint64_t bytes_before = db.storage()->wal_bytes();
     const int64_t records_before = cvd->total_records();
+    const int64_t scanned_before = db.db()->stats()->rows_scanned;
     ASSERT_EQ(history, db.Commit("t", "w", "bump").ValueOrDie());
     wal_bytes[history] = db.storage()->wal_bytes() - bytes_before;
     new_records[history] = cvd->total_records() - records_before;
+    rows_scanned[history] = db.db()->stats()->rows_scanned - scanned_before;
   }
   EXPECT_EQ(4, new_records[10]);
   EXPECT_EQ(new_records[10], new_records[100]);
   EXPECT_EQ(wal_bytes[10], wal_bytes[100]);
+  EXPECT_EQ(rows_scanned[10], rows_scanned[100]);
   EXPECT_LE(wal_bytes[100], uint64_t{16} * kRows + 1024) << wal_bytes[100];
 }
 

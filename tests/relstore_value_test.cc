@@ -113,6 +113,40 @@ TEST(ColumnTest, GatherPreservesNulls) {
   EXPECT_TRUE(dst.Get(1).is_null());
 }
 
+// Appending to a column grows it geometrically: 100K one-row gathers
+// move the payload O(log n) times (log2(100K) ~ 17), not once per
+// append, so a k-row append costs amortized O(k) at any column size.
+TEST(ColumnTest, GatherAppendsReallocateLogarithmically) {
+  Column int_src(DataType::kInt64);
+  int_src.AppendInt(7);
+  Column str_src(DataType::kString);
+  str_src.AppendString("seven");
+  Column ints(DataType::kInt64);
+  Column strings(DataType::kString);
+  const int64_t* int_data = nullptr;
+  const std::string* str_data = nullptr;
+  int int_moves = 0;
+  int str_moves = 0;
+  for (int i = 0; i < 100000; ++i) {
+    ints.Gather(int_src, {0});
+    strings.Gather(str_src, {0});
+    if (ints.ints().data() != int_data) {
+      int_data = ints.ints().data();
+      ++int_moves;
+    }
+    if (strings.strings().data() != str_data) {
+      str_data = strings.strings().data();
+      ++str_moves;
+    }
+  }
+  ASSERT_EQ(100000u, ints.size());
+  ASSERT_EQ(100000u, strings.size());
+  EXPECT_EQ(7, ints.ints().back());
+  EXPECT_EQ("seven", strings.strings().back());
+  EXPECT_LE(int_moves, 20);
+  EXPECT_LE(str_moves, 20);
+}
+
 TEST(ColumnTest, FilterKeepsOrder) {
   Column col(DataType::kInt64);
   for (int i = 0; i < 6; ++i) col.AppendInt(i);
