@@ -1,8 +1,11 @@
 // FlatJoinTable: the engine's one hash table from int64 keys to the
 // row positions holding them. The hash join keys it by an INT build
-// column; the CVD record manager keys it by record content hashes
-// (commit resolution, primary-key checks, merging-checkout dedupe) and
-// by rids (edge weights, diff).
+// column; a relstore table's declared index is one, built lazily over
+// the indexed column and probed by the index-nested-loop join and the
+// partition build's rid lookups (relstore/table.h); the CVD record
+// manager keys it by record content hashes (commit resolution,
+// primary-key checks, merging-checkout dedupe) and by rids (edge
+// weights, diff).
 //
 // Callers compute the keys. Power-of-two open-addressing slots hold
 // {key, head row} (multiplicative hashing, linear probing, load at

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/flat_join_table.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
@@ -36,22 +37,21 @@ Status PartitionStore::InsertRecords(Phys* phys,
                                      const std::vector<RecordId>& rids) {
   if (rids.empty()) return Status::OK();
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * source, db_->GetTable(source_data_table_));
-  // Build the rid index once up front so the per-rid lookups below are
-  // pure reads, then resolve rid -> row position batch-parallel (the
-  // same fixed batching the scan executor uses; slot-per-rid writes
-  // keep the result order deterministic).
-  ORPHEUS_RETURN_NOT_OK(source->EnsureIndex("rid"));
+  // Build the rid index once up front, then resolve rid -> row
+  // position batch-parallel with plain reads of it (the same fixed
+  // batching the scan executor uses; slot-per-rid writes keep the
+  // result order deterministic).
+  ORPHEUS_ASSIGN_OR_RETURN(const FlatJoinTable* index, source->Index("rid"));
   std::vector<uint32_t> rows(rids.size());
   ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
       rids.size(), rel::kScanBatchRows,
       [&](size_t begin, size_t end, size_t) -> Status {
         for (size_t i = begin; i < end; ++i) {
-          const std::vector<uint32_t>* hits = source->LookupInt("rid", rids[i]);
-          if (hits == nullptr || hits->empty()) {
+          rows[i] = index->Find(rids[i]);
+          if (rows[i] == FlatJoinTable::kEnd) {
             return Status::NotFound("record not in source data table: " +
                                     std::to_string(rids[i]));
           }
-          rows[i] = (*hits)[0];
         }
         return Status::OK();
       }));

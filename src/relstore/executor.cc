@@ -151,14 +151,14 @@ bool IsIdentity(const std::vector<uint32_t>& sel, size_t n) {
 
 // Runs `probe(begin, end, MatchList*)` over [0, total) in
 // kScanBatchRows batches and concatenates the per-batch matches in
-// batch order into (lidx, ridx); serial (or single-batch) probes emit
-// into one list and move it out.
+// batch order into (lidx, ridx); a single-batch probe emits into one
+// list and moves it out.
 template <typename ProbeFn>
-Status BatchedProbe(size_t total, bool serial, const ProbeFn& probe,
+Status BatchedProbe(size_t total, const ProbeFn& probe,
                     std::vector<uint32_t>* lidx, std::vector<uint32_t>* ridx) {
   const size_t nb = NumScanBatches(total);
   BatchCounter()->Inc(nb);
-  if (serial || nb <= 1) {
+  if (nb <= 1) {
     MatchList out;
     probe(0, total, &out);
     *lidx = std::move(out.l);
@@ -280,7 +280,6 @@ Status Executor::PushDownFilters(std::vector<Input>* inputs,
     if (per_input[i].empty()) continue;
     Input& input = (*inputs)[i];
     Evaluator eval(this);
-    std::vector<ExprPtr> bound;  // clone-free: bind the shared nodes
     for (const Expr* conjunct : per_input[i]) {
       ORPHEUS_RETURN_NOT_OK(eval.Bind(const_cast<Expr*>(conjunct), input.schema));
     }
@@ -340,13 +339,6 @@ Result<Executor::Input> Executor::JoinPair(
     const std::vector<std::pair<const Expr*, const Expr*>>& keys) {
   obs::ProfileOpScope op_scope("join");
   ExecStats* stats = db_->stats();
-  // With one thread the per-batch match buffers and their batch-order
-  // merges are pure overhead, so the probe loops below take their
-  // direct serial path instead. Both paths produce byte-identical
-  // output (the merges reproduce serial order exactly), so this is a
-  // perf gate only — enforced by the property tests, which compare
-  // --threads=1 against --threads={2,4}.
-  const bool serial_exec = ExecThreads() == 1;
   const Chunk& lc = *left.data;
   const Chunk& rc = *right.data;
   op_scope.AddRowsIn(lc.num_rows() + rc.num_rows());
@@ -394,131 +386,77 @@ Result<Executor::Input> Executor::JoinPair(
         rc.column(rcols[0]).type() == DataType::kInt64;
 
     JoinMethod method = db_->join_method();
+    if (!single_int_key) method = JoinMethod::kHash;
     // Index-nested-loop needs an index on one side's base table.
     Table* indexed_base = nullptr;
-    bool probe_right = false;
-    if (method == JoinMethod::kIndexNestedLoop && single_int_key) {
+    std::string index_col;
+    bool index_right = false;
+    if (method == JoinMethod::kIndexNestedLoop) {
       std::string rname = BaseName(right.schema.column(rcols[0]).name);
       std::string lname = BaseName(left.schema.column(lcols[0]).name);
       if (right.base != nullptr && right.base->HasIndex(rname)) {
         indexed_base = right.base;
-        probe_right = true;
+        index_col = rname;
+        index_right = true;
       } else if (left.base != nullptr && left.base->HasIndex(lname)) {
         indexed_base = left.base;
-        probe_right = false;
+        index_col = lname;
       } else {
         method = JoinMethod::kHash;  // no usable index; fall back
       }
-    } else if (method == JoinMethod::kIndexNestedLoop) {
-      method = JoinMethod::kHash;
     }
+    const bool inl = method == JoinMethod::kIndexNestedLoop;
 
-    if (method == JoinMethod::kHash || !single_int_key) {
-      if (single_int_key) {
-        // Build on the smaller side, probe the larger (the paper's
-        // "hash table on rids, sequential scan on the data table").
-        // NULL keys never participate in equi-joins.
-        //
-        // The build is one serial pass into a FlatJoinTable, whose
-        // chains list each key's rows in ascending order. The probe
-        // is batch-parallel and emits per-batch match lists
-        // concatenated in batch order, so the output order is the
-        // serial probe's at every thread count (see executor.h).
-        op_scope.SetDetail("hash");
-        bool build_right = rc.num_rows() <= lc.num_rows();
-        const Column& bcol = build_right ? rc.column(rcols[0]) : lc.column(lcols[0]);
-        const Column& pcol = build_right ? lc.column(lcols[0]) : rc.column(rcols[0]);
-        const std::vector<int64_t>& pkeys = pcol.ints();
-        FlatJoinTable table;
-        {
-          obs::ProfileOpScope build_scope("hash_build");
-          build_scope.AddRowsIn(bcol.size());
-          build_scope.AddBatches(1);
-          table.Build(bcol.ints(),
-                      [&](size_t i) { return bcol.IsNull(i); });
-          build_scope.AddRowsOut(table.num_keys());
+    if (!single_int_key) {
+      // Generic multi-key hash join via encoded keys; rows with any
+      // NULL key are skipped (SQL equi-join semantics). Same serial
+      // build and batch-parallel probe as the single-INT-key path,
+      // with string-encoded composite keys.
+      auto any_null = [](const Chunk& chunk, const std::vector<int>& cols,
+                         size_t row) {
+        for (int col : cols) {
+          if (chunk.column(col).IsNull(row)) return true;
         }
-        {
-          obs::ProfileOpScope probe_scope("hash_probe");
-          probe_scope.AddRowsIn(pkeys.size());
-          probe_scope.AddBatches(NumScanBatches(pkeys.size()));
-          ORPHEUS_RETURN_NOT_OK(BatchedProbe(
-              pkeys.size(), serial_exec,
-              [&](size_t begin, size_t end, MatchList* out) {
-                for (size_t i = begin; i < end; ++i) {
-                  if (pcol.IsNull(i)) continue;
-                  for (uint32_t m = table.Find(pkeys[i]);
-                       m != FlatJoinTable::kEnd; m = table.Next(m)) {
-                    if (build_right) {
-                      out->l.push_back(static_cast<uint32_t>(i));
-                      out->r.push_back(m);
-                    } else {
-                      out->l.push_back(m);
-                      out->r.push_back(static_cast<uint32_t>(i));
-                    }
-                  }
-                }
-              },
-              &lidx, &ridx));
-          probe_scope.AddRowsOut(lidx.size());
+        return false;
+      };
+      op_scope.SetDetail("hash multi-key");
+      std::unordered_map<std::string, std::vector<uint32_t>> hash;
+      {
+        obs::ProfileOpScope build_scope("hash_build");
+        build_scope.AddRowsIn(rc.num_rows());
+        build_scope.AddBatches(1);
+        std::string key;
+        for (size_t r = 0; r < rc.num_rows(); ++r) {
+          if (any_null(rc, rcols, r)) continue;
+          key.clear();
+          for (int col : rcols) EncodeValue(rc.Get(r, col), &key);
+          hash[key].push_back(static_cast<uint32_t>(r));
         }
-      } else {
-        // Generic multi-key hash join via encoded keys; rows with any
-        // NULL key are skipped (SQL equi-join semantics). Same
-        // serial build and batch-parallel probe as the int fast path,
-        // with string-encoded composite keys.
-        auto any_null = [](const Chunk& chunk, const std::vector<int>& cols,
-                           size_t row) {
-          for (int col : cols) {
-            if (chunk.column(col).IsNull(row)) return true;
-          }
-          return false;
-        };
-        op_scope.SetDetail("hash multi-key");
-        std::unordered_map<std::string, std::vector<uint32_t>> hash;
-        {
-          obs::ProfileOpScope build_scope("hash_build");
-          build_scope.AddRowsIn(rc.num_rows());
-          build_scope.AddBatches(1);
-          std::string key;
-          for (size_t r = 0; r < rc.num_rows(); ++r) {
-            if (any_null(rc, rcols, r)) continue;
-            key.clear();
-            for (int col : rcols) EncodeValue(rc.Get(r, col), &key);
-            hash[key].push_back(static_cast<uint32_t>(r));
-          }
-          build_scope.AddRowsOut(hash.size());
-        }
-        {
-          obs::ProfileOpScope probe_scope("hash_probe");
-          probe_scope.AddRowsIn(lc.num_rows());
-          probe_scope.AddBatches(NumScanBatches(lc.num_rows()));
-          ORPHEUS_RETURN_NOT_OK(BatchedProbe(
-              lc.num_rows(), serial_exec,
-              [&](size_t begin, size_t end, MatchList* out) {
-                std::string key;
-                for (size_t l = begin; l < end; ++l) {
-                  if (any_null(lc, lcols, l)) continue;
-                  key.clear();
-                  for (int col : lcols) EncodeValue(lc.Get(l, col), &key);
-                  auto hit = hash.find(key);
-                  if (hit == hash.end()) continue;
-                  for (uint32_t m : hit->second) {
-                    out->l.push_back(static_cast<uint32_t>(l));
-                    out->r.push_back(m);
-                  }
-                }
-              },
-              &lidx, &ridx));
-          probe_scope.AddRowsOut(lidx.size());
-        }
+        build_scope.AddRowsOut(hash.size());
       }
-      stats->rows_scanned +=
-          static_cast<int64_t>(lc.num_rows() + rc.num_rows());
-      stats->pages_read += left.base != nullptr ? left.base->num_pages()
-                                                : ChunkPages(lc);
-      stats->pages_read += right.base != nullptr ? right.base->num_pages()
-                                                 : ChunkPages(rc);
+      {
+        obs::ProfileOpScope probe_scope("hash_probe");
+        probe_scope.AddRowsIn(lc.num_rows());
+        probe_scope.AddBatches(NumScanBatches(lc.num_rows()));
+        ORPHEUS_RETURN_NOT_OK(BatchedProbe(
+            lc.num_rows(),
+            [&](size_t begin, size_t end, MatchList* out) {
+              std::string key;
+              for (size_t l = begin; l < end; ++l) {
+                if (any_null(lc, lcols, l)) continue;
+                key.clear();
+                for (int col : lcols) EncodeValue(lc.Get(l, col), &key);
+                auto hit = hash.find(key);
+                if (hit == hash.end()) continue;
+                for (uint32_t m : hit->second) {
+                  out->l.push_back(static_cast<uint32_t>(l));
+                  out->r.push_back(m);
+                }
+              }
+            },
+            &lidx, &ridx));
+        probe_scope.AddRowsOut(lidx.size());
+      }
     } else if (method == JoinMethod::kMerge) {
       op_scope.SetDetail("merge");
       const Column& lkcol = lc.column(lcols[0]);
@@ -591,110 +529,93 @@ Result<Executor::Input> Executor::JoinPair(
           ri = rrun;
         }
       }
+    } else {
+      // Single INT key: a hash join builds a FlatJoinTable on the
+      // smaller side (the paper's "hash table on rids, sequential scan
+      // on the data table"); an index-nested-loop join takes the
+      // indexed base table's own FlatJoinTable (Table::Index, built
+      // here on the coordinating thread if DML invalidated it). Either
+      // way the other side probes it batch-parallel, per-batch match
+      // lists concatenated in batch order, and every chain lists its
+      // rows in ascending order — so the output order is the serial
+      // probe's at every thread count (see executor.h). NULL keys
+      // never participate in equi-joins: the build skips them and the
+      // probe skips them.
+      const bool build_right =
+          inl ? index_right : rc.num_rows() <= lc.num_rows();
+      const Column& bcol = build_right ? rc.column(rcols[0]) : lc.column(lcols[0]);
+      const Column& pcol = build_right ? lc.column(lcols[0]) : rc.column(rcols[0]);
+      const std::vector<int64_t>& pkeys = pcol.ints();
+      FlatJoinTable built;
+      const FlatJoinTable* table = &built;
+      if (inl) {
+        op_scope.SetDetail("inl");
+        ORPHEUS_ASSIGN_OR_RETURN(table, indexed_base->Index(index_col));
+      } else {
+        op_scope.SetDetail("hash");
+        obs::ProfileOpScope build_scope("hash_build");
+        build_scope.AddRowsIn(bcol.size());
+        build_scope.AddBatches(1);
+        built.Build(bcol.ints(), [&](size_t i) { return bcol.IsNull(i); });
+        build_scope.AddRowsOut(built.num_keys());
+      }
+      {
+        obs::ProfileOpScope probe_scope(inl ? "inl_probe" : "hash_probe");
+        probe_scope.AddRowsIn(pkeys.size());
+        probe_scope.AddBatches(NumScanBatches(pkeys.size()));
+        ORPHEUS_RETURN_NOT_OK(BatchedProbe(
+            pkeys.size(),
+            [&](size_t begin, size_t end, MatchList* out) {
+              for (size_t i = begin; i < end; ++i) {
+                if (pcol.IsNull(i)) continue;
+                for (uint32_t m = table->Find(pkeys[i]);
+                     m != FlatJoinTable::kEnd; m = table->Next(m)) {
+                  if (build_right) {
+                    out->l.push_back(static_cast<uint32_t>(i));
+                    out->r.push_back(m);
+                  } else {
+                    out->l.push_back(m);
+                    out->r.push_back(static_cast<uint32_t>(i));
+                  }
+                }
+              }
+            },
+            &lidx, &ridx));
+        probe_scope.AddRowsOut(lidx.size());
+      }
+      if (inl) {
+        // Index probes: one per non-NULL outer key. Pages: matches in a
+        // table clustered on the key lie on contiguous pages, so count
+        // the distinct pages they touch; scattered matches cost about
+        // one random page per outer row, but never more than the table.
+        int64_t probes = 0;
+        for (size_t i = 0; i < pkeys.size(); ++i) probes += pcol.IsNull(i) ? 0 : 1;
+        int64_t pages = std::min<int64_t>(static_cast<int64_t>(pkeys.size()),
+                                          indexed_base->num_pages());
+        if (indexed_base->clustered_on() == index_col) {
+          const int64_t rows_per_page = indexed_base->rows_per_page();
+          std::vector<bool> touched(static_cast<size_t>(indexed_base->num_pages()));
+          pages = 0;
+          for (uint32_t row : build_right ? ridx : lidx) {
+            auto page = static_cast<size_t>(row / rows_per_page);
+            if (!touched[page]) {
+              touched[page] = true;
+              ++pages;
+            }
+          }
+        }
+        stats->index_probes += probes;
+        stats->rows_scanned += static_cast<int64_t>(pkeys.size());
+        stats->pages_read += pages;
+      }
+    }
+    if (!inl) {
       stats->rows_scanned +=
           static_cast<int64_t>(lc.num_rows() + rc.num_rows());
       stats->pages_read += left.base != nullptr ? left.base->num_pages()
                                                 : ChunkPages(lc);
       stats->pages_read += right.base != nullptr ? right.base->num_pages()
                                                  : ChunkPages(rc);
-    } else {
-      // Index-nested-loop join, probe loop batched over the pool. The
-      // index is forced up front (Table::EnsureIndex, coordinating
-      // thread) so workers only probe an immutable postings map;
-      // per-batch match lists, probe counts, and page bitmaps are
-      // merged on this thread in batch order.
-      op_scope.SetDetail("inl");
-      const Input& outer = probe_right ? left : right;
-      Table* inner_table = indexed_base;
-      int outer_col = probe_right ? lcols[0] : rcols[0];
-      const std::string inner_col = BaseName(
-          (probe_right ? right.schema.column(rcols[0]) : left.schema.column(lcols[0]))
-              .name);
-      ORPHEUS_RETURN_NOT_OK(inner_table->EnsureIndex(inner_col));
-      const Table::IntIndexMap* index = inner_table->BuiltIndex(inner_col);
-      if (index == nullptr) {
-        return Status::Internal("index lookup failed during INL join");
-      }
-      const Column& ocol = outer.data->column(outer_col);
-      const std::vector<int64_t>& okeys = ocol.ints();
-      const size_t num_pages = static_cast<size_t>(inner_table->num_pages());
-      const int64_t rows_per_page = inner_table->rows_per_page();
-      // Per-batch page bitmaps feed the clustered page count below;
-      // in the scattered case that statistic is okeys.size()-based, so
-      // the bitmaps (and their per-match stores) are skipped entirely.
-      const bool count_pages = inner_table->clustered_on() == inner_col;
-      auto probe_range = [&](size_t begin, size_t end, MatchList* out,
-                             std::vector<uint8_t>* pages, int64_t* probes) {
-        for (size_t o = begin; o < end; ++o) {
-          if (ocol.IsNull(o)) continue;
-          ++*probes;
-          auto hit = index->find(okeys[o]);
-          if (hit == index->end()) continue;
-          for (uint32_t m : hit->second) {
-            if (count_pages) {
-              (*pages)[static_cast<size_t>(static_cast<int64_t>(m) /
-                                           rows_per_page)] = 1;
-            }
-            if (probe_right) {
-              out->l.push_back(static_cast<uint32_t>(o));
-              out->r.push_back(m);
-            } else {
-              out->l.push_back(m);
-              out->r.push_back(static_cast<uint32_t>(o));
-            }
-          }
-        }
-      };
-      const size_t nb = NumScanBatches(okeys.size());
-      obs::ProfileOpScope probe_scope("inl_probe");
-      probe_scope.AddRowsIn(okeys.size());
-      probe_scope.AddBatches(nb);
-      std::vector<MatchList> parts;
-      std::vector<int64_t> batch_probes;
-      std::vector<std::vector<uint8_t>> batch_pages;
-      const size_t bitmap_size = count_pages ? num_pages : 0;
-      if (serial_exec || nb <= 1) {
-        parts.resize(1);
-        batch_probes.assign(1, 0);
-        batch_pages.assign(1, std::vector<uint8_t>(bitmap_size, 0));
-        probe_range(0, okeys.size(), &parts[0], &batch_pages[0],
-                    &batch_probes[0]);
-      } else {
-        parts.resize(nb);
-        batch_probes.assign(nb, 0);
-        batch_pages.resize(nb);
-        ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
-            okeys.size(), kScanBatchRows,
-            [&](size_t begin, size_t end, size_t b) -> Status {
-              batch_pages[b].assign(bitmap_size, 0);
-              probe_range(begin, end, &parts[b], &batch_pages[b],
-                          &batch_probes[b]);
-              return Status::OK();
-            }));
-      }
-      AppendMatches(parts, &lidx, &ridx);
-      probe_scope.AddRowsOut(lidx.size());
-      for (int64_t probes : batch_probes) stats->index_probes += probes;
-      stats->rows_scanned += static_cast<int64_t>(okeys.size());
-      int64_t pages_touched = 0;
-      if (count_pages) {
-        // Matches land on contiguous pages: count distinct pages
-        // touched by any batch.
-        for (size_t page = 0; page < num_pages; ++page) {
-          for (const std::vector<uint8_t>& pages : batch_pages) {
-            if (pages[page] != 0) {
-              ++pages_touched;
-              break;
-            }
-          }
-        }
-      } else {
-        // Scattered rows: effectively one random page per probe, but
-        // never more than the whole table.
-        pages_touched = std::min<int64_t>(static_cast<int64_t>(okeys.size()),
-                                          inner_table->num_pages());
-      }
-      stats->pages_read += pages_touched;
     }
   }
 
@@ -816,45 +737,12 @@ Result<Chunk> Executor::RunSelect(const SelectStmt& select) {
         }
       }
       if (resolvable) {
-        Evaluator eval(this);
-        for (const OrderItem& item : select.order_by) {
-          ORPHEUS_RETURN_NOT_OK(eval.Bind(item.expr.get(), joined.schema));
-        }
-        // Sort keys are computed batch-parallel into slot-per-row
-        // buffers, then the permutation is sorted with the
-        // deterministic parallel merge sort (thread_pool.h) — same
-        // result as a serial stable_sort at every thread count.
         obs::ProfileOpScope op_scope("order_by", "pre-projection");
         op_scope.AddRowsIn(sel.size());
         op_scope.AddRowsOut(sel.size());
         op_scope.AddBatches(NumScanBatches(sel.size()));
-        std::vector<std::vector<Value>> keys(sel.size());
-        ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
-            sel.size(), kScanBatchRows,
-            [&](size_t begin, size_t end, size_t) -> Status {
-              for (size_t i = begin; i < end; ++i) {
-                keys[i].reserve(select.order_by.size());
-                for (const OrderItem& item : select.order_by) {
-                  ORPHEUS_ASSIGN_OR_RETURN(Value v,
-                                           eval.Eval(*item.expr, data, sel[i]));
-                  keys[i].push_back(std::move(v));
-                }
-              }
-              return Status::OK();
-            }));
-        std::vector<uint32_t> perm(sel.size());
-        std::iota(perm.begin(), perm.end(), 0);
-        ParallelStableSort(&perm, kScanBatchRows, [&](uint32_t a, uint32_t b) {
-          for (size_t k = 0; k < select.order_by.size(); ++k) {
-            int cmp = keys[a][k].Compare(keys[b][k]);
-            if (select.order_by[k].descending) cmp = -cmp;
-            if (cmp != 0) return cmp < 0;
-          }
-          return false;
-        });
-        std::vector<uint32_t> sorted_sel(sel.size());
-        for (size_t i = 0; i < sel.size(); ++i) sorted_sel[i] = sel[perm[i]];
-        sel = std::move(sorted_sel);
+        ORPHEUS_RETURN_NOT_OK(
+            SortByOrderKeys(select.order_by, joined.schema, data, &sel));
         ordered_on_input = true;
       }
     }
@@ -1315,41 +1203,56 @@ Status Executor::ApplyDistinct(Chunk* out) {
   return Status::OK();
 }
 
+Status Executor::SortByOrderKeys(const std::vector<OrderItem>& order_by,
+                                 const Schema& schema, const Chunk& data,
+                                 std::vector<uint32_t>* rows) {
+  Evaluator eval(this);
+  for (const OrderItem& item : order_by) {
+    ORPHEUS_RETURN_NOT_OK(eval.Bind(item.expr.get(), schema));
+  }
+  // Sort keys are computed batch-parallel into slot-per-row buffers,
+  // then the permutation is sorted with the deterministic parallel
+  // merge sort (thread_pool.h) — same result as a serial stable_sort
+  // at every thread count.
+  std::vector<std::vector<Value>> keys(rows->size());
+  ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
+      rows->size(), kScanBatchRows,
+      [&](size_t begin, size_t end, size_t) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          keys[i].reserve(order_by.size());
+          for (const OrderItem& item : order_by) {
+            ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*item.expr, data, (*rows)[i]));
+            keys[i].push_back(std::move(v));
+          }
+        }
+        return Status::OK();
+      }));
+  std::vector<uint32_t> perm(rows->size());
+  std::iota(perm.begin(), perm.end(), 0);
+  ParallelStableSort(&perm, kScanBatchRows, [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < order_by.size(); ++k) {
+      int cmp = keys[a][k].Compare(keys[b][k]);
+      if (order_by[k].descending) cmp = -cmp;
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
+  std::vector<uint32_t> sorted(rows->size());
+  for (size_t i = 0; i < perm.size(); ++i) sorted[i] = (*rows)[perm[i]];
+  *rows = std::move(sorted);
+  return Status::OK();
+}
+
 Status Executor::ApplyOrderByLimit(const SelectStmt& select, Chunk* out) {
   if (!select.order_by.empty()) {
-    Evaluator eval(this);
-    for (const OrderItem& item : select.order_by) {
-      ORPHEUS_RETURN_NOT_OK(eval.Bind(item.expr.get(), out->schema()));
-    }
-    // Precompute sort keys batch-parallel, then sort the permutation
-    // with the deterministic parallel merge sort (thread_pool.h).
     obs::ProfileOpScope op_scope("order_by");
     op_scope.AddRowsIn(out->num_rows());
     op_scope.AddRowsOut(out->num_rows());
     op_scope.AddBatches(NumScanBatches(out->num_rows()));
-    std::vector<std::vector<Value>> keys(out->num_rows());
-    ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
-        out->num_rows(), kScanBatchRows,
-        [&](size_t begin, size_t end, size_t) -> Status {
-          for (size_t row = begin; row < end; ++row) {
-            keys[row].reserve(select.order_by.size());
-            for (const OrderItem& item : select.order_by) {
-              ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*item.expr, *out, row));
-              keys[row].push_back(std::move(v));
-            }
-          }
-          return Status::OK();
-        }));
     std::vector<uint32_t> order(out->num_rows());
     std::iota(order.begin(), order.end(), 0);
-    ParallelStableSort(&order, kScanBatchRows, [&](uint32_t a, uint32_t b) {
-      for (size_t k = 0; k < select.order_by.size(); ++k) {
-        int cmp = keys[a][k].Compare(keys[b][k]);
-        if (select.order_by[k].descending) cmp = -cmp;
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    });
+    ORPHEUS_RETURN_NOT_OK(
+        SortByOrderKeys(select.order_by, out->schema(), *out, &order));
     Chunk sorted(out->schema());
     sorted.GatherFrom(*out, order);
     *out = std::move(sorted);

@@ -7,8 +7,8 @@
 //   -> ORDER BY -> LIMIT.
 //
 // Parallel batched execution. Filter evaluation, computed projections,
-// aggregation, the hash-join probe, the index-nested-loop probe
-// loop, merge-join key sorts, and ORDER BY all operate on fixed-size
+// aggregation, the join probe (hash and index-nested-loop share one
+// loop), merge-join key sorts, and ORDER BY all operate on fixed-size
 // row batches (kScanBatchRows) scheduled across the shared execution
 // pool (common/thread_pool.h, the --threads knob). Batch boundaries
 // depend only on the data, never on the thread count, and per-batch
@@ -36,9 +36,9 @@
 //    Intra-query parallelism is internal and invisible to callers.
 //  - Worker threads only ever read the input chunks and write to
 //    batch-private buffers; all merging happens on the calling thread.
-//  - Table indexes probed by INL workers are forced up front on the
-//    calling thread (Table::EnsureIndex), after which workers read the
-//    immutable postings map via Table::BuiltIndex.
+//  - An INL join fetches the inner table's index (Table::Index, a
+//    FlatJoinTable rebuilt there if DML invalidated it) on the calling
+//    thread; workers then only probe that immutable table.
 //
 // The executor also charges a simple page-I/O model per operator (see
 // table.h) so experiments can report modeled I/O next to wall time.
@@ -172,9 +172,10 @@ class Executor {
 
   // Joins two inputs on the given equi-key pairs with the configured
   // JoinMethod (falling back to hash when the method's preconditions
-  // don't hold — see docs/QUERY_ENGINE.md). The hash build is one
-  // serial pass; probe, key sorts, and the output materialization run
-  // batch-parallel on the pool;
+  // don't hold — see docs/QUERY_ENGINE.md). A single INT key is
+  // probed against a FlatJoinTable: a serial hash build, or the inner
+  // base table's index for INL. Probe, key sorts, and the output
+  // materialization run batch-parallel on the pool;
   // per-batch match lists are concatenated in batch order so the
   // output row order matches the serial algorithms exactly. The
   // inputs are consumed: JoinPair, Aggregate and Project free their
@@ -194,10 +195,18 @@ class Executor {
   Result<Chunk> Project(const SelectStmt& select, Input input,
                         const std::vector<uint32_t>& sel);
 
+  // Stably sorts the row ids in *rows (rows of `data`, whose columns
+  // `schema` names) by the ORDER BY keys: keys are evaluated
+  // batch-parallel, the permutation is sorted with the deterministic
+  // parallel merge sort. Serves both ORDER BY placements: before the
+  // projection (sorting the selection vector) and after it.
+  Status SortByOrderKeys(const std::vector<OrderItem>& order_by,
+                         const Schema& schema, const Chunk& data,
+                         std::vector<uint32_t>* rows);
+
   Status ApplyHaving(const SelectStmt& select, Chunk* out);
   Status ApplyDistinct(Chunk* out);
-  // ORDER BY keys are evaluated batch-parallel and the row permutation
-  // is sorted with the deterministic parallel merge sort.
+  // ORDER BY over the output rows (SortByOrderKeys), then LIMIT.
   Status ApplyOrderByLimit(const SelectStmt& select, Chunk* out);
 
   Database* db_;

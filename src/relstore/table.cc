@@ -69,64 +69,30 @@ std::vector<std::string> Table::DeclaredIndexColumns() const {
   return columns;
 }
 
-Status Table::BuildIndex(const std::string& column, IntIndex* index) {
-  int col = schema().FindColumn(column);
-  if (col < 0) return Status::NotFound("no column " + column + " in " + name_);
-  index->map.clear();
-  const Column& column_data = chunk_.column(col);
-  const std::vector<int64_t>& keys = column_data.ints();
-  index->map.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (column_data.IsNull(i)) continue;  // NULLs are not indexed
-    index->map[keys[i]].push_back(static_cast<uint32_t>(i));
-  }
-  index->built = true;
-  return Status::OK();
-}
-
-const std::vector<uint32_t>* Table::LookupInt(const std::string& column, int64_t key) {
-  auto it = indexes_.find(column);
-  if (it == indexes_.end()) return nullptr;
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    if (!it->second.built) {
-      if (!BuildIndex(column, &it->second).ok()) return nullptr;
-    }
-  }
-  auto hit = it->second.map.find(key);
-  if (hit == it->second.map.end()) {
-    static const std::vector<uint32_t> kEmpty;
-    return &kEmpty;
-  }
-  return &hit->second;
-}
-
-const Table::IntIndexMap* Table::BuiltIndex(const std::string& column) const {
-  auto it = indexes_.find(column);
-  if (it == indexes_.end()) return nullptr;
-  std::lock_guard<std::mutex> lock(index_mu_);
-  return it->second.built ? &it->second.map : nullptr;
-}
-
-Status Table::EnsureIndex(const std::string& column) {
+Result<const FlatJoinTable*> Table::Index(const std::string& column) {
   auto it = indexes_.find(column);
   if (it == indexes_.end()) {
     return Status::NotFound("no index declared on " + column + " in " + name_);
   }
   std::lock_guard<std::mutex> lock(index_mu_);
-  if (!it->second.built) {
-    ORPHEUS_RETURN_NOT_OK(BuildIndex(column, &it->second));
+  IntIndex& index = it->second;
+  if (!index.built) {
+    int col = schema().FindColumn(column);
+    if (col < 0) return Status::NotFound("no column " + column + " in " + name_);
+    const Column& data = chunk_.column(col);
+    // NULLs are not indexed.
+    index.table.Build(data.ints(), [&data](size_t i) { return data.IsNull(i); });
+    index.built = true;
   }
-  return Status::OK();
+  return &index.table;
 }
 
 void Table::InvalidateIndexes() {
   BumpEpoch();
   std::lock_guard<std::mutex> lock(index_mu_);
-  for (auto& [name, index] : indexes_) {
-    index.built = false;
-    index.map.clear();
-  }
+  // Keeps each index's arrays, so the rebuild refills them in place
+  // rather than allocating (and faulting in) fresh ones.
+  for (auto& [name, index] : indexes_) index.built = false;
 }
 
 Status Table::ClusterBy(const std::string& column) {

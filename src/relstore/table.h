@@ -8,20 +8,20 @@
 // page. The executor counts page touches against this model so the
 // Figure 19 experiments can report modeled I/O alongside wall time.
 //
-// Index maintenance is lazy: DML invalidates, the next lookup rebuilds.
-// This matches the access pattern of OrpheusDB (bulk commit, then many
-// checkouts).
+// Indexes are FlatJoinTables (common/flat_join_table.h), the same
+// structure the hash join builds, maintained lazily: DML invalidates,
+// the next Index() call rebuilds. This matches the access pattern of
+// OrpheusDB (bulk commit, then many checkouts).
 //
 // Thread-safety: the payload is not internally synchronized — the
 // engine's discipline is single-writer: all DML/DDL happens under the
 // engine's exclusive lock, and scan workers only ever read
 // chunk()/data(). The one mutation a READ statement can perform — the
-// lazy index (re)build in EnsureIndex/LookupInt — is serialized by an
-// internal mutex, so concurrent read-only statements (which share the
-// engine lock) may race to build the same index safely: one builds,
-// the others wait and reuse it. Index postings handed out by
-// BuiltIndex stay immutable until the next DML, which cannot overlap
-// a reader by the engine-lock contract.
+// lazy index (re)build in Index — is serialized by an internal mutex,
+// so concurrent read-only statements (which share the engine lock) may
+// race to build the same index safely: one builds, the others wait and
+// reuse it. An index handed out by Index stays immutable until the
+// next DML, which cannot overlap a reader by the engine-lock contract.
 
 #ifndef ORPHEUS_RELSTORE_TABLE_H_
 #define ORPHEUS_RELSTORE_TABLE_H_
@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_join_table.h"
 #include "common/status.h"
 #include "relstore/chunk.h"
 
@@ -75,32 +76,14 @@ class Table {
   // deterministic so snapshots of equal states are byte-equal).
   std::vector<std::string> DeclaredIndexColumns() const;
 
-  // Row positions whose `column` equals `key`; empty if none.
-  // Builds the index on first use after a modification.
-  //
-  // Concurrency: LookupInt may rebuild a stale index, so it is not
-  // safe to call from scan workers directly. Call EnsureIndex first
-  // (on the coordinating thread); after it succeeds, LookupInt is a
-  // pure read and may be called concurrently until the next DML.
-  // Batched probe loops should prefer BuiltIndex, which resolves the
-  // column name once and hands workers a plain const map.
-  const std::vector<uint32_t>* LookupInt(const std::string& column, int64_t key);
-
-  // Forces the (declared) index on `column` to be built now, so that
-  // subsequent LookupInt/BuiltIndex calls are read-only. Errors if no
-  // index was declared on `column`.
-  Status EnsureIndex(const std::string& column);
-
-  // Postings of a built index: key -> row positions in insertion
-  // (ascending) order. Returns nullptr unless a preceding
-  // EnsureIndex(column) succeeded and no DML has run since.
-  //
-  // Concurrency: the returned map is immutable until the next DML /
-  // InvalidateIndexes, so workers may probe it freely while the
-  // coordinating thread holds the table alive (the executor's INL
-  // probe batches do exactly this).
-  using IntIndexMap = std::unordered_map<int64_t, std::vector<uint32_t>>;
-  const IntIndexMap* BuiltIndex(const std::string& column) const;
+  // The index on `column`: a FlatJoinTable from each non-NULL value
+  // to the rows holding it, every chain in ascending row order. Built
+  // on the first call after a modification; NotFound unless an index
+  // was declared on `column`. The table stays immutable until the
+  // next DML, so scan workers may probe it once the coordinating
+  // thread holds the pointer (the executor's INL probe batches and
+  // the partition build's rid resolution do exactly this).
+  Result<const FlatJoinTable*> Index(const std::string& column);
 
   void InvalidateIndexes();
 
@@ -126,8 +109,10 @@ class Table {
 
   int64_t ByteSize() const;
 
-  // Approximate index footprint (hash buckets + postings), counted into
-  // storage sizes as the paper does ("we count the index size as well").
+  // Modeled index footprint, counted into storage sizes as the paper
+  // does ("we count the index size as well"): a fixed 16 bytes per row
+  // per declared index, built or not — a model of a disk index, not
+  // the FlatJoinTable's in-memory allocation.
   int64_t IndexByteSize() const;
 
   // --- Dirty tracking (incremental checkpoints) --------------------
@@ -146,15 +131,12 @@ class Table {
  private:
   struct IntIndex {
     bool built = false;
-    IntIndexMap map;
+    FlatJoinTable table;
   };
-
-  // Caller must hold index_mu_.
-  Status BuildIndex(const std::string& column, IntIndex* index);
 
   // Serializes lazy index builds against each other (concurrent
   // read-only statements); see the class comment.
-  mutable std::mutex index_mu_;
+  std::mutex index_mu_;
 
   void BumpEpoch() { epoch_.store(NextEpoch(), std::memory_order_relaxed); }
   static uint64_t NextEpoch();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <string>
@@ -592,6 +593,124 @@ TEST_P(FlatHashJoinTest, EmptySides) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadSettings, FlatHashJoinTest,
+                         ::testing::Values(1, 4));
+
+// --- Index-nested-loop counters ------------------------------------------
+//
+// The Figure 19 experiments read the INL join's execution counters, so
+// they are pinned exactly: index_probes counts the non-NULL outer keys,
+// rows_scanned the outer rows, and pages_read the distinct inner pages
+// holding a match when the inner table is clustered on the join key,
+// else one page per outer row capped at the inner table's page count.
+// The output must equal the hash join's, row for row: the inner side is
+// the smaller, so the hash join builds on it and probes the outer side
+// in row order, as INL does.
+
+class InlCountersTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override { SetExecThreads(GetParam()); }
+  void TearDown() override { SetExecThreads(0); }
+
+  // Table `name` (id INT, k INT) with id = row number; nullopt is NULL.
+  static Table* BuildTable(Database* db, const std::string& name,
+                           const JoinKeys& keys) {
+    EXPECT_TRUE(db->Execute("CREATE TABLE " + name + " (id INT, k INT)").ok());
+    Table* table = db->GetTable(name).value();
+    Chunk& chunk = table->mutable_chunk();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      chunk.mutable_column(0).AppendInt(static_cast<int64_t>(i));
+      chunk.mutable_column(1).Append(keys[i] ? Value::Int(*keys[i])
+                                             : Value::Null());
+    }
+    return table;
+  }
+};
+
+TEST_P(InlCountersTest, ExactCountsAndHashJoinOutput) {
+  Rng rng(21);
+  // Inner: ~4 rows per key over [0, 1000), a few NULLs; several pages.
+  JoinKeys inner_keys;
+  for (int i = 0; i < 4000; ++i) {
+    if (i % 97 == 0) {
+      inner_keys.push_back(std::nullopt);
+    } else {
+      inner_keys.push_back(static_cast<int64_t>(rng.Uniform(1000)));
+    }
+  }
+  // Outer: three batches; NULLs, hits in the low fifth of the inner key
+  // range, and misses.
+  JoinKeys outer_keys;
+  for (int i = 0; i < 6000; ++i) {
+    if (i % 13 == 0) {
+      outer_keys.push_back(std::nullopt);
+    } else if (i % 2 == 0) {
+      outer_keys.push_back(static_cast<int64_t>(rng.Uniform(200)));
+    } else {
+      outer_keys.push_back(100000 + static_cast<int64_t>(rng.Uniform(50)));
+    }
+  }
+
+  for (bool clustered : {false, true}) {
+    Database db;
+    Table* inner = BuildTable(&db, "inner_t", inner_keys);
+    BuildTable(&db, "outer_t", outer_keys);
+    if (clustered) {
+      ASSERT_TRUE(inner->ClusterBy("k").ok());
+    }
+    ASSERT_TRUE(inner->DeclareIndex("k").ok());
+    ASSERT_GT(inner->num_pages(), 4);
+
+    // Reference counters from the table's current physical order.
+    const Column& ikeys = inner->data().column(1);
+    int64_t probes = 0;
+    std::vector<bool> page_hit(static_cast<size_t>(inner->num_pages()), false);
+    for (const std::optional<int64_t>& key : outer_keys) {
+      if (!key) continue;
+      ++probes;
+      for (size_t r = 0; r < ikeys.size(); ++r) {
+        if (!ikeys.IsNull(r) && ikeys.ints()[r] == *key) {
+          page_hit[static_cast<size_t>(inner->PageOfRow(r))] = true;
+        }
+      }
+    }
+    const auto rows = static_cast<int64_t>(outer_keys.size());
+    const int64_t pages =
+        clustered ? std::count(page_hit.begin(), page_hit.end(), true)
+                  : std::min(rows, inner->num_pages());
+    if (clustered) {
+      ASSERT_LT(pages, inner->num_pages());
+    }
+
+    for (const std::string& sql :
+         {std::string("SELECT o.id, i.id FROM outer_t o, inner_t i "
+                      "WHERE o.k = i.k"),
+          std::string("SELECT i.id, o.id FROM inner_t i, outer_t o "
+                      "WHERE i.k = o.k")}) {
+      const std::string context =
+          (clustered ? "clustered: " : "unclustered: ") + sql;
+      db.set_join_method(JoinMethod::kHash);
+      auto hash = db.Execute(sql);
+      ASSERT_TRUE(hash.ok()) << context << " " << hash.status().ToString();
+      db.set_join_method(JoinMethod::kIndexNestedLoop);
+      db.ResetStats();
+      auto inl = db.Execute(sql);
+      ASSERT_TRUE(inl.ok()) << context << " " << inl.status().ToString();
+      EXPECT_EQ(db.stats()->index_probes, probes) << context;
+      EXPECT_EQ(db.stats()->rows_scanned, rows) << context;
+      EXPECT_EQ(db.stats()->pages_read, pages) << context;
+      ASSERT_GT(hash.value().num_rows(), kScanBatchRows) << context;
+      ASSERT_EQ(inl.value().num_rows(), hash.value().num_rows()) << context;
+      for (size_t r = 0; r < hash.value().num_rows(); ++r) {
+        for (int c = 0; c < 2; ++c) {
+          ASSERT_EQ(inl.value().Get(r, c).AsInt(), hash.value().Get(r, c).AsInt())
+              << context << " row " << r << " col " << c;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadSettings, InlCountersTest,
                          ::testing::Values(1, 4));
 
 // --- Error paths -------------------------------------------------------

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "relstore/chunk.h"
 #include "relstore/column.h"
 #include "relstore/schema.h"
+#include "relstore/table.h"
 #include "relstore/types.h"
 #include "relstore/value.h"
 
@@ -235,6 +240,76 @@ TEST(ChunkTest, ToStringTruncates) {
   for (int i = 0; i < 30; ++i) chunk.AppendRow({Value::Int(i)});
   std::string rendered = chunk.ToString(5);
   EXPECT_NE(rendered.find("more rows"), std::string::npos);
+}
+
+// --- Table indexes -------------------------------------------------------
+
+// Checks the index on `column` against a scan of the table's current
+// rows: every non-NULL value's chain lists exactly its rows in
+// ascending order, NULL rows (stored as the placeholder 0) appear in no
+// chain, and a value absent from the column has an empty chain.
+void ExpectIndexMatchesRows(Table* table, const std::string& column) {
+  auto index = table->Index(column);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const Column& data = table->data().column(table->schema().FindColumn(column));
+  std::map<int64_t, std::vector<uint32_t>> expect;
+  for (size_t row = 0; row < data.size(); ++row) {
+    if (!data.IsNull(row)) {
+      expect[data.ints()[row]].push_back(static_cast<uint32_t>(row));
+    }
+  }
+  EXPECT_EQ(index.value()->num_keys(), expect.size()) << column;
+  expect.try_emplace(0);     // the NULL placeholder, a key only if genuine
+  expect.try_emplace(-999);  // never stored
+  for (const auto& [key, rows] : expect) {
+    std::vector<uint32_t> chain;
+    for (uint32_t row = index.value()->Find(key); row != FlatJoinTable::kEnd;
+         row = index.value()->Next(row)) {
+      chain.push_back(row);
+    }
+    EXPECT_EQ(chain, rows) << column << " key " << key;
+  }
+}
+
+TEST(TableIndexTest, ReflectsCurrentRowsAfterEveryModification) {
+  Table table("t", Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}}),
+              {});
+  ASSERT_TRUE(table.DeclareIndex("k").ok());
+  for (const Value& k : {Value::Int(3), Value::Null(), Value::Int(3),
+                         Value::Int(1), Value::Int(0), Value::Null(),
+                         Value::Int(3)}) {
+    ASSERT_TRUE(table.AppendRow({k, Value::Int(7)}).ok());
+  }
+  ExpectIndexMatchesRows(&table, "k");
+  auto index = table.Index("k");
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index.value()->num_keys(), 3u);  // 3, 1, 0; no NULLs
+
+  ASSERT_TRUE(table.AppendRow({Value::Int(1), Value::Int(8)}).ok());
+  ExpectIndexMatchesRows(&table, "k");
+
+  table.mutable_chunk().mutable_column(0).Set(0, Value::Int(5));
+  table.mutable_chunk().mutable_column(0).Set(2, Value::Null());
+  ExpectIndexMatchesRows(&table, "k");
+
+  ASSERT_TRUE(table.AddColumn("w", DataType::kInt64).ok());
+  ASSERT_TRUE(table.DeclareIndex("w").ok());
+  ExpectIndexMatchesRows(&table, "k");
+  ExpectIndexMatchesRows(&table, "w");  // all NULL: no keys at all
+
+  ASSERT_TRUE(table.ClusterBy("k").ok());
+  ExpectIndexMatchesRows(&table, "k");
+  ExpectIndexMatchesRows(&table, "w");
+}
+
+TEST(TableIndexTest, UndeclaredColumnIsNotFound) {
+  Table table("t", Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}}),
+              {});
+  ASSERT_TRUE(table.AppendRow({Value::Int(1), Value::Int(2)}).ok());
+  ASSERT_TRUE(table.DeclareIndex("k").ok());
+  EXPECT_EQ(table.Index("v").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.Index("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(table.Index("k").ok());
 }
 
 }  // namespace
