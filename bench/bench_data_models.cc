@@ -48,7 +48,7 @@ Result<ModelNumbers> MeasureModel(DataModelKind kind, const wl::Dataset& data) {
   rel::Database db;
   std::string name = "m";
   auto model = core::MakeDataModel(kind, &db, name, data.DataSchema());
-  ORPHEUS_RETURN_NOT_OK(PopulateModel(&db, model.get(), data));
+  ORPHEUS_RETURN_NOT_OK(PopulateModel(model.get(), data));
 
   ModelNumbers out;
   out.storage_bytes = model->StorageBytes();
@@ -60,10 +60,10 @@ Result<ModelNumbers> MeasureModel(DataModelKind kind, const wl::Dataset& data) {
 
   // Commit the unchanged checkout back as a new version.
   core::VersionId next = static_cast<core::VersionId>(data.versions().size()) + 1;
-  rel::Chunk empty_new(rel::Schema{});
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * work, db.GetTable("work"));
   WallTimer commit_timer;
   ORPHEUS_RETURN_NOT_OK(
-      model->AddVersion(next, "work", latest.rids, rel::Chunk(), latest.vid));
+      model->AddVersion(next, work->data(), latest.rids, rel::Chunk(), latest.vid));
   out.commit_seconds = commit_timer.ElapsedSeconds();
   return out;
 }
@@ -81,7 +81,7 @@ Result<RoundTrip> MeasureRoundTrip(DataModelKind kind, const wl::Dataset& data,
                                    double modified_fraction) {
   rel::Database db;
   auto model = core::MakeDataModel(kind, &db, "m", data.DataSchema());
-  ORPHEUS_RETURN_NOT_OK(PopulateModel(&db, model.get(), data));
+  ORPHEUS_RETURN_NOT_OK(PopulateModel(model.get(), data));
   const wl::VersionSpec& latest = data.versions().back();
   RoundTrip out;
   WallTimer checkout_timer;
@@ -111,7 +111,7 @@ Result<RoundTrip> MeasureRoundTrip(DataModelKind kind, const wl::Dataset& data,
   core::VersionId next = static_cast<core::VersionId>(data.versions().size()) + 1;
   WallTimer timer;
   ORPHEUS_RETURN_NOT_OK(
-      model->AddVersion(next, "work", rids, new_records, latest.vid));
+      model->AddVersion(next, chunk, rids, new_records, latest.vid));
   out.commit_seconds = timer.ElapsedSeconds();
   return out;
 }
@@ -134,7 +134,7 @@ Result<DeltaCompaction> MeasureDeltaCompaction(const wl::Dataset& data) {
   rel::Database db;
   auto model = core::MakeDataModel(DataModelKind::kDeltaBased, &db, "m",
                                    data.DataSchema());
-  ORPHEUS_RETURN_NOT_OK(PopulateModel(&db, model.get(), data));
+  ORPHEUS_RETURN_NOT_OK(PopulateModel(model.get(), data));
 
   // Recompute each version's delta-lineage depth (base = max-weight
   // parent, the same rule PopulateModel applied).
@@ -173,9 +173,10 @@ Result<DeltaCompaction> MeasureDeltaCompaction(const wl::Dataset& data) {
                            model->VersionRecords(deepest));
   core::VersionId compacted =
       static_cast<core::VersionId>(data.versions().size()) + 1;
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * deep, db.GetTable("deep"));
   {
     WallTimer timer;
-    ORPHEUS_RETURN_NOT_OK(model->AddVersion(compacted, "deep", deep_rids,
+    ORPHEUS_RETURN_NOT_OK(model->AddVersion(compacted, deep->data(), deep_rids,
                                             rel::Chunk(), /*primary_parent=*/-1));
     out.compact_seconds = timer.ElapsedSeconds();
   }

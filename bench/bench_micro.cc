@@ -229,7 +229,7 @@ void BM_CheckoutUnnestJoin(benchmark::State& state) {
   rel::Database db;
   auto model = core::MakeDataModel(core::DataModelKind::kSplitByRlist, &db, "m",
                                    data.DataSchema());
-  if (!bench::PopulateModel(&db, model.get(), data).ok()) {
+  if (!bench::PopulateModel(model.get(), data).ok()) {
     state.SkipWithError("populate failed");
     return;
   }
@@ -255,7 +255,7 @@ void BM_CommitRlistVsCombined(benchmark::State& state) {
                                  : core::DataModelKind::kCombinedTable;
   rel::Database db;
   auto model = core::MakeDataModel(kind, &db, "m", data.DataSchema());
-  if (!bench::PopulateModel(&db, model.get(), data).ok()) {
+  if (!bench::PopulateModel(model.get(), data).ok()) {
     state.SkipWithError("populate failed");
     return;
   }
@@ -264,9 +264,10 @@ void BM_CommitRlistVsCombined(benchmark::State& state) {
     state.SkipWithError("checkout failed");
     return;
   }
+  const rel::Chunk& work = db.GetTable("work").ValueOrDie()->data();
   core::VersionId next = static_cast<core::VersionId>(data.versions().size()) + 1;
   for (auto _ : state) {
-    if (!model->AddVersion(next++, "work", latest.rids, rel::Chunk(),
+    if (!model->AddVersion(next++, work, latest.rids, rel::Chunk(),
                            latest.vid).ok()) {
       state.SkipWithError("commit failed");
       return;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/flat_join_table.h"
 #include "common/str_util.h"
@@ -180,13 +181,8 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
     with_rid.mutable_column(c + 1).Gather(rows.column(c), all);
   }
 
-  const std::string stage = name_ + "_init_stage";
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(stage, /*if_exists=*/true));
-  rel::Chunk for_model = with_rid;  // AddVersion consumes the staged table
-  ORPHEUS_RETURN_NOT_OK(db_->AdoptTable(stage, std::move(with_rid)));
-  Status st = model_->AddVersion(vid, stage, rids, for_model, /*primary_parent=*/-1);
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(stage));
-  ORPHEUS_RETURN_NOT_OK(st);
+  ORPHEUS_RETURN_NOT_OK(model_->AddVersion(vid, with_rid, rids, with_rid,
+                                           /*primary_parent=*/-1));
 
   ORPHEUS_RETURN_NOT_OK(graph_.AddVersion(vid, {}, {}, static_cast<int64_t>(rids.size())));
   std::vector<int64_t> attr_ids;
@@ -310,19 +306,18 @@ Result<std::vector<int64_t>> Cvd::ReconcileSchema(const rel::Schema& staged_sche
   return attr_ids;
 }
 
-Result<std::vector<rel::Chunk>> Cvd::ParentRows(StagedTableInfo* staged) {
+Result<std::vector<rel::Chunk>> Cvd::ParentRows(
+    const std::vector<VersionId>& parents, std::vector<rel::Chunk> kept) {
   const rel::Schema record_schema = model_->RecordSchema();
-  std::vector<rel::Chunk> kept = std::move(staged->parent_rows);
-  staged->parent_rows.clear();
-  if (kept.size() == staged->parents.size() &&
+  if (kept.size() == parents.size() &&
       std::all_of(kept.begin(), kept.end(), [&](const rel::Chunk& rows) {
         return rows.schema().Equals(record_schema);
       })) {
     return kept;
   }
   std::vector<rel::Chunk> out;
-  out.reserve(staged->parents.size());
-  for (VersionId parent : staged->parents) {
+  out.reserve(parents.size());
+  for (VersionId parent : parents) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(parent));
     if (!rows.schema().Equals(record_schema)) {
       return Status::Internal("version " + std::to_string(parent) + " rows " +
@@ -355,6 +350,9 @@ Result<ResolvedCommit> Cvd::ResolveCommit(const std::string& table_name) {
 
   // --- Schema reconciliation (may ALTER the pool tables) -------------
   ResolvedCommit out;
+  out.parents = staged_it->second.parents;
+  out.checkout_time = staged_it->second.checkout_time;
+  out.commit_time = logical_clock_ + 1;
   for (const rel::ColumnDef& def : staged_rows.schema().columns()) {
     if (def.name != "rid") out.staged_schema.AddColumn(def.name, def.type);
   }
@@ -403,7 +401,9 @@ Result<ResolvedCommit> Cvd::ResolveCommit(const std::string& table_name) {
   // --- Record resolution (the no-cross-version-diff rule) -----------
   // The parents' records, concatenated in parent order, keyed by
   // content; each staged row takes the rid of the first equal one.
-  ORPHEUS_ASSIGN_OR_RETURN(out.parent_rows, ParentRows(&staged_it->second));
+  ORPHEUS_ASSIGN_OR_RETURN(
+      out.parent_rows,
+      ParentRows(out.parents, std::exchange(staged_it->second.parent_rows, {})));
   std::vector<int> data_cols(static_cast<size_t>(data_schema.num_columns()));
   std::iota(data_cols.begin(), data_cols.end(), 1);
   std::vector<RecordColumns> parent_cols;
@@ -443,37 +443,43 @@ Result<ResolvedCommit> Cvd::ResolveCommit(const std::string& table_name) {
 
 Result<VersionId> Cvd::ReplayCommit(const std::string& table_name,
                                     const std::string& message,
-                                    rel::Schema staged_schema,
-                                    std::vector<RecordId> rids,
-                                    rel::Chunk new_records) {
-  auto staged_it = staged_.find(table_name);
-  if (staged_it == staged_.end()) {
-    return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
-                            table_name);
-  }
-  if (staged_schema.FindColumn("rid") >= 0) {
+                                    ResolvedCommit commit) {
+  if (commit.staged_schema.FindColumn("rid") >= 0) {
     return Status::Internal("commit schema names the reserved rid column");
   }
-  ResolvedCommit commit;
-  ORPHEUS_ASSIGN_OR_RETURN(commit.attr_ids, ReconcileSchema(staged_schema));
-  commit.staged_schema = std::move(staged_schema);
-  commit.rids = std::move(rids);
-  commit.new_records = std::move(new_records);
-  ORPHEUS_ASSIGN_OR_RETURN(commit.parent_rows, ParentRows(&staged_it->second));
+  if (commit.parents.empty()) {
+    return Status::Internal("commit names no parent version");
+  }
+  for (VersionId parent : commit.parents) {
+    if (!graph_.Contains(parent)) {
+      return Status::Internal("commit parent " + std::to_string(parent) +
+                              " is not a version of " + name_);
+    }
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(commit.attr_ids, ReconcileSchema(commit.staged_schema));
+  ORPHEUS_ASSIGN_OR_RETURN(commit.parent_rows, ParentRows(commit.parents, {}));
+  // A checkpoint may have restored a staging entry whose table raw SQL
+  // had dropped; the live run then checked the name out again. Apply
+  // consumes only a staged table that is there.
+  auto staged_it = staged_.find(table_name);
+  if (staged_it != staged_.end() && !db_->HasTable(table_name)) {
+    staged_.erase(staged_it);
+  }
   return ApplyCommit(table_name, message, commit);
 }
 
 Result<VersionId> Cvd::ApplyCommit(const std::string& table_name,
                                    const std::string& message,
                                    const ResolvedCommit& commit) {
-  auto staged_it = staged_.find(table_name);
-  if (staged_it == staged_.end()) {
-    return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
-                            table_name);
-  }
-  const std::vector<VersionId> parents = staged_it->second.parents;
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged_table, db_->GetTable(table_name));
+  const std::vector<VersionId>& parents = commit.parents;
   const rel::Schema record_schema = model_->RecordSchema();
+  if (commit.commit_time <= logical_clock_ ||
+      commit.checkout_time >= commit.commit_time) {
+    return Status::Internal(
+        "commit time " + std::to_string(commit.commit_time) +
+        " does not follow the logical clock " + std::to_string(logical_clock_) +
+        " and the checkout time " + std::to_string(commit.checkout_time));
+  }
   if (!commit.new_records.schema().Equals(record_schema)) {
     return Status::Internal("new records " + commit.new_records.schema().ToString() +
                             " do not match the record schema " +
@@ -482,7 +488,7 @@ Result<VersionId> Cvd::ApplyCommit(const std::string& table_name,
   if (commit.parent_rows.size() != parents.size()) {
     return Status::Internal("commit carries rows of " +
                             std::to_string(commit.parent_rows.size()) +
-                            " parents, the staged table has " +
+                            " parents, but names " +
                             std::to_string(parents.size()));
   }
 
@@ -552,14 +558,13 @@ Result<VersionId> Cvd::ApplyCommit(const std::string& table_name,
     primary_parent = parents[best];
   }
 
-  // --- The committed content replaces the staged rows ------------------
-  // Models that read the staged table read the version's full rows
-  // (TPV, delta) or its rids through SQL (combined table, split-by-
-  // vlist), so it must hold exactly what a replay rebuilds: the source
-  // records, rids included. Gathered a run at a time: consecutive rows
-  // from one source chunk.
-  if (model_->ReadsStagedTable()) {
-    rel::Chunk content(record_schema);
+  // --- The committed content ------------------------------------------
+  // Models that read it (TPV, delta) get the version's rows rebuilt
+  // from the source records, rids included — never the staged table,
+  // so a live commit and its replay install the same rows. Gathered a
+  // run at a time: consecutive rows from one source chunk.
+  rel::Chunk content(record_schema);
+  if (model_->ReadsContent()) {
     content.Reserve(n);
     std::vector<uint32_t> run;
     for (size_t begin = 0, end = 0; begin < n; begin = end) {
@@ -569,25 +574,28 @@ Result<VersionId> Cvd::ApplyCommit(const std::string& table_name,
       }
       content.GatherFrom(*sources[begin].rows, run);
     }
-    staged_table->mutable_chunk() = std::move(content);
   }
   next_rid_ += static_cast<RecordId>(new_rids.size());
 
   // --- Persist ----------------------------------------------------------
   VersionId vid = next_vid_++;
-  ORPHEUS_RETURN_NOT_OK(model_->AddVersion(vid, table_name, commit.rids,
+  ORPHEUS_RETURN_NOT_OK(model_->AddVersion(vid, content, commit.rids,
                                            commit.new_records, primary_parent));
   ORPHEUS_RETURN_NOT_OK(
       graph_.AddVersion(vid, parents, weights, static_cast<int64_t>(n)));
   version_attrs_[vid] = commit.attr_ids;
-  ORPHEUS_RETURN_NOT_OK(AppendMetadataRow(vid, parents,
-                                          staged_it->second.checkout_time,
-                                          ++logical_clock_, message,
+  logical_clock_ = commit.commit_time;
+  ORPHEUS_RETURN_NOT_OK(AppendMetadataRow(vid, parents, commit.checkout_time,
+                                          commit.commit_time, message,
                                           commit.attr_ids));
 
-  // Commit removes the table from the staging area (§2.3).
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(table_name));
-  staged_.erase(staged_it);
+  // Commit removes the table from the staging area (§2.3). Replay
+  // finds it staged only where a checkpoint restored the checkout.
+  auto staged_it = staged_.find(table_name);
+  if (staged_it != staged_.end()) {
+    ORPHEUS_RETURN_NOT_OK(db_->DropTable(table_name));
+    staged_.erase(staged_it);
+  }
   return vid;
 }
 

@@ -54,10 +54,13 @@ struct AttributeEntry {
   rel::DataType type;
 };
 
-// A staged table resolved to records. The first three fields are what
-// the commit WAL record carries; the rest is derived state that replay
-// recomputes.
+// A staged table resolved to records. The first six fields are what
+// the commit WAL record carries, so replay needs no staging area; the
+// rest is derived state that replay recomputes.
 struct ResolvedCommit {
+  std::vector<VersionId> parents;  // precedence order
+  int64_t checkout_time = 0;       // the staged table's checkout time
+  int64_t commit_time = 0;         // the CVD's logical clock after commit
   rel::Schema staged_schema;     // the staged data attributes (no rid)
   std::vector<RecordId> rids;    // one per committed row, staged order
   rel::Chunk new_records;        // rid + data attributes, rid ascending
@@ -105,36 +108,42 @@ class Cvd {
   // halves itself so it can log the resolved commit.
   Result<VersionId> Commit(const std::string& table_name, const std::string& message);
 
-  // Resolve: turns a staged table into records. Reconciles its schema
-  // with the CVD (which may ALTER the pool tables), checks the primary
-  // key, and gives each staged row the rid of the first equal record
-  // in parent order, then row order — or a fresh rid, continuing from
+  // Resolve: turns a staged table into records. Takes the parents and
+  // checkout time from the table's provenance and the commit time from
+  // the logical clock. Reconciles the table's schema with the CVD
+  // (which may ALTER the pool tables), checks the primary key, and
+  // gives each staged row the rid of the first equal record in parent
+  // order, then row order — or a fresh rid, continuing from
   // total_records(), if no parent holds an equal record (the paper's
   // no-cross-version-diff rule). A parent's row order is its rows as
   // checked out. The parents' rows come from ParentRows, which hands
   // over the rows checkout kept.
   Result<ResolvedCommit> ResolveCommit(const std::string& table_name);
 
-  // Apply: installs a resolved commit as the next version. Checks the
-  // commit first: the new records must have the record schema and rids
-  // that continue from total_records() in row order, and every other
-  // rid must belong to a parent. If the data model reads the staged
-  // table (DataModel::ReadsStagedTable), rebuilds the committed content
-  // into it from the parents' records plus the new records. Then adds
-  // the version, its graph edges and its metadata row, and drops the
-  // staged table.
+  // Apply: installs a resolved commit as the next version of
+  // `commit.parents`. Checks the commit first: the commit time must
+  // follow the logical clock and the checkout time, the new records
+  // must have the record schema and rids that continue from
+  // total_records() in row order, and every other rid must belong to a
+  // parent. If the data model reads the committed content
+  // (DataModel::ReadsContent), rebuilds it from the parents' records
+  // plus the new records; the staged table itself is never read. Then
+  // adds the version, its graph edges and its metadata row, sets the
+  // logical clock to the commit time, and drops `table_name` and its
+  // staging entry if `table_name` is staged.
   Result<VersionId> ApplyCommit(const std::string& table_name,
                                 const std::string& message,
                                 const ResolvedCommit& commit);
 
-  // WAL replay of a logged commit: reconciles the logged schema (to
-  // the same attribute ids as the live run), then applies the logged
-  // rids and new records without resolving anything.
+  // WAL replay of a logged commit (the first six fields of `commit`):
+  // reconciles the logged schema (to the same attribute ids as the live
+  // run), reads the parents' rows through VersionRows, and applies the
+  // logged rids and new records without resolving anything. A staged
+  // table of that name exists only if a checkpoint restored it, and is
+  // consumed as the live commit did; no other table is touched.
   Result<VersionId> ReplayCommit(const std::string& table_name,
                                  const std::string& message,
-                                 rel::Schema staged_schema,
-                                 std::vector<RecordId> rids,
-                                 rel::Chunk new_records);
+                                 ResolvedCommit commit);
 
   // Records in `a` but not in `b`.
   Result<rel::Chunk> Diff(VersionId a, VersionId b);
@@ -194,12 +203,13 @@ class Cvd {
   Result<std::vector<int64_t>> ReconcileSchema(const rel::Schema& staged_schema);
 
   // Each parent's rows (rid + data attributes), in precedence order:
-  // the rows `staged` kept from its checkout, moved out, when every
-  // chunk still has the record schema; otherwise each parent's
-  // VersionRows (after a checkpoint restore, a partition-served
-  // checkout, schema evolution since the checkout, or an earlier
-  // resolve that took the rows).
-  Result<std::vector<rel::Chunk>> ParentRows(StagedTableInfo* staged);
+  // `kept`, the rows a checkout kept, when it holds one chunk per
+  // parent and every chunk still has the record schema; otherwise each
+  // parent's VersionRows (in replay, after a checkpoint restore, a
+  // partition-served checkout, schema evolution since the checkout, or
+  // an earlier resolve that took the rows).
+  Result<std::vector<rel::Chunk>> ParentRows(
+      const std::vector<VersionId>& parents, std::vector<rel::Chunk> kept);
 
   // Registers an attribute entry and returns its id.
   int64_t AddAttributeEntry(const std::string& name, rel::DataType type);

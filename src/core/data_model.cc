@@ -4,6 +4,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/flat_join_table.h"
 #include "common/str_util.h"
 
 namespace orpheus::core {
@@ -33,6 +34,27 @@ Status BulkAppend(rel::Table* table, const rel::Chunk& rows) {
   }
   // Backfill any trailing columns (e.g. vlist) — caller fills them.
   return Status::OK();
+}
+
+// Table 1 commit of the vlist models, `UPDATE <table> SET vlist =
+// vlist + vid WHERE rid IN (<the version's rids>)`: one scan of the
+// table's rid column, appending `vid` to every member's vlist. Counts
+// the scan in the database stats as the UPDATE would.
+void AppendToVlists(rel::Database* db, rel::Table* table, VersionId vid,
+                    const std::vector<RecordId>& rids) {
+  FlatJoinTable members;
+  members.Build(rids);
+  rel::Chunk& chunk = table->mutable_chunk();
+  const std::vector<int64_t>& row_rids = chunk.column(0).ints();
+  std::vector<rel::IntArray>& vlists =
+      chunk.mutable_column(table->schema().FindColumn("vlist")).mutable_arrays();
+  for (size_t row = 0; row < row_rids.size(); ++row) {
+    if (members.Find(row_rids[row]) != FlatJoinTable::kEnd) {
+      vlists[row].push_back(vid);
+    }
+  }
+  db->stats()->rows_scanned += static_cast<int64_t>(row_rids.size());
+  db->stats()->pages_read += table->num_pages();
 }
 
 }  // namespace
@@ -101,8 +123,9 @@ int64_t DataModel::TableBytes(const std::string& table) const {
 }
 
 Result<rel::Chunk> DataModel::VersionRows(VersionId vid) {
-  const std::string tmp = cvd_name_ + "_vrows_tmp";
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(tmp, /*if_exists=*/true));
+  // A name no table holds: a user's table is never dropped.
+  std::string tmp = cvd_name_ + "_vrows_tmp";
+  while (db_->HasTable(tmp)) tmp += "_";
   ORPHEUS_RETURN_NOT_OK(CheckoutVersion(vid, tmp));
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(tmp));
   rel::Chunk rows = std::move(table->mutable_chunk());
@@ -160,20 +183,15 @@ std::string TablePerVersionModel::VersionTable(VersionId vid) const {
 
 Status TablePerVersionModel::Init() { return Status::OK(); }
 
-Status TablePerVersionModel::AddVersion(VersionId vid,
-                                        const std::string& staged_table,
+Status TablePerVersionModel::AddVersion(VersionId vid, const rel::Chunk& content,
                                         const std::vector<RecordId>& rids,
                                         const rel::Chunk& new_records,
                                         VersionId primary_parent) {
   (void)rids;
   (void)new_records;
   (void)primary_parent;
-  // Copy the staged table wholesale; that is the point of this model.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("SELECT " + RecordColumnList() + " INTO " + VersionTable(vid) +
-                   " FROM " + staged_table));
-  (void)unused;
+  // Copy the version wholesale; that is the point of this model.
+  ORPHEUS_RETURN_NOT_OK(db_->AdoptTable(VersionTable(vid), content));
   versions_.push_back(vid);
   return Status::OK();
 }
@@ -219,25 +237,19 @@ Status CombinedTableModel::Init() {
   return db_->CreateTable(CombinedTable(), std::move(schema), {"rid"});
 }
 
-Status CombinedTableModel::AddVersion(VersionId vid,
-                                      const std::string& staged_table,
+Status CombinedTableModel::AddVersion(VersionId vid, const rel::Chunk& content,
                                       const std::vector<RecordId>& rids,
                                       const rel::Chunk& new_records,
                                       VersionId primary_parent) {
-  (void)rids;
+  (void)content;
   (void)primary_parent;
   // Table 1 commit: append vid to vlist for every record of the new
   // version already present in the CVD. New records are not yet in the
-  // combined table, so the IN-list matches exactly the reused ones.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("UPDATE " + CombinedTable() + " SET vlist = vlist + " +
-                   std::to_string(vid) + " WHERE rid IN (SELECT rid FROM " +
-                   staged_table + ")"));
-  (void)unused;
+  // combined table, so the rid set matches exactly the reused ones.
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(CombinedTable()));
+  AppendToVlists(db_, table, vid, rids);
   // Bulk-insert the new records with a singleton vlist.
   if (new_records.num_rows() > 0) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(CombinedTable()));
     ORPHEUS_RETURN_NOT_OK(BulkAppend(table, new_records));
     rel::Column& vlist =
         table->mutable_chunk().mutable_column(table->schema().FindColumn("vlist"));
@@ -282,26 +294,20 @@ Status SplitByVlistModel::Init() {
   return db_->CreateTable(VersioningTable(), std::move(versioning), {"rid"});
 }
 
-Status SplitByVlistModel::AddVersion(VersionId vid,
-                                     const std::string& staged_table,
+Status SplitByVlistModel::AddVersion(VersionId vid, const rel::Chunk& content,
                                      const std::vector<RecordId>& rids,
                                      const rel::Chunk& new_records,
                                      VersionId primary_parent) {
+  (void)content;
   (void)primary_parent;
-  (void)rids;
   // Table 1 commit: same array-append as combined-table, but on the
   // (narrow) versioning table.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("UPDATE " + VersioningTable() + " SET vlist = vlist + " +
-                   std::to_string(vid) + " WHERE rid IN (SELECT rid FROM " +
-                   staged_table + ")"));
-  (void)unused;
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * versioning,
+                           db_->GetTable(VersioningTable()));
+  AppendToVlists(db_, versioning, vid, rids);
   if (new_records.num_rows() > 0) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
     ORPHEUS_RETURN_NOT_OK(BulkAppend(data, new_records));
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * versioning,
-                             db_->GetTable(VersioningTable()));
     ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> new_rids,
                              IntColumn(new_records, "rid"));
     rel::Chunk& vc = versioning->mutable_chunk();
@@ -368,12 +374,11 @@ Status SplitByRlistModel::Init() {
   return db_->CreateTable(VersioningTable(), std::move(versioning), {"vid"});
 }
 
-Status SplitByRlistModel::AddVersion(VersionId vid,
-                                     const std::string& staged_table,
+Status SplitByRlistModel::AddVersion(VersionId vid, const rel::Chunk& content,
                                      const std::vector<RecordId>& rids,
                                      const rel::Chunk& new_records,
                                      VersionId primary_parent) {
-  (void)staged_table;
+  (void)content;
   (void)primary_parent;
   if (new_records.num_rows() > 0) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
@@ -446,8 +451,7 @@ Status DeltaBasedModel::Init() {
   return db_->CreateTable(cvd_name_ + "_deltameta", std::move(meta), {"vid"});
 }
 
-Status DeltaBasedModel::AddVersion(VersionId vid,
-                                   const std::string& staged_table,
+Status DeltaBasedModel::AddVersion(VersionId vid, const rel::Chunk& content,
                                    const std::vector<RecordId>& rids,
                                    const rel::Chunk& new_records,
                                    VersionId primary_parent) {
@@ -456,8 +460,6 @@ Status DeltaBasedModel::AddVersion(VersionId vid,
   delta_schema.AddColumn("tombstone", rel::DataType::kBool);
   ORPHEUS_RETURN_NOT_OK(db_->CreateTable(DeltaTable(vid), delta_schema, {"rid"}));
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * delta, db_->GetTable(DeltaTable(vid)));
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, db_->GetTable(staged_table));
-  const rel::Chunk& staged_rows = staged->data();
 
   std::unordered_set<RecordId> parent_rids;
   if (primary_parent >= 0) {
@@ -477,8 +479,8 @@ Status DeltaBasedModel::AddVersion(VersionId vid,
     }
   }
   rel::Chunk& dst = delta->mutable_chunk();
-  for (int c = 0; c < staged_rows.num_columns(); ++c) {
-    dst.mutable_column(c).Gather(staged_rows.column(c), insert_rows);
+  for (int c = 0; c < content.num_columns(); ++c) {
+    dst.mutable_column(c).Gather(content.column(c), insert_rows);
   }
   int tomb_col = dst.schema().FindColumn("tombstone");
   for (size_t i = 0; i < insert_rows.size(); ++i) {

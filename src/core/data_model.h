@@ -1,7 +1,8 @@
 // The five CVD representations of §3 of the paper, behind one
 // interface. Each model owns its backing tables inside the (version-
-// unaware) relstore database and implements version addition and
-// checkout by issuing the SQL of the paper's Table 1.
+// unaware) relstore database, implements checkout by issuing the SQL
+// of the paper's Table 1, and performs that table's commit statements
+// as direct appends to its tables.
 //
 //  - kTablePerVersion : one table per version (storage baseline)
 //  - kCombinedTable   : single table with a `vlist INT[]` per record
@@ -14,7 +15,7 @@
 // resolves which staged rows are new records and assigns rids. Models
 // only persist and retrieve.
 //
-// Execution: every checkout/commit here bottoms out in relstore SQL,
+// Execution: every checkout here bottoms out in relstore SQL,
 // so the scans (vlist containment, unnest joins, rid probes) run on
 // the executor's batched parallel pipeline and scale with --threads
 // (see relstore/executor.h). Models never spawn threads themselves.
@@ -63,20 +64,19 @@ class DataModel {
   // Registers version `vid` whose full record set is `rids`, in
   // committed row order. `new_records` contains exactly the records
   // not previously in the CVD (rid + data attributes, rid ascending).
-  // A model for which ReadsStagedTable() is true also reads
-  // `staged_table`, which then holds the committed content: the
-  // version's records, row for row with `rids`. For the others the
-  // staged table's rows are unspecified.
+  // A model for which ReadsContent() is true also reads `content`,
+  // the version's records (rid + data attributes), row for row with
+  // `rids`; the others get an empty chunk.
   // `primary_parent` is the parent sharing the most records (-1 for
   // the initial version); only the delta model depends on it.
-  virtual Status AddVersion(VersionId vid, const std::string& staged_table,
+  virtual Status AddVersion(VersionId vid, const rel::Chunk& content,
                             const std::vector<RecordId>& rids,
                             const rel::Chunk& new_records,
                             VersionId primary_parent) = 0;
 
-  // Whether AddVersion reads the staged table. Commit rebuilds the
-  // committed content into it only for models that do.
-  virtual bool ReadsStagedTable() const { return true; }
+  // Whether AddVersion reads `content`. Commit builds the committed
+  // content only for models that do.
+  virtual bool ReadsContent() const { return true; }
 
   // Materializes version `vid` as `table_name` (schema: rid + data
   // attributes) — the checkout path.
@@ -131,7 +131,7 @@ class TablePerVersionModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kTablePerVersion; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
+  Status AddVersion(VersionId vid, const rel::Chunk& content,
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
@@ -150,10 +150,11 @@ class CombinedTableModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kCombinedTable; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
+  Status AddVersion(VersionId vid, const rel::Chunk& content,
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
+  bool ReadsContent() const override { return false; }
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
@@ -167,10 +168,11 @@ class SplitByVlistModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kSplitByVlist; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
+  Status AddVersion(VersionId vid, const rel::Chunk& content,
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
+  bool ReadsContent() const override { return false; }
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
@@ -188,12 +190,12 @@ class SplitByRlistModel : public DataModel {
   DataModelKind kind() const override { return DataModelKind::kSplitByRlist; }
   Status Init() override;
   // Appends the new records and one (vid, rids) tuple directly, as a
-  // bulk load would; the staged table is not read.
-  Status AddVersion(VersionId vid, const std::string& staged_table,
+  // bulk load would.
+  Status AddVersion(VersionId vid, const rel::Chunk& content,
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
-  bool ReadsStagedTable() const override { return false; }
+  bool ReadsContent() const override { return false; }
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
@@ -211,7 +213,7 @@ class DeltaBasedModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kDeltaBased; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
+  Status AddVersion(VersionId vid, const rel::Chunk& content,
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;

@@ -450,8 +450,8 @@ void EngineApi::CloseSession(SessionContext* session, bool discard_staged) {
   std::map<std::string, std::string> staged;
   if (discard_staged) staged = session->StagedTables();
   if (!staged.empty()) {
-    // Best-effort, durability included: disconnect cleanup has no
-    // caller to report an error to.
+    // Best-effort: disconnect cleanup has no caller to report an
+    // error to.
     (void)RunLocked(LockMode::kExclusive, session, [&] {
       for (const auto& [table, cvd] : staged) {
         // The table may already be gone (CVD dropped, or the staged

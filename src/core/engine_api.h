@@ -61,7 +61,8 @@ class EngineApi {
 
   // Ends a session: releases its pins and (optionally) discards every
   // staged table it still owns — the server does this on disconnect so
-  // abandoned checkouts don't leak. Discards are logged when durable.
+  // abandoned checkouts don't leak. Like every discard, this is not
+  // logged; it is durable at the next checkpoint.
   void CloseSession(SessionContext* session, bool discard_staged);
 
   // Executes one command line on behalf of `session`; returns the text

@@ -86,11 +86,7 @@ Status OrpheusDB::Checkout(const std::string& cvd_name,
                            const std::vector<VersionId>& vids,
                            const std::string& table_name) {
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  ORPHEUS_RETURN_NOT_OK(cvd->Checkout(vids, table_name));
-  if (storage_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(storage_->LogCheckout(cvd_name, vids, table_name));
-  }
-  return Status::OK();
+  return cvd->Checkout(vids, table_name);
 }
 
 Result<VersionId> OrpheusDB::Commit(const std::string& cvd_name,
@@ -112,11 +108,7 @@ Result<VersionId> OrpheusDB::Commit(const std::string& cvd_name,
 Status OrpheusDB::DiscardStaged(const std::string& cvd_name,
                                 const std::string& table_name) {
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  ORPHEUS_RETURN_NOT_OK(cvd->DiscardStaged(table_name));
-  if (storage_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(storage_->LogDiscardStaged(cvd_name, table_name));
-  }
-  return Status::OK();
+  return cvd->DiscardStaged(table_name);
 }
 
 Result<std::pair<std::string, std::string>> OrpheusDB::ResolveTables(

@@ -8,15 +8,18 @@
 // directly (such direct mutations bypass the commit WAL and are only
 // persisted by the next checkpoint).
 //
-// Durability contract: with Open() active, every version-control verb
-// (CreateUser/Login/InitCvd/Checkout/Commit/DiscardStaged/DropCvd and
+// Durability contract: with Open() active, every verb that changes a
+// CVD or the user set (CreateUser/Login/InitCvd/Commit/DropCvd and
 // partition-store attachment) is appended to the commit WAL after its
 // in-memory apply succeeds, and the verb returns only once its record
 // is durable (written and fdatasynced through the WAL's commit queue;
 // EngineApi defers that wait until its engine lock drops). Reopening
-// the directory replays the log on top of the latest checkpoint. Raw SQL against db() is NOT logged — it
-// becomes durable at the next Checkpoint() (a SaveSnapshot() export
-// carries it too). See docs/PERSISTENCE.md for the recovery contract.
+// the directory replays the log on top of the latest checkpoint.
+// Checkout and DiscardStaged are reads into and out of the staging
+// area, and raw SQL against db() is not a verb: none of them is
+// logged, and each becomes durable at the next Checkpoint() (a
+// SaveSnapshot() export carries them too). See docs/PERSISTENCE.md for
+// the recovery contract.
 
 #ifndef ORPHEUS_CORE_ORPHEUS_H_
 #define ORPHEUS_CORE_ORPHEUS_H_
@@ -61,9 +64,9 @@ class OrpheusDB {
   Status DropCvd(const std::string& name);    // `drop`
 
   // --- Version-control verbs ---------------------------------------------
-  // Durable wrappers over Cvd::Checkout / Commit / DiscardStaged: the
-  // same semantics, plus a WAL record when storage is open. Prefer
-  // these over the Cvd methods anywhere durability matters.
+  // Wrappers over Cvd::Checkout / Commit / DiscardStaged that look the
+  // CVD up by name. Commit also logs the resolved commit when storage
+  // is open, so prefer it over Cvd::Commit anywhere durability matters.
   Status Checkout(const std::string& cvd_name, const std::vector<VersionId>& vids,
                   const std::string& table_name);
   Result<VersionId> Commit(const std::string& cvd_name,

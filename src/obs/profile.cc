@@ -1,6 +1,7 @@
 #include "obs/profile.h"
 
 #include <cstdio>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -10,6 +11,31 @@ namespace obs {
 
 namespace {
 thread_local ProfileCollector* t_profile_collector = nullptr;
+
+struct OperatorMetrics {
+  Histogram* seconds;
+  Counter* rows;
+};
+
+// The operator families' children for `op`, looked up in the registry
+// once per thread and operator name (a string literal), so an
+// operator scope costs two relaxed atomic adds, not two registry
+// lookups under its mutex.
+const OperatorMetrics& OperatorMetricsFor(const char* op) {
+  thread_local std::unordered_map<const char*, OperatorMetrics> cache;
+  auto it = cache.find(op);
+  if (it == cache.end()) {
+    MetricsRegistry& reg = GlobalMetrics();
+    OperatorMetrics metrics{
+        reg.GetHistogram("orpheus_operator_seconds",
+                         "Wall time per executor operator.", LatencyBuckets(),
+                         {{"op", op}}),
+        reg.GetCounter("orpheus_operator_rows",
+                       "Rows produced per executor operator.", {{"op", op}})};
+    it = cache.emplace(op, metrics).first;
+  }
+  return it->second;
+}
 
 double ElapsedSeconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -191,14 +217,9 @@ ProfileOpScope::~ProfileOpScope() {
     node_->seconds = elapsed;
     collector_->current_ = parent_;
   }
-  MetricsRegistry& reg = GlobalMetrics();
-  reg.GetHistogram("orpheus_operator_seconds",
-                   "Wall time per executor operator.", LatencyBuckets(),
-                   {{"op", op_}})
-      ->Observe(elapsed);
-  reg.GetCounter("orpheus_operator_rows",
-                 "Rows produced per executor operator.", {{"op", op_}})
-      ->Inc(rows_out_);
+  const OperatorMetrics& metrics = OperatorMetricsFor(op_);
+  metrics.seconds->Observe(elapsed);
+  metrics.rows->Inc(rows_out_);
 }
 
 }  // namespace obs

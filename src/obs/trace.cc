@@ -1,6 +1,8 @@
 #include "obs/trace.h"
 
 #include <cstdio>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -30,6 +32,30 @@ Histogram* StageHistogram(TraceStage stage) {
     }
   });
   return hists[static_cast<int>(stage)];
+}
+
+struct VerbMetrics {
+  Counter* ops;
+  Histogram* latency;
+};
+
+// The per-verb children every op updates, looked up in the registry
+// once per thread and verb rather than under its mutex on every op.
+// Errors and slow ops stay rare lookups.
+const VerbMetrics& VerbMetricsFor(const std::string& verb) {
+  thread_local std::unordered_map<std::string, VerbMetrics> cache;
+  auto it = cache.find(verb);
+  if (it == cache.end()) {
+    MetricsRegistry& reg = GlobalMetrics();
+    VerbMetrics metrics{
+        reg.GetCounter("orpheus_ops_total", "Operations executed, by verb.",
+                       {{"verb", verb}}),
+        reg.GetHistogram("orpheus_op_latency_seconds",
+                         "End-to-end statement latency, by verb.",
+                         LatencyBuckets(), {{"verb", verb}})};
+    it = cache.emplace(verb, metrics).first;
+  }
+  return it->second;
 }
 }  // namespace
 
@@ -137,20 +163,16 @@ ActiveOpScope::~ActiveOpScope() {
   t_active_op = prev_;
   op_.total_s = ElapsedSeconds(start_);
   op_.profile = collector_.Take();
+  const VerbMetrics& metrics = VerbMetricsFor(op_.verb);
+  metrics.ops->Inc();
   MetricsRegistry& reg = GlobalMetrics();
-  reg.GetCounter("orpheus_ops_total", "Operations executed, by verb.",
-                 {{"verb", op_.verb}})
-      ->Inc();
   if (!op_.ok) {
     reg.GetCounter("orpheus_op_errors_total",
                    "Operations that returned an error, by verb.",
                    {{"verb", op_.verb}})
         ->Inc();
   }
-  reg.GetHistogram("orpheus_op_latency_seconds",
-                   "End-to-end statement latency, by verb.", LatencyBuckets(),
-                   {{"verb", op_.verb}})
-      ->Observe(op_.total_s);
+  metrics.latency->Observe(op_.total_s);
   TraceLog& log = GlobalTraceLog();
   if (op_.total_s * 1000.0 >= log.SlowOpThresholdMs()) {
     reg.GetCounter("orpheus_slow_ops_total",

@@ -37,19 +37,24 @@ std::string V1SnapshotPath(const std::string& dir) {
   return dir + "/snapshot.orph";
 }
 
+// Record types this build no longer reads: 4 checkout and 6 discard
+// (checkout is a read and is not logged), 5 and 9 earlier commit
+// formats. A WAL that holds one fails Open, naming the record's LSN.
+bool IsRetired(WalRecordType type) {
+  const int tag = static_cast<int>(type);
+  return tag == 4 || tag == 5 || tag == 6 || tag == 9;
+}
+
 const char* RecordTypeName(WalRecordType type) {
   switch (type) {
     case WalRecordType::kCreateUser: return "create_user";
     case WalRecordType::kLogin: return "login";
     case WalRecordType::kInitCvd: return "init_cvd";
-    case WalRecordType::kCheckout: return "checkout";
-    case WalRecordType::kStagedCommit: return "staged_commit";
     case WalRecordType::kCommit: return "commit";
-    case WalRecordType::kDiscardStaged: return "discard_staged";
     case WalRecordType::kDropCvd: return "drop_cvd";
     case WalRecordType::kRepartition: return "repartition";
   }
-  return "unknown";
+  return IsRetired(type) ? "retired" : "unknown";
 }
 
 }  // namespace
@@ -467,16 +472,6 @@ Status StorageManager::LogInitCvd(const std::string& name,
   return AppendChecked(WalRecordType::kInitCvd, body.data());
 }
 
-Status StorageManager::LogCheckout(const std::string& cvd_name,
-                                   const std::vector<VersionId>& vids,
-                                   const std::string& table_name) {
-  BinaryWriter body;
-  body.PutString(cvd_name);
-  EncodeI64Vec(vids, &body);
-  body.PutString(table_name);
-  return AppendChecked(WalRecordType::kCheckout, body.data());
-}
-
 Status StorageManager::LogCommit(const std::string& cvd_name,
                                  const std::string& table_name,
                                  const std::string& message,
@@ -485,18 +480,13 @@ Status StorageManager::LogCommit(const std::string& cvd_name,
   body.PutString(cvd_name);
   body.PutString(table_name);
   body.PutString(message);
+  EncodeI64Vec(commit.parents, &body);
+  body.PutI64(commit.checkout_time);
+  body.PutI64(commit.commit_time);
   EncodeSchema(commit.staged_schema, &body);
   EncodeI64Vec(commit.rids, &body);
   EncodeChunk(commit.new_records, &body);
   return AppendChecked(WalRecordType::kCommit, body.data());
-}
-
-Status StorageManager::LogDiscardStaged(const std::string& cvd_name,
-                                        const std::string& table_name) {
-  BinaryWriter body;
-  body.PutString(cvd_name);
-  body.PutString(table_name);
-  return AppendChecked(WalRecordType::kDiscardStaged, body.data());
 }
 
 Status StorageManager::LogDropCvd(const std::string& cvd_name) {
@@ -548,40 +538,23 @@ Status StorageManager::ApplyRecord(const WalRecord& record) {
       (void)cvd;
       return Status::OK();
     }
-    case WalRecordType::kCheckout: {
-      std::string cvd_name = r.GetString();
-      ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> vids, DecodeI64Vec(&r));
-      std::string table = r.GetString();
-      ORPHEUS_RETURN_NOT_OK(r.status());
-      return db_->Checkout(cvd_name, vids, table);
-    }
     case WalRecordType::kCommit: {
       std::string cvd_name = r.GetString();
       std::string table = r.GetString();
       std::string message = r.GetString();
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Schema staged_schema, DecodeSchema(&r));
-      ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> rids, DecodeI64Vec(&r));
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk new_records, DecodeChunk(&r));
+      core::ResolvedCommit commit;
+      ORPHEUS_ASSIGN_OR_RETURN(commit.parents, DecodeI64Vec(&r));
+      commit.checkout_time = r.GetI64();
+      commit.commit_time = r.GetI64();
+      ORPHEUS_ASSIGN_OR_RETURN(commit.staged_schema, DecodeSchema(&r));
+      ORPHEUS_ASSIGN_OR_RETURN(commit.rids, DecodeI64Vec(&r));
+      ORPHEUS_ASSIGN_OR_RETURN(commit.new_records, DecodeChunk(&r));
       ORPHEUS_RETURN_NOT_OK(r.status());
       if (r.remaining() != 0) {
         return Status::Internal("commit record has trailing bytes");
       }
       ORPHEUS_ASSIGN_OR_RETURN(core::Cvd * cvd, db_->GetCvd(cvd_name));
-      return cvd
-          ->ReplayCommit(table, message, std::move(staged_schema),
-                         std::move(rids), std::move(new_records))
-          .status();
-    }
-    case WalRecordType::kStagedCommit:
-      return Status::InvalidArgument(
-          "commit record in the retired full-staged-chunk format, which this "
-          "build no longer reads (open the directory once with an older "
-          "build and checkpoint it to migrate)");
-    case WalRecordType::kDiscardStaged: {
-      std::string cvd_name = r.GetString();
-      std::string table = r.GetString();
-      ORPHEUS_RETURN_NOT_OK(r.status());
-      return db_->DiscardStaged(cvd_name, table);
+      return cvd->ReplayCommit(table, message, std::move(commit)).status();
     }
     case WalRecordType::kDropCvd: {
       std::string cvd_name = r.GetString();
@@ -620,6 +593,12 @@ Status StorageManager::ApplyRecord(const WalRecord& record) {
           store->Build(partitioning, std::move(version_rids)));
       return db_->AttachPartitionStore(cvd_name, std::move(store));
     }
+  }
+  if (IsRetired(record.type)) {
+    return Status::InvalidArgument(
+        "record type " + std::to_string(static_cast<int>(record.type)) +
+        " is retired and this build no longer reads it (open the directory "
+        "once with an older build and checkpoint it to migrate)");
   }
   return Status::Internal("unknown WAL record type " +
                           std::to_string(static_cast<int>(record.type)));

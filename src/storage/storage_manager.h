@@ -26,13 +26,16 @@
 // segment files are orphans, invisible to recovery and deleted by
 // the next checkpoint or open.
 //
-// OrpheusDB calls the typed Log* appenders after each version-control
-// verb succeeds in memory; every record reaches disk through the
-// group-commit queue (see below), and a verb is durable when its
-// record's ticket is. Replay applies records through the same
-// OrpheusDB verbs (a commit through Cvd::ReplayCommit, which applies
-// the logged resolution) — logging is disarmed during recovery because
-// the manager is not yet attached to the engine.
+// OrpheusDB calls the typed Log* appenders after each verb that
+// changes a CVD (or the user set) succeeds in memory; every record
+// reaches disk through the group-commit queue (see below), and a verb
+// is durable when its record's ticket is. Checkout and discard only
+// move data into or out of the staging area: they are not logged, and
+// the staging area is durable at the next checkpoint. Replay applies
+// records through the same OrpheusDB verbs (a commit through
+// Cvd::ReplayCommit, which applies the logged resolution to the logged
+// parents) — logging is disarmed during recovery because the manager
+// is not yet attached to the engine.
 
 #ifndef ORPHEUS_STORAGE_STORAGE_MANAGER_H_
 #define ORPHEUS_STORAGE_STORAGE_MANAGER_H_
@@ -169,16 +172,13 @@ class StorageManager {
   Status LogLogin(const std::string& name);
   Status LogInitCvd(const std::string& name, const core::CvdOptions& options,
                     const std::string& message, const rel::Chunk& rows);
-  Status LogCheckout(const std::string& cvd_name,
-                     const std::vector<core::VersionId>& vids,
-                     const std::string& table_name);
-  // Logs the resolved commit (see WalRecordType::kCommit): the staged
-  // schema, the rid of every committed row and the new records only.
+  // Logs the resolved commit (see WalRecordType::kCommit): its parents
+  // and times, the staged schema, the rid of every committed row and
+  // the new records only. Replay needs nothing else — checkout is not
+  // logged.
   Status LogCommit(const std::string& cvd_name, const std::string& table_name,
                    const std::string& message,
                    const core::ResolvedCommit& commit);
-  Status LogDiscardStaged(const std::string& cvd_name,
-                          const std::string& table_name);
   Status LogDropCvd(const std::string& cvd_name);
   Status LogRepartition(
       const std::string& cvd_name,

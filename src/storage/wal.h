@@ -32,18 +32,21 @@
 
 namespace orpheus::storage {
 
+// Only verbs that change a CVD or the user registry are logged:
+// checkout and discard only fill or empty the staging area, which is
+// durable at the next checkpoint. Tags 4 (checkout), 5 and 9 (earlier
+// commit formats) and 6 (discard) are retired; replay refuses them.
 enum class WalRecordType : uint8_t {
   kCreateUser = 1,
   kLogin = 2,
   kInitCvd = 3,
-  kCheckout = 4,      // checkout / merging checkout (stages a table)
-  kStagedCommit = 5,  // retired: the full staged chunk; refused on replay
-  kDiscardStaged = 6,
   kDropCvd = 7,
   kRepartition = 8,   // partition-store (re)build from `optimize`
-  // The resolved commit: cvd, table, message, the staged data schema,
-  // the rid of every committed row (staged order), the new records.
-  kCommit = 9,
+  // The resolved commit: cvd, table, message, the parent vids
+  // (precedence order), the checkout time, the commit time (the CVD's
+  // logical clock after it), the staged data schema, the rid of every
+  // committed row (staged order), the new records.
+  kCommit = 10,
 };
 
 struct WalRecord {

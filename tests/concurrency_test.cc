@@ -12,6 +12,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -226,22 +227,30 @@ TEST(EngineApiSessions, PinnedReaderSeesStableSnapshotWhileWriterCommits) {
   std::atomic<bool> writer_done{false};
   std::atomic<int> mismatches{0};
   std::atomic<int> reads{0};
+  // Start latch: readers that have completed their first read. The
+  // writer starts only once every reader has, so the reads overlap the
+  // commits however the threads are scheduled.
+  std::atomic<int> readers_started{0};
 
   std::vector<std::thread> threads;
   threads.reserve(kReaders + 1);
   for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&api, &baseline, &writer_done, &mismatches, &reads] {
+    threads.emplace_back([&api, &baseline, &writer_done, &mismatches, &reads,
+                          &readers_started] {
       auto session = api.NewSession();
-      while (!writer_done.load()) {
+      bool first = true;
+      do {
         auto got =
             api.Execute(session.get(), "run SELECT * FROM VERSION 1 OF CVD c");
         if (!got.ok() || got.value() != baseline) mismatches.fetch_add(1);
         reads.fetch_add(1);
-      }
+        if (std::exchange(first, false)) readers_started.fetch_add(1);
+      } while (!writer_done.load());
     });
   }
-  threads.emplace_back([&api, &writer_done] {
+  threads.emplace_back([&api, &writer_done, &readers_started] {
     auto session = api.NewSession();
+    while (readers_started.load() < kReaders) std::this_thread::yield();
     for (int i = 0; i < kCommits; ++i) {
       std::string w = "wr" + std::to_string(i);
       MustExecute(&api, session.get(), "checkout c -v 1 -t " + w);
@@ -266,10 +275,14 @@ TEST(EngineApiSessions, PinnedReaderSeesStableSnapshotWhileWriterCommits) {
 // N sessions run randomized checkout / edit / commit / discard / read
 // schedules concurrently. The exclusive lock serializes every mutation
 // and its WAL append, so the WAL is a total order; replaying it into a
-// fresh engine must reproduce the live engine bit-for-bit (compared
-// through the snapshot codec, which canonicalizes all engine state).
-// Run at both --threads=1 and --threads=4 so the relstore's parallel
-// scan paths are exercised under the shared lock too.
+// fresh engine must reproduce the live engine's state bit-for-bit
+// (compared through the snapshot codec, which canonicalizes all engine
+// state). Checkout is not logged, so the clock ticks of the checkouts
+// sessions discard or abandon are not replayed; a last checkout and
+// commit per CVD sets each clock from a commit record, and session
+// close leaves the staging area empty. Run at both --threads=1 and
+// --threads=4 so the relstore's parallel scan paths are exercised under
+// the shared lock too.
 
 void RunInterleavingSchedule(int exec_threads, uint32_t seed) {
   SetExecThreads(exec_threads);
@@ -320,6 +333,12 @@ void RunInterleavingSchedule(int exec_threads, uint32_t seed) {
       });
     }
     for (std::thread& t : threads) t.join();
+    auto last = api.NewSession();
+    for (const std::string cvd : {"c", "d"}) {
+      MustExecute(&api, last.get(), "checkout " + cvd + " -v 1 -t last_" + cvd);
+      MustExecute(&api, last.get(), "commit -t last_" + cvd + " -m last");
+    }
+    api.CloseSession(last.get(), /*discard_staged=*/true);
     live_blob = storage::SnapshotCodec::Encode(*api.orpheus(), 0);
   }
 

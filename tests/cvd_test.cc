@@ -744,6 +744,10 @@ TEST_P(ResolutionPropertyTest, ScriptsMatchReferenceAndReplayBitIdentically) {
         }
         versions.push_back(vid.value());
       }
+      // Every script ends on a commit, which logs its parents and sets
+      // the logical clock, so the whole image must match — clocks and
+      // the (empty) staging area included — though no checkout was
+      // logged.
       image = storage::SnapshotCodec::Encode(db, 0);
     }
     {

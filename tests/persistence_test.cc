@@ -101,8 +101,9 @@ void ExpectChunksEqual(const rel::Chunk& want, const rel::Chunk& got,
 }
 
 // Full engine state reference: every table's payload plus the
-// versioning surface. Captured after each operation in the crash
-// tests, compared bit-exactly against recovered engines.
+// versioning surface and the whole-engine snapshot image. Captured
+// after each operation in the crash tests, compared bit-exactly
+// against recovered engines.
 struct EngineRef {
   std::map<std::string, rel::Chunk> tables;
   std::vector<std::string> cvds;
@@ -110,7 +111,26 @@ struct EngineRef {
   std::map<std::string, int64_t> total_records;
   std::map<std::string, std::vector<std::string>> staged;
   std::map<std::string, std::map<VersionId, rel::Chunk>> version_rows;
+  // Per CVD and version: parents in precedence order, edge weights.
+  std::map<std::string,
+           std::map<VersionId, std::pair<std::vector<VersionId>,
+                                         std::vector<int64_t>>>>
+      edges;
+  // SnapshotCodec image: every table plus each CVD's logical clock
+  // and staging area.
+  std::string image;
 };
+
+// Staged table names of every CVD in `db`.
+std::set<std::string> StagedNames(OrpheusDB* db) {
+  std::set<std::string> names;
+  for (const std::string& cvd : db->ListCvds()) {
+    for (const auto& [table, info] : db->GetCvd(cvd).value()->staged_tables()) {
+      names.insert(table);
+    }
+  }
+  return names;
+}
 
 EngineRef Capture(OrpheusDB* db) {
   EngineRef ref;
@@ -128,19 +148,44 @@ EngineRef Capture(OrpheusDB* db) {
     for (VersionId vid : cvd->graph().versions()) {
       ref.version_rows[name].emplace(
           vid, cvd->model()->VersionRows(vid).ValueOrDie());
+      const core::VersionNode* node = cvd->graph().GetNode(vid).value();
+      ref.edges[name][vid] = {node->parents, node->parent_weights};
     }
   }
+  ref.image = storage::SnapshotCodec::Encode(*db, 0);
   return ref;
 }
 
+// What a recovered engine must reproduce. Checkout and discard are not
+// logged, so a crash loses the staging area since the last checkpoint
+// and the logical-clock ticks of checkouts never committed. kExact
+// holds whenever the last verb before the crash is logged and no
+// checkout is outstanding; kCommitted compares everything except the
+// staging area (its tables included) and the clock.
+enum class Match { kExact, kCommitted };
+
 void ExpectEngineEquals(const EngineRef& want, OrpheusDB* db,
-                        const std::string& context) {
-  std::vector<std::string> got_tables = db->db()->ListTables();
+                        const std::string& context,
+                        Match match = Match::kExact) {
+  std::set<std::string> skip;
+  if (match == Match::kCommitted) {
+    skip = StagedNames(db);
+    for (const auto& [cvd, tables] : want.staged) {
+      skip.insert(tables.begin(), tables.end());
+    }
+  }
+  std::vector<std::string> got_tables;
+  for (const std::string& name : db->db()->ListTables()) {
+    if (skip.count(name) == 0) got_tables.push_back(name);
+  }
   std::vector<std::string> want_tables;
-  for (const auto& [name, chunk] : want.tables) want_tables.push_back(name);
-  ASSERT_EQ(want_tables, got_tables) << context;
   for (const auto& [name, chunk] : want.tables) {
-    ExpectChunksEqual(chunk, db->db()->GetTable(name).value()->data(),
+    if (skip.count(name) == 0) want_tables.push_back(name);
+  }
+  ASSERT_EQ(want_tables, got_tables) << context;
+  for (const std::string& name : want_tables) {
+    ExpectChunksEqual(want.tables.at(name),
+                      db->db()->GetTable(name).value()->data(),
                       context + " table " + name);
   }
   ASSERT_EQ(want.cvds, db->ListCvds()) << context;
@@ -148,19 +193,29 @@ void ExpectEngineEquals(const EngineRef& want, OrpheusDB* db,
     Cvd* cvd = db->GetCvd(name).value();
     EXPECT_EQ(want.latest.at(name), cvd->latest_version()) << context;
     EXPECT_EQ(want.total_records.at(name), cvd->total_records()) << context;
-    std::vector<std::string> staged;
-    for (const auto& [table, info] : cvd->staged_tables()) {
-      staged.push_back(table);
+    if (match == Match::kExact) {
+      std::vector<std::string> staged;
+      for (const auto& [table, info] : cvd->staged_tables()) {
+        staged.push_back(table);
+      }
+      auto want_staged = want.staged.find(name);
+      EXPECT_EQ(want_staged == want.staged.end() ? std::vector<std::string>{}
+                                                 : want_staged->second,
+                staged)
+          << context;
     }
-    auto want_staged = want.staged.find(name);
-    EXPECT_EQ(want_staged == want.staged.end() ? std::vector<std::string>{}
-                                               : want_staged->second,
-              staged)
-        << context;
     for (const auto& [vid, rows] : want.version_rows.at(name)) {
       ExpectChunksEqual(rows, cvd->model()->VersionRows(vid).ValueOrDie(),
                         context + " " + name + " v" + std::to_string(vid));
+      const core::VersionNode* node = cvd->graph().GetNode(vid).value();
+      EXPECT_EQ(want.edges.at(name).at(vid),
+                std::make_pair(node->parents, node->parent_weights))
+          << context << " " << name << " v" << vid << " edges";
     }
+  }
+  if (match == Match::kExact) {
+    EXPECT_TRUE(want.image == storage::SnapshotCodec::Encode(*db, 0))
+        << context << ": live and recovered snapshot images differ";
   }
 }
 
@@ -421,6 +476,7 @@ TEST(Persistence, WalReplayRestoresCommitsExactly) {
 TEST(Persistence, MergingCheckoutAndDurableVerbsReplay) {
   TempDir dir;
   EngineRef ref;
+  EngineRef after_discard;
   {
     OrpheusDB db;
     ASSERT_TRUE(db.Open(dir.path()).ok());
@@ -437,15 +493,21 @@ TEST(Persistence, MergingCheckoutAndDurableVerbsReplay) {
     // Merging checkout across both branches, then commit.
     ASSERT_TRUE(db.Checkout("t", {2, 1}, "m").ok());
     ASSERT_EQ(3, db.Commit("t", "m", "merge").ValueOrDie());
-    // A discarded staging table and a dropped CVD must replay too.
-    ASSERT_TRUE(db.Checkout("t", {3}, "scratch").ok());
-    ASSERT_TRUE(db.DiscardStaged("t", "scratch").ok());
+    // A dropped CVD replays.
     ASSERT_TRUE(db.DropCvd("gone").ok());
     ref = Capture(&db);
+    // A discarded checkout is not logged: it leaves no staged table,
+    // only a logical-clock tick that replay does not reproduce.
+    ASSERT_TRUE(db.Checkout("t", {3}, "scratch").ok());
+    ASSERT_TRUE(db.DiscardStaged("t", "scratch").ok());
+    after_discard = Capture(&db);
   }
   OrpheusDB recovered;
   ASSERT_TRUE(recovered.Open(dir.path()).ok());
   ExpectEngineEquals(ref, &recovered, "verbs replay");
+  ExpectEngineEquals(after_discard, &recovered, "after the discard",
+                     Match::kCommitted);
+  EXPECT_FALSE(after_discard.image == ref.image);  // the clock moved
   EXPECT_EQ("bob", recovered.WhoAmI());
   EXPECT_FALSE(recovered.GetCvd("gone").ok());
 }
@@ -567,20 +629,12 @@ TEST(Persistence, TornWalTailAtEveryByteOfLastRecord) {
   std::string bytes =
       storage::ReadFileToString(WalPath(dir.path())).ValueOrDie();
   std::vector<size_t> boundaries = FrameBoundaries(bytes);
-  ASSERT_GE(boundaries.size(), 2u);
+  ASSERT_EQ(3u, boundaries.size());  // init, commit, commit
   size_t last_start = boundaries[boundaries.size() - 2];
-  // The state a cut inside the last record must recover: everything up
-  // to and including the penultimate record (the w2 checkout).
-  EngineRef expect_torn = after_first;
-  {
-    TempDir probe;
-    CloneDbDir(dir.path(), probe.Sub("db"));
-    ASSERT_TRUE(
-        storage::TruncateFile(WalPath(probe.Sub("db")), last_start).ok());
-    OrpheusDB base;
-    ASSERT_TRUE(base.Open(probe.Sub("db")).ok());
-    expect_torn = Capture(&base);
-  }
+  // A cut inside the last record recovers everything up to and
+  // including the penultimate record: the first commit, exactly as
+  // the live engine held it (the w2 checkout was never logged).
+  const EngineRef& expect_torn = after_first;
   for (size_t cut = last_start; cut < bytes.size(); ++cut) {
     TempDir probe;
     std::string clone = probe.Sub("db");
@@ -614,13 +668,14 @@ TEST(Persistence, CrcCorruptedRecordStopsReplayCleanly) {
     ASSERT_TRUE(db.Open(dir.path()).ok());
     CvdOptions options;
     ASSERT_TRUE(db.InitCvd("t", SampleRows(4), options, "init").ok());
+    after_first = Capture(&db);
     ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
     ASSERT_EQ(2, db.Commit("t", "w", "v2").ValueOrDie());
   }
   std::string bytes =
       storage::ReadFileToString(WalPath(dir.path())).ValueOrDie();
   std::vector<size_t> boundaries = FrameBoundaries(bytes);
-  ASSERT_GE(boundaries.size(), 3u);
+  ASSERT_EQ(2u, boundaries.size());  // init, commit
   // Corrupt one payload byte of the final (commit) record.
   {
     std::string corrupt = bytes;
@@ -631,10 +686,10 @@ TEST(Persistence, CrcCorruptedRecordStopsReplayCleanly) {
     ASSERT_TRUE(storage::WriteFileAtomic(WalPath(clone), corrupt).ok());
     OrpheusDB recovered;
     ASSERT_TRUE(recovered.Open(clone).ok());
-    // Last durable state before the corrupt record: checkout staged,
-    // commit lost.
-    EXPECT_EQ(1, recovered.GetCvd("t").ValueOrDie()->latest_version());
-    EXPECT_EQ(1u, recovered.GetCvd("t").ValueOrDie()->staged_tables().count("w"));
+    // Last durable state before the corrupt record: the init. The
+    // commit is lost, and its checkout was never logged.
+    ExpectEngineEquals(after_first, &recovered, "corrupt commit");
+    EXPECT_TRUE(recovered.GetCvd("t").ValueOrDie()->staged_tables().empty());
   }
   // Corrupt the first record: nothing replays, the engine opens empty.
   {
@@ -652,9 +707,11 @@ TEST(Persistence, CrcCorruptedRecordStopsReplayCleanly) {
 
 // --- Hostile commit records --------------------------------------------
 
-// A database whose WAL ends with a staged checkout of v2 ("w2"), ready
-// for a crafted commit record. v1 holds rids 0-5; v2 drops rid 5 and
-// replaces rid 1 with rid 6, so total_records() is 7.
+// A database whose WAL ends with the commit of v2, ready for a crafted
+// commit of a child of v2 ("w2"). v1 holds rids 0-5; v2 drops rid 5
+// and replaces rid 1 with rid 6, so total_records() is 7. The clock
+// reads 3 after replay (init, checkout, commit); the w2 checkout took
+// tick 4 live but is not logged.
 void BuildCommitBase(const std::string& dir) {
   OrpheusDB db;
   ASSERT_TRUE(db.Open(dir).ok());
@@ -690,13 +747,24 @@ rel::Chunk NewRecords(const std::vector<int64_t>& rids) {
   return rows;
 }
 
+// The parents and times of the crafted commit (tag 10 fields).
+struct CommitHeader {
+  std::vector<int64_t> parents = {2};
+  int64_t checkout_time = 4;
+  int64_t commit_time = 5;
+};
+
 std::string CommitBody(const std::vector<int64_t>& rids,
                        const rel::Chunk& new_records,
-                       const rel::Schema& staged_schema = SampleDataSchema()) {
+                       const rel::Schema& staged_schema = SampleDataSchema(),
+                       const CommitHeader& header = {}) {
   storage::BinaryWriter body;
   body.PutString("t");
   body.PutString("w2");
   body.PutString("crafted");
+  storage::EncodeI64Vec(header.parents, &body);
+  body.PutI64(header.checkout_time);
+  body.PutI64(header.commit_time);
   storage::EncodeSchema(staged_schema, &body);
   storage::EncodeI64Vec(rids, &body);
   storage::EncodeChunk(new_records, &body);
@@ -748,6 +816,16 @@ TEST(Persistence, HostileCommitRecordsFailReplayCleanly) {
     EXPECT_EQ(3, cvd->latest_version());
     EXPECT_EQ(8, cvd->total_records());
     EXPECT_EQ(good_rids, cvd->model()->VersionRecords(3).ValueOrDie());
+    EXPECT_EQ(std::vector<VersionId>{2},
+              cvd->graph().GetNode(3).ValueOrDie()->parents);
+    // The metadata row carries the logged times.
+    rel::Chunk meta =
+        db.db()->Execute("SELECT checkout_t, commit_t FROM t_meta WHERE vid = 3")
+            .ValueOrDie();
+    ASSERT_EQ(1u, meta.num_rows());
+    EXPECT_EQ(4, meta.column(0).ints()[0]);
+    EXPECT_EQ(5, meta.column(1).ints()[0]);
+    EXPECT_TRUE(cvd->staged_tables().empty());
   }
 
   // Truncated at every byte.
@@ -772,6 +850,9 @@ TEST(Persistence, HostileCommitRecordsFailReplayCleanly) {
     body.PutString("t");
     body.PutString("w2");
     body.PutString("crafted");
+    storage::EncodeI64Vec({2}, &body);
+    body.PutI64(4);
+    body.PutI64(5);
     storage::EncodeSchema(SampleDataSchema(), &body);
     body.PutU32(1000);
     for (int64_t rid : good_rids) body.PutI64(rid);
@@ -828,6 +909,19 @@ TEST(Persistence, HostileCommitRecordsFailReplayCleanly) {
                      "reserved rid column"});
   }
   cases.push_back({"trailing bytes", good + "x", "trailing bytes"});
+  auto with_header = [&](const CommitHeader& header) {
+    return CommitBody(good_rids, NewRecords({7}), SampleDataSchema(), header);
+  };
+  cases.push_back({"no parent", with_header({{}, 4, 5}), "names no parent"});
+  cases.push_back({"parent not a version", with_header({{2, 9}, 4, 5}),
+                   "commit parent 9 is not a version"});
+  // v1 does not hold rid 6, which the rids reuse from v2.
+  cases.push_back({"rid of the wrong parent", with_header({{1}, 4, 5}),
+                   "neither new nor in a parent"});
+  cases.push_back({"commit time behind the clock", with_header({{2}, 2, 3}),
+                   "does not follow the logical clock 3"});
+  cases.push_back({"checkout time after the commit", with_header({{2}, 6, 5}),
+                   "and the checkout time 6"});
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -838,21 +932,31 @@ TEST(Persistence, HostileCommitRecordsFailReplayCleanly) {
   }
 }
 
-// A commit record in the retired format (the full staged chunk) is
-// refused by name, like a v1 snapshot.orph — never silently skipped.
-TEST(Persistence, RetiredStagedCommitRecordFailsOpenNamingItsLsn) {
+// Records of a retired type — 4 checkout, 5 and 9 earlier commit
+// formats, 6 discard — are refused by number, like a v1 snapshot.orph,
+// never silently skipped. A plausible body (the retired commit's) does
+// not get one past.
+TEST(Persistence, RetiredRecordTypesFailOpenNamingTheirLsn) {
   TempDir base;
   BuildCommitBase(base.path());
   storage::BinaryWriter body;
   body.PutString("t");
   body.PutString("w2");
   body.PutString("old format");
-  storage::EncodeChunk(NewRecords({0, 6, 2, 3, 4}), &body);
-  TempDir clone;
-  uint64_t lsn = CloneWithRecord(base.path(), clone.Sub("db"),
-                                 storage::WalRecordType::kStagedCommit,
-                                 body.Release());
-  ExpectOpenFailsAt(clone.Sub("db"), lsn, "retired full-staged-chunk format");
+  storage::EncodeSchema(SampleDataSchema(), &body);
+  storage::EncodeI64Vec({0, 6, 2, 3, 4}, &body);
+  storage::EncodeChunk(NewRecords({}), &body);
+  const std::string retired_body = body.Release();
+  TempDir clones;
+  for (int tag : {4, 5, 6, 9}) {
+    SCOPED_TRACE("tag " + std::to_string(tag));
+    const std::string clone = clones.Sub("c" + std::to_string(tag));
+    uint64_t lsn = CloneWithRecord(base.path(), clone,
+                                   static_cast<storage::WalRecordType>(tag),
+                                   retired_body);
+    ExpectOpenFailsAt(clone, lsn,
+                      "record type " + std::to_string(tag) + " is retired");
+  }
 }
 
 // Fig. 3 of the paper as an exact gate: on split-by-rlist, a commit's
@@ -910,6 +1014,218 @@ TEST(Persistence, CommitWalBytesTrackTheEditNotTheHistory) {
   EXPECT_LE(wal_bytes[100], uint64_t{16} * kRows + 1024) << wal_bytes[100];
 }
 
+// Checkout is a read: a durable checkout -> UPDATE -> commit cycle
+// costs exactly one WAL record and one fdatasync, the commit's. The
+// checkout, the edit and a discard append nothing.
+TEST(Persistence, DurableEditCycleAppendsOneRecordAndOneSync) {
+  TempDir dir;
+  OrpheusDB db;
+  ASSERT_TRUE(db.Open(dir.path()).ok());
+  CvdOptions options;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(db.InitCvd("t", SampleRows(6), options, "init").ok());
+  storage::StorageManager* sm = db.storage();
+  for (const std::vector<VersionId>& parents :
+       {std::vector<VersionId>{1}, std::vector<VersionId>{2, 1}}) {
+    SCOPED_TRACE("parents " + std::to_string(parents.size()));
+    const uint64_t bytes = sm->wal_bytes();
+    const uint64_t records = sm->wal_records();
+    const uint64_t syncs = sm->wal_syncs();
+    ASSERT_TRUE(db.Checkout("t", parents, "w").ok());
+    ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 9.5 WHERE k = 3").ok());
+    EXPECT_EQ(bytes, sm->wal_bytes());
+    EXPECT_EQ(records, sm->wal_records());
+    EXPECT_EQ(syncs, sm->wal_syncs());
+    ASSERT_TRUE(db.Commit("t", "w", "edit").ok());
+    EXPECT_EQ(records + 1, sm->wal_records());
+    EXPECT_EQ(syncs + 1, sm->wal_syncs());
+  }
+  const uint64_t bytes = sm->wal_bytes();
+  const uint64_t syncs = sm->wal_syncs();
+  ASSERT_TRUE(db.Checkout("t", {3}, "scratch").ok());
+  ASSERT_TRUE(db.DiscardStaged("t", "scratch").ok());
+  EXPECT_EQ(bytes, sm->wal_bytes());
+  EXPECT_EQ(syncs, sm->wal_syncs());
+}
+
+// Seeds CVD "t" (primary key k) with two branches of v1: v2 edits one
+// row; v3 deletes three rows and edits one, so it shares fewer records
+// with v1 than v2 does.
+void SeedTwoBranches(OrpheusDB* db, DataModelKind model) {
+  CvdOptions options;
+  options.model = model;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(db->InitCvd("t", SampleRows(8), options, "init").ok());
+  ASSERT_TRUE(db->Checkout("t", {1}, "a").ok());
+  ASSERT_TRUE(db->db()->Execute("UPDATE a SET score = 1.5 WHERE k = 1").ok());
+  ASSERT_EQ(2, db->Commit("t", "a", "a").ValueOrDie());
+  ASSERT_TRUE(db->Checkout("t", {1}, "b").ok());
+  ASSERT_TRUE(db->db()->Execute("DELETE FROM b WHERE k >= 5").ok());
+  ASSERT_TRUE(db->db()->Execute("UPDATE b SET name = 'b' WHERE k = 2").ok());
+  ASSERT_EQ(3, db->Commit("t", "b", "b").ValueOrDie());
+}
+
+const DataModelKind kAllModels[] = {
+    DataModelKind::kSplitByRlist, DataModelKind::kSplitByVlist,
+    DataModelKind::kCombinedTable, DataModelKind::kDeltaBased,
+    DataModelKind::kTablePerVersion};
+
+// A merging checkout's commit replays with the logged parents in
+// precedence order, so the primary parent (the one sharing the most
+// records, which the delta model deltas against) and the edge weights
+// come back as the live run had them.
+TEST(Persistence, MergingCommitReplaysPrimaryParentAndWeights) {
+  for (DataModelKind model : kAllModels) {
+    SCOPED_TRACE(core::DataModelKindName(model));
+    TempDir dir;
+    EngineRef ref;
+    {
+      OrpheusDB db;
+      ASSERT_TRUE(db.Open(dir.path()).ok());
+      SeedTwoBranches(&db, model);
+      // v3 takes precedence, but v2 shares more of the merged rows.
+      ASSERT_TRUE(db.Checkout("t", {3, 2}, "m").ok());
+      ASSERT_TRUE(db.db()->Execute("UPDATE m SET score = 4.5 WHERE k = 0").ok());
+      ASSERT_EQ(4, db.Commit("t", "m", "merge").ValueOrDie());
+      const core::VersionNode* node =
+          db.GetCvd("t").ValueOrDie()->graph().GetNode(4).ValueOrDie();
+      ASSERT_EQ((std::vector<VersionId>{3, 2}), node->parents);
+      ASSERT_EQ(2u, node->parent_weights.size());
+      EXPECT_LT(node->parent_weights[0], node->parent_weights[1]);
+      ref = Capture(&db);
+    }
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(dir.path()).ok());
+    ExpectEngineEquals(ref, &recovered, "merge replay");
+  }
+}
+
+// A checkout before a checkpoint, its commit after: the checkpoint
+// restores the staged table and its provenance, and replay consumes
+// that table as the live commit did. In the second round the restored
+// table was discarded and its name checked out again from another
+// version: replay takes the parents from the record, not from the
+// restored provenance.
+TEST(Persistence, CheckoutBeforeCheckpointCommitAfterReplaysExactly) {
+  for (DataModelKind model : kAllModels) {
+    for (bool recheckout : {false, true}) {
+      SCOPED_TRACE(std::string(core::DataModelKindName(model)) +
+                   (recheckout ? " re-checkout" : ""));
+      TempDir dir;
+      EngineRef ref;
+      {
+        OrpheusDB db;
+        ASSERT_TRUE(db.Open(dir.path()).ok());
+        SeedTwoBranches(&db, model);
+        ASSERT_TRUE(db.Checkout("t", {3, 2}, "w").ok());
+        ASSERT_TRUE(
+            db.db()->Execute("UPDATE w SET score = 4.5 WHERE k = 0").ok());
+        ASSERT_TRUE(db.Checkpoint().ok());
+        if (recheckout) {
+          ASSERT_TRUE(db.DiscardStaged("t", "w").ok());
+          ASSERT_TRUE(db.Checkout("t", {2}, "w").ok());
+        }
+        ASSERT_TRUE(
+            db.db()->Execute("UPDATE w SET name = 'late' WHERE k = 4").ok());
+        ASSERT_EQ(4, db.Commit("t", "w", "after checkpoint").ValueOrDie());
+        ref = Capture(&db);
+      }
+      OrpheusDB recovered;
+      ASSERT_TRUE(recovered.Open(dir.path()).ok());
+      ExpectEngineEquals(ref, &recovered, "checkpoint + commit");
+    }
+  }
+}
+
+// Init, commit and replay create no table of their own: a staged or
+// raw table that a checkpoint restored survives the replay of a commit
+// of another table under every model, whatever its name — here the
+// names the engine once used for its temporaries.
+TEST(Persistence, ReplayLeavesOtherTablesAlone) {
+  const std::vector<std::string> bystanders = {"t_init_stage", "t_vrows_tmp",
+                                               "t_replay_stage"};
+  for (DataModelKind model : kAllModels) {
+    SCOPED_TRACE(core::DataModelKindName(model));
+    TempDir dir;
+    EngineRef ref;
+    {
+      OrpheusDB db;
+      ASSERT_TRUE(db.Open(dir.path()).ok());
+      ASSERT_TRUE(db.db()->Execute("CREATE TABLE t_init_stage (x INT)").ok());
+      ASSERT_TRUE(db.db()->Execute("INSERT INTO t_init_stage VALUES (1)").ok());
+      ASSERT_TRUE(db.db()->Execute("CREATE TABLE t_vrows_tmp (x INT)").ok());
+      ASSERT_TRUE(db.db()->Execute("INSERT INTO t_vrows_tmp VALUES (2)").ok());
+      SeedTwoBranches(&db, model);
+      ASSERT_TRUE(db.Checkout("t", {2}, "t_replay_stage").ok());
+      ASSERT_TRUE(
+          db.db()->Execute("UPDATE t_replay_stage SET score = 7.5 WHERE k = 3").ok());
+      ASSERT_TRUE(db.Checkpoint().ok());
+      ASSERT_TRUE(db.Checkout("t", {3}, "w").ok());
+      ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 2.5 WHERE k = 0").ok());
+      ASSERT_EQ(4, db.Commit("t", "w", "after checkpoint").ValueOrDie());
+      ref = Capture(&db);
+    }
+    for (const std::string& name : bystanders) {
+      EXPECT_EQ(1u, ref.tables.count(name)) << name;
+    }
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(dir.path()).ok());
+    ExpectEngineEquals(ref, &recovered, "replay beside other tables");
+    EXPECT_EQ((std::set<std::string>{"t_replay_stage"}), StagedNames(&recovered));
+  }
+}
+
+// A checkpoint can capture a staging entry whose table raw SQL had
+// dropped; the name is then checked out again and committed. Replay
+// consumes the stale entry as the live commit consumed the new one.
+TEST(Persistence, StagedEntryWithoutItsTableReplays) {
+  TempDir dir;
+  EngineRef ref;
+  {
+    OrpheusDB db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    SeedTwoBranches(&db, DataModelKind::kSplitByRlist);
+    ASSERT_TRUE(db.Checkout("t", {2}, "w").ok());
+    ASSERT_TRUE(db.db()->Execute("DROP TABLE w").ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+    ASSERT_TRUE(db.Checkout("t", {3}, "w").ok());
+    ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 2.5 WHERE k = 0").ok());
+    ASSERT_EQ(4, db.Commit("t", "w", "after checkpoint").ValueOrDie());
+    ref = Capture(&db);
+  }
+  OrpheusDB recovered;
+  Status st = recovered.Open(dir.path());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectEngineEquals(ref, &recovered, "stale staging entry");
+}
+
+// A checkout that is never committed is not durable: after a crash
+// the staged table and its clock tick are gone, and the engine is
+// bit-identical to its state before the checkout — with the staging
+// area restored from a checkpoint or empty.
+TEST(Persistence, UncommittedCheckoutIsGoneAfterCrash) {
+  for (bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "after a checkpoint" : "WAL only");
+    TempDir dir;
+    EngineRef before;
+    {
+      OrpheusDB db;
+      ASSERT_TRUE(db.Open(dir.path()).ok());
+      SeedTwoBranches(&db, DataModelKind::kSplitByRlist);
+      if (checkpoint) {
+        ASSERT_TRUE(db.Checkpoint().ok());
+      }
+      before = Capture(&db);
+      ASSERT_TRUE(db.Checkout("t", {3}, "w").ok());
+      ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 0.5 WHERE k = 1").ok());
+    }  // "crash": the engine goes away with w uncommitted
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(dir.path()).ok());
+    EXPECT_FALSE(recovered.db()->HasTable("w"));
+    ExpectEngineEquals(before, &recovered, "uncommitted checkout");
+  }
+}
+
 TEST(Persistence, EmptyDirectoryOpensFresh) {
   TempDir dir;
   std::string nested = dir.Sub("a/b/dbdir");
@@ -949,19 +1265,21 @@ TEST(Persistence, OpenRequiresFreshEngine) {
   EXPECT_EQ(StatusCode::kInvalidArgument, st3.code());
 }
 
-TEST(Persistence, CsvStagingNamesSkipReplayedTables) {
+TEST(Persistence, CsvStagingNamesSkipRestoredTables) {
   TempDir dir;
   // Session 1: a checkout staged under the CLI's generated csvstage
-  // name, left uncommitted.
+  // name, left uncommitted. Checkout is not logged, so a checkpoint
+  // makes the staged table durable.
   {
     OrpheusDB db;
     ASSERT_TRUE(db.Open(dir.path()).ok());
     CvdOptions options;
     ASSERT_TRUE(db.InitCvd("t", SampleRows(3), options, "init").ok());
     ASSERT_TRUE(db.Checkout("t", {1}, "t_csvstage_0").ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
   }
-  // Session 2: replay recreates t_csvstage_0; a fresh CLI processor's
-  // counter restarts at 0 and must skip over it.
+  // Session 2: the checkpoint restores t_csvstage_0; a fresh CLI
+  // processor's counter restarts at 0 and must skip over it.
   cli::CommandProcessor processor;
   ASSERT_TRUE(processor.Execute("open " + dir.path()).ok());
   std::string csv = dir.Sub("out.csv");
@@ -977,32 +1295,31 @@ TEST(Persistence, CrashAtAnyWalRecordPrefixRecoversExactly) {
     SetExecThreads(threads);
     TempDir dir;
     std::vector<EngineRef> refs;  // refs[j] = state after j WAL records
+    EngineRef after_discard;
     {
       OrpheusDB db;
       ASSERT_TRUE(db.Open(dir.path()).ok());
       refs.push_back(Capture(&db));  // 0 records: empty engine
       CvdOptions options;
       options.primary_key = {"k"};
-      // Each verb below emits exactly one WAL record; capture after
-      // every one so record boundary j maps to refs[j].
+      // Each logged verb below emits exactly one WAL record; capture
+      // after every one so record boundary j maps to refs[j]. Checkout
+      // and discard emit none.
       ASSERT_TRUE(db.CreateUser("alice").ok());
       refs.push_back(Capture(&db));
       ASSERT_TRUE(db.InitCvd("t", SampleRows(5), options, "init").ok());
       refs.push_back(Capture(&db));
       ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
-      refs.push_back(Capture(&db));
       ASSERT_TRUE(
           db.db()->Execute("UPDATE w SET name = 'edit' WHERE k = 1").ok());
       ASSERT_EQ(2, db.Commit("t", "w", "v2").ValueOrDie());
       refs.push_back(Capture(&db));
       ASSERT_TRUE(db.Checkout("t", {2, 1}, "m").ok());
-      refs.push_back(Capture(&db));
       ASSERT_EQ(3, db.Commit("t", "m", "merge").ValueOrDie());
       refs.push_back(Capture(&db));
       ASSERT_TRUE(db.Checkout("t", {3}, "junk").ok());
-      refs.push_back(Capture(&db));
       ASSERT_TRUE(db.DiscardStaged("t", "junk").ok());
-      refs.push_back(Capture(&db));
+      after_discard = Capture(&db);
     }
     std::string bytes =
         storage::ReadFileToString(WalPath(dir.path())).ValueOrDie();
@@ -1017,9 +1334,15 @@ TEST(Persistence, CrashAtAnyWalRecordPrefixRecoversExactly) {
       OrpheusDB recovered;
       ASSERT_TRUE(recovered.Open(clone).ok())
           << "threads=" << threads << " prefix=" << j;
-      ExpectEngineEquals(refs[j], &recovered,
-                         "threads=" + std::to_string(threads) + " prefix=" +
-                             std::to_string(j));
+      const std::string context = "threads=" + std::to_string(threads) +
+                                  " prefix=" + std::to_string(j);
+      ExpectEngineEquals(refs[j], &recovered, context);
+      // The whole log ends on the junk checkout's discard: the
+      // committed state is the last commit's.
+      if (j == boundaries.size()) {
+        ExpectEngineEquals(after_discard, &recovered, context + " discard",
+                           Match::kCommitted);
+      }
     }
   }
   SetExecThreads(1);
@@ -1106,10 +1429,16 @@ TEST(Persistence, AutoCheckpointTriggersOnRecordCount) {
   CvdOptions options;
   options.primary_key = {"k"};
   ASSERT_TRUE(db.InitCvd("t", SampleRows(4), options, "init").ok());  // 1
-  ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());                       // 2
-  ASSERT_TRUE(db.Commit("t", "w", "c1").ok());                        // 3
+  ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());  // not logged
+  ASSERT_TRUE(db.Commit("t", "w", "c1").ok());                        // 2
+  ASSERT_TRUE(db.Checkout("t", {1}, "w2").ok());
+  ASSERT_TRUE(db.Commit("t", "w2", "c2").ok());                       // 3
+  EXPECT_EQ(3u, db.storage()->wal_records());
+  // A checkout appends nothing, so it cannot trip the policy either.
+  ASSERT_TRUE(db.Checkout("t", {1}, "w3").ok());
   EXPECT_FALSE(storage::FileExists(ManifestPath(dir.path())));
-  ASSERT_TRUE(db.Checkout("t", {1}, "w2").ok());  // 4th record: trips
+  EXPECT_EQ(3u, db.storage()->wal_records());
+  ASSERT_TRUE(db.Commit("t", "w3", "c3").ok());  // 4th record: trips
   EXPECT_TRUE(storage::FileExists(ManifestPath(dir.path())));
   EXPECT_EQ(0u, db.storage()->wal_records());
 }
@@ -1123,6 +1452,7 @@ TEST(Persistence, AutoCheckpointCountsSurviveReopen) {
     options.primary_key = {"k"};
     ASSERT_TRUE(db.InitCvd("t", SampleRows(4), options, "init").ok());
     ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
+    ASSERT_TRUE(db.Commit("t", "w", "c1").ok());
     EXPECT_EQ(2u, db.storage()->wal_records());
   }
   OrpheusDB db;
@@ -1132,7 +1462,9 @@ TEST(Persistence, AutoCheckpointCountsSurviveReopen) {
   EXPECT_EQ(2u, db.storage()->wal_records());
   EXPECT_GT(db.storage()->wal_bytes(), 0u);
   db.storage()->SetAutoCheckpointPolicy(0, 2);
-  ASSERT_TRUE(db.Checkout("t", {1}, "w2").ok());
+  ASSERT_TRUE(db.Checkout("t", {2}, "w2").ok());
+  EXPECT_EQ(2u, db.storage()->wal_records());  // a read: no record
+  ASSERT_TRUE(db.Commit("t", "w2", "c2").ok());
   EXPECT_EQ(0u, db.storage()->wal_records());  // tripped and reset
   EXPECT_TRUE(storage::FileExists(ManifestPath(dir.path())));
 }
@@ -1152,20 +1484,26 @@ struct FaultGuard {
   ~FaultGuard() { storage::DisarmIoFaults(); }
 };
 
-// The 4-record schedule every crash-matrix run replays identically:
-// checkout, commit, checkout, commit against CVD "t" (version 1 is
-// seeded and synced before the batch). Callers hold a durability scope
-// across it, so all four records stay queued. `refs[k]` = in-memory
-// state after k records.
+// The 4-record schedule every crash-matrix run replays identically
+// against CVD "t" (version 1 is seeded and synced before the batch):
+// commit, commit, create user, merging commit, each commit behind its
+// (unlogged) checkout. Callers hold a durability scope across it, so
+// all four records stay queued. `refs[k]` = in-memory state after k
+// records.
 void ApplyGroupSchedule(OrpheusDB* db, std::vector<EngineRef>* refs) {
   refs->push_back(Capture(db));
   ASSERT_TRUE(db->Checkout("t", {1}, "a").ok());
-  refs->push_back(Capture(db));
+  ASSERT_TRUE(db->db()->Execute("UPDATE a SET score = 1.5 WHERE k = 1").ok());
   ASSERT_EQ(2, db->Commit("t", "a", "c1").ValueOrDie());
   refs->push_back(Capture(db));
   ASSERT_TRUE(db->Checkout("t", {1}, "b").ok());
-  refs->push_back(Capture(db));
+  ASSERT_TRUE(db->db()->Execute("UPDATE b SET score = 2.5 WHERE k = 2").ok());
   ASSERT_EQ(3, db->Commit("t", "b", "c2").ValueOrDie());
+  refs->push_back(Capture(db));
+  ASSERT_TRUE(db->CreateUser("carol").ok());
+  refs->push_back(Capture(db));
+  ASSERT_TRUE(db->Checkout("t", {3, 2}, "m").ok());
+  ASSERT_EQ(4, db->Commit("t", "m", "merge").ValueOrDie());
   refs->push_back(Capture(db));
 }
 
@@ -1840,6 +2178,15 @@ TEST(SegmentedCheckpoint, PropertyIncrementalMatchesFullRewrite) {
         ASSERT_TRUE(a->Open(dir_a.path()).ok());
         ASSERT_TRUE(b->Open(dir_b.path()).ok());
         b->storage()->set_incremental_checkpoint(false);
+        // Checkouts are not logged: only those the last checkpoint
+        // captured survive, in both engines alike.
+        ASSERT_EQ(StagedNames(a.get()), StagedNames(b.get()));
+        const std::set<std::string> survivors = StagedNames(a.get());
+        staged.erase(std::remove_if(staged.begin(), staged.end(),
+                                    [&](const auto& entry) {
+                                      return survivors.count(entry.second) == 0;
+                                    }),
+                     staged.end());
       }
       if (round % 10 == 9) {
         ASSERT_EQ(storage::SnapshotCodec::Encode(*a, 0),
