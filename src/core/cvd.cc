@@ -197,9 +197,6 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
 
 Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name,
                            std::vector<rel::Chunk>* parent_rows) {
-  if (!graph_.Contains(vid)) {
-    return Status::NotFound("version not found: " + std::to_string(vid));
-  }
   // Does this version carry all live attributes?
   const rel::Schema& schema = model_->data_schema();
   std::vector<std::string> attr_names;
@@ -209,10 +206,8 @@ Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name,
   bool full = attr_names.size() == static_cast<size_t>(schema.num_columns());
 
   const std::string target = full ? table_name : table_name + "_fullattrs";
-  if (checkout_override_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(checkout_override_(vid, target));
-  } else {
-    ORPHEUS_RETURN_NOT_OK(model_->CheckoutVersion(vid, target));
+  ORPHEUS_RETURN_NOT_OK(model_->CheckoutVersion(vid, target));
+  if (model_->ServesFromOwnTables(vid)) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rows, db_->GetTable(target));
     parent_rows->push_back(rows->data());
   }

@@ -21,7 +21,6 @@
 #define ORPHEUS_CORE_CVD_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -77,8 +76,8 @@ struct StagedTableInfo {
   // Each parent's VersionRows as checkout built them, in precedence
   // order, or empty: a merging checkout moves its per-version rows in,
   // a single checkout copies its full-attribute table unless a
-  // partition override served it. Commit resolves against these rows
-  // instead of materializing the parents again. Not persisted.
+  // partition served it. Commit resolves against these rows instead of
+  // materializing the parents again. Not persisted.
   std::vector<rel::Chunk> parent_rows;
 };
 
@@ -174,15 +173,6 @@ class Cvd {
   std::string MetadataTableName() const { return name_ + "_meta"; }
   std::string AttributeTableName() const { return name_ + "_attr"; }
 
-  // --- Partition integration ------------------------------------------
-  // When the partition optimizer has reorganized this CVD, it installs
-  // a checkout override that routes single-version checkouts to the
-  // right partition's tables.
-  using CheckoutOverride =
-      std::function<Status(VersionId, const std::string& table_name)>;
-  void SetCheckoutOverride(CheckoutOverride fn) { checkout_override_ = std::move(fn); }
-  void ClearCheckoutOverride() { checkout_override_ = nullptr; }
-
  private:
   // The snapshot codec reconstructs a Cvd around already-restored
   // backing tables, bypassing Create's table DDL.
@@ -191,10 +181,9 @@ class Cvd {
   Cvd(rel::Database* db, std::string name, rel::Schema data_schema,
       CvdOptions options);
 
-  // Materializes a single version into `table_name`, honoring any
-  // partition override and the version's attribute set.
-  // Appends the version's rows to `parent_rows` unless a partition
-  // override served the checkout.
+  // Materializes a single version into `table_name` through the model,
+  // projected to the version's attribute set. Appends the version's
+  // rows to `parent_rows` unless a partition served the checkout.
   Status CheckoutSingle(VersionId vid, const std::string& table_name,
                         std::vector<rel::Chunk>* parent_rows);
 
@@ -235,8 +224,6 @@ class Cvd {
   RecordId next_rid_ = 0;
   VersionId next_vid_ = 1;
   int64_t logical_clock_ = 0;
-
-  CheckoutOverride checkout_override_;
 };
 
 }  // namespace orpheus::core

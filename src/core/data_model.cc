@@ -6,6 +6,7 @@
 
 #include "common/flat_join_table.h"
 #include "common/str_util.h"
+#include "partition/partition_store.h"
 
 namespace orpheus::core {
 
@@ -95,6 +96,16 @@ Result<DataModelKind> DataModelKindFromName(const std::string& name) {
   return Status::InvalidArgument("unknown data model: " + name);
 }
 
+std::string RlistVersionSql(const std::string& data_table,
+                            const std::string& versioning_table, VersionId vid,
+                            const std::string& into) {
+  // Unnest the version's rlist, join the data table on rid.
+  return "SELECT d.*" + (into.empty() ? "" : " INTO " + into) + " FROM " +
+         data_table + " d, (SELECT unnest(rlist) AS orpheus_rid FROM " +
+         versioning_table + " WHERE vid = " + std::to_string(vid) +
+         ") AS orpheus_v WHERE d.rid = orpheus_v.orpheus_rid";
+}
+
 DataModel::DataModel(rel::Database* db, std::string cvd_name,
                      rel::Schema data_schema)
     : db_(db), cvd_name_(std::move(cvd_name)), data_schema_(std::move(data_schema)) {}
@@ -134,17 +145,38 @@ Result<rel::Chunk> DataModel::VersionRows(VersionId vid) {
 }
 
 Status DataModel::AddDataColumn(const std::string& name, rel::DataType type) {
-  (void)name;
-  (void)type;
-  return Status::NotSupported(std::string(DataModelKindName(kind())) +
-                              " does not support schema evolution");
+  rel::Schema schema = data_schema_;
+  schema.AddColumn(name, type);
+  return AlignDataTables(std::move(schema));
 }
 
 Status DataModel::WidenDataColumn(const std::string& name, rel::DataType type) {
-  (void)name;
-  (void)type;
-  return Status::NotSupported(std::string(DataModelKindName(kind())) +
-                              " does not support schema evolution");
+  rel::Schema schema;
+  for (const rel::ColumnDef& def : data_schema_.columns()) {
+    schema.AddColumn(def.name, def.name == name ? type : def.type);
+  }
+  return AlignDataTables(std::move(schema));
+}
+
+Status DataModel::AlignDataTables(rel::Schema schema) {
+  const std::vector<std::string> tables = DataTables();
+  if (tables.empty()) {
+    return Status::NotSupported(std::string(DataModelKindName(kind())) +
+                                " does not support schema evolution");
+  }
+  for (const std::string& table : tables) {
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(table));
+    for (const rel::ColumnDef& def : schema.columns()) {
+      const int col = data->schema().FindColumn(def.name);
+      if (col < 0) {
+        ORPHEUS_RETURN_NOT_OK(data->AddColumn(def.name, def.type));
+      } else if (data->schema().column(col).type != def.type) {
+        ORPHEUS_RETURN_NOT_OK(data->AlterColumnType(def.name, def.type));
+      }
+    }
+  }
+  data_schema_ = std::move(schema);
+  return Status::OK();
 }
 
 Status DataModel::RestoreFromTables(const VersionGraph& graph) {
@@ -344,27 +376,9 @@ int64_t SplitByVlistModel::StorageBytes() const {
   return TableBytes(DataTable()) + TableBytes(VersioningTable());
 }
 
-Status SplitByVlistModel::AddDataColumn(const std::string& name,
-                                        rel::DataType type) {
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
-  ORPHEUS_RETURN_NOT_OK(data->AddColumn(name, type));
-  data_schema_.AddColumn(name, type);
-  return Status::OK();
-}
-
-Status SplitByVlistModel::WidenDataColumn(const std::string& name,
-                                          rel::DataType type) {
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
-  ORPHEUS_RETURN_NOT_OK(data->AlterColumnType(name, type));
-  rel::Schema updated;
-  for (const rel::ColumnDef& def : data_schema_.columns()) {
-    updated.AddColumn(def.name, def.name == name ? type : def.type);
-  }
-  data_schema_ = std::move(updated);
-  return Status::OK();
-}
-
 // --- Split-by-rlist ------------------------------------------------------
+
+SplitByRlistModel::~SplitByRlistModel() = default;
 
 Status SplitByRlistModel::Init() {
   ORPHEUS_RETURN_NOT_OK(db_->CreateTable(DataTable(), RecordSchema(), {"rid"}));
@@ -395,47 +409,59 @@ Status SplitByRlistModel::AddVersion(VersionId vid, const rel::Chunk& content,
 
 Status SplitByRlistModel::CheckoutVersion(VersionId vid,
                                           const std::string& table_name) {
-  // Table 1 checkout: unnest the version's rlist, join the data table.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("SELECT d.* INTO " + table_name + " FROM " + DataTable() +
-                   " d, (SELECT unnest(rlist) AS rid_tmp FROM " +
-                   VersioningTable() + " WHERE vid = " + std::to_string(vid) +
-                   ") AS tmp WHERE d.rid = tmp.rid_tmp"));
-  (void)unused;
-  return Status::OK();
+  auto [data, versioning] = TablesFor(vid);
+  return db_->Execute(RlistVersionSql(data, versioning, vid, table_name)).status();
 }
 
 Result<std::vector<RecordId>> SplitByRlistModel::VersionRecords(VersionId vid) {
   ORPHEUS_ASSIGN_OR_RETURN(
       rel::Chunk out,
-      db_->Execute("SELECT unnest(rlist) AS rid FROM " + VersioningTable() +
+      db_->Execute("SELECT unnest(rlist) AS rid FROM " + TablesFor(vid).second +
                    " WHERE vid = " + std::to_string(vid)));
   return IntColumn(out, "rid");
 }
 
+bool SplitByRlistModel::ServesFromOwnTables(VersionId vid) const {
+  return TablesFor(vid).first == DataTable();
+}
+
+std::pair<std::string, std::string> SplitByRlistModel::TablesFor(
+    VersionId vid) const {
+  if (store_ != nullptr) {
+    Result<std::pair<std::string, std::string>> tables = store_->TablesFor(vid);
+    if (tables.ok()) return std::move(tables).value();
+  }
+  return {DataTable(), VersioningTable()};
+}
+
+Status SplitByRlistModel::SetPartitionStore(
+    std::unique_ptr<part::PartitionStore> store) {
+  store_ = std::move(store);
+  return AlignDataTables(data_schema_);
+}
+
+Result<std::map<VersionId, std::vector<RecordId>>>
+SplitByRlistModel::AllVersionRecords() const {
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * versioning, db_->GetTable(VersioningTable()));
+  const std::vector<int64_t>& vids = versioning->data().column(0).ints();
+  const std::vector<rel::IntArray>& rlists = versioning->data().column(1).arrays();
+  std::map<VersionId, std::vector<RecordId>> out;
+  for (size_t r = 0; r < vids.size(); ++r) out[vids[r]] = rlists[r];
+  return out;
+}
+
+std::vector<std::string> SplitByRlistModel::DataTables() const {
+  std::vector<std::string> tables = {DataTable()};
+  if (store_ != nullptr) {
+    for (const auto& part : store_->ExportState().parts) {
+      tables.push_back(part.data_table);
+    }
+  }
+  return tables;
+}
+
 int64_t SplitByRlistModel::StorageBytes() const {
   return TableBytes(DataTable()) + TableBytes(VersioningTable());
-}
-
-Status SplitByRlistModel::AddDataColumn(const std::string& name,
-                                        rel::DataType type) {
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
-  ORPHEUS_RETURN_NOT_OK(data->AddColumn(name, type));
-  data_schema_.AddColumn(name, type);
-  return Status::OK();
-}
-
-Status SplitByRlistModel::WidenDataColumn(const std::string& name,
-                                          rel::DataType type) {
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
-  ORPHEUS_RETURN_NOT_OK(data->AlterColumnType(name, type));
-  rel::Schema updated;
-  for (const rel::ColumnDef& def : data_schema_.columns()) {
-    updated.AddColumn(def.name, def.name == name ? type : def.type);
-  }
-  data_schema_ = std::move(updated);
-  return Status::OK();
 }
 
 // --- Delta-based ---------------------------------------------------------

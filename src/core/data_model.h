@@ -15,6 +15,10 @@
 // resolves which staged rows are new records and assigns rids. Models
 // only persist and retrieve.
 //
+// Partitions: a split-by-rlist model owns the optimizer's
+// PartitionStore (§4.1); its TablesFor is the one route from a version
+// to the tables that hold it.
+//
 // Execution: every checkout here bottoms out in relstore SQL,
 // so the scans (vlist containment, unnest joins, rid probes) run on
 // the executor's batched parallel pipeline and scale with --threads
@@ -27,12 +31,17 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/record.h"
 #include "core/version_graph.h"
 #include "relstore/database.h"
+
+namespace orpheus::part {
+class PartitionStore;
+}
 
 namespace orpheus::core {
 
@@ -46,6 +55,13 @@ enum class DataModelKind {
 
 const char* DataModelKindName(DataModelKind kind);
 Result<DataModelKind> DataModelKindFromName(const std::string& name);
+
+// Table 1's split-by-rlist checkout of version `vid` (rid + data
+// attributes), INTO `into` unless it is empty: the model's checkout, a
+// partition's and the translator's `VERSION v OF CVD c` all issue it.
+std::string RlistVersionSql(const std::string& data_table,
+                            const std::string& versioning_table, VersionId vid,
+                            const std::string& into = "");
 
 class DataModel {
  public:
@@ -82,6 +98,10 @@ class DataModel {
   // attributes) — the checkout path.
   virtual Status CheckoutVersion(VersionId vid, const std::string& table_name) = 0;
 
+  // Whether CheckoutVersion(vid) reads this model's own tables, not a
+  // partition's. Only then does a checkout keep its rows for commit.
+  virtual bool ServesFromOwnTables(VersionId) const { return true; }
+
   // The rid set of a version (record-manager bookkeeping).
   virtual Result<std::vector<RecordId>> VersionRecords(VersionId vid) = 0;
 
@@ -98,10 +118,10 @@ class DataModel {
   // stateless models need nothing.
   virtual Status RestoreFromTables(const VersionGraph& graph);
 
-  // Schema evolution support (§3.3). Only the split models support it;
-  // others return NotSupported.
-  virtual Status AddDataColumn(const std::string& name, rel::DataType type);
-  virtual Status WidenDataColumn(const std::string& name, rel::DataType type);
+  // Schema evolution (§3.3) through AlignDataTables: only the split
+  // models name data tables; the others return NotSupported.
+  Status AddDataColumn(const std::string& name, rel::DataType type);
+  Status WidenDataColumn(const std::string& name, rel::DataType type);
 
   const rel::Schema& data_schema() const { return data_schema_; }
   const std::string& cvd_name() const { return cvd_name_; }
@@ -111,6 +131,12 @@ class DataModel {
  protected:
   // Comma-separated "rid, a1, a2, ..." projection list.
   std::string RecordColumnList() const;
+
+  // The tables holding every data attribute (rid + data attributes).
+  virtual std::vector<std::string> DataTables() const { return {}; }
+  // Brings each of DataTables() to `schema` (adds missing attributes,
+  // NULL-filled; widens narrower ones) and adopts it as data_schema_.
+  Status AlignDataTables(rel::Schema schema);
 
   int64_t TableBytes(const std::string& table) const;
 
@@ -176,10 +202,9 @@ class SplitByVlistModel : public DataModel {
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
-  Status AddDataColumn(const std::string& name, rel::DataType type) override;
-  Status WidenDataColumn(const std::string& name, rel::DataType type) override;
 
  private:
+  std::vector<std::string> DataTables() const override { return {DataTable()}; }
   std::string DataTable() const { return cvd_name_ + "_data"; }
   std::string VersioningTable() const { return cvd_name_ + "_vlist"; }
 };
@@ -187,10 +212,12 @@ class SplitByVlistModel : public DataModel {
 class SplitByRlistModel : public DataModel {
  public:
   using DataModel::DataModel;
+  ~SplitByRlistModel() override;  // out of line: PartitionStore is incomplete
   DataModelKind kind() const override { return DataModelKind::kSplitByRlist; }
   Status Init() override;
   // Appends the new records and one (vid, rids) tuple directly, as a
-  // bulk load would.
+  // bulk load would. A version committed after the partitions were
+  // built lives only in these tables.
   Status AddVersion(VersionId vid, const rel::Chunk& content,
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
@@ -198,14 +225,34 @@ class SplitByRlistModel : public DataModel {
   bool ReadsContent() const override { return false; }
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
+  bool ServesFromOwnTables(VersionId vid) const override;
   int64_t StorageBytes() const override;
-  Status AddDataColumn(const std::string& name, rel::DataType type) override;
-  Status WidenDataColumn(const std::string& name, rel::DataType type) override;
+  // {data table, versioning table} holding version `vid`: the owning
+  // partition's, else the model's own (for vid < 0, i.e. all versions,
+  // and for a version committed after the partitioning).
+  std::pair<std::string, std::string> TablesFor(VersionId vid) const;
 
-  // Names exposed for the partition optimizer, which re-organizes the
-  // backing tables of this model.
+  // The optimizer's partitions of this CVD, or nullptr.
+  part::PartitionStore* partition_store() const { return store_.get(); }
+  // Replaces the store (nullptr detaches); the old one drops its tables.
+  // Aligns the partitions' data tables: a checkpoint from a build whose
+  // schema evolution skipped partitions holds them without the later
+  // attributes.
+  Status SetPartitionStore(std::unique_ptr<part::PartitionStore> store);
+
+  // Every version's rid list, in one pass over the versioning table.
+  Result<std::map<VersionId, std::vector<RecordId>>> AllVersionRecords() const;
+
+  // The model's own tables; the partitions are built from them.
   std::string DataTable() const { return cvd_name_ + "_data"; }
   std::string VersioningTable() const { return cvd_name_ + "_rlist"; }
+
+ private:
+  // The model's data table, then each partition's: schema evolution
+  // alters the partitions too, so they serve the record schema.
+  std::vector<std::string> DataTables() const override;
+
+  std::unique_ptr<part::PartitionStore> store_;
 };
 
 class DeltaBasedModel : public DataModel {

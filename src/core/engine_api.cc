@@ -584,10 +584,6 @@ Result<std::string> EngineApi::Optimize(const Call& c) {
   if (c.args.size() < 2) return UsageError(c.usage);
   const std::string& name = c.args[1];
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
-  auto* model = dynamic_cast<SplitByRlistModel*>(cvd->model());
-  if (model == nullptr) {
-    return Status::NotSupported("optimize requires the split-by-rlist model");
-  }
   double factor = 2.0;
   std::string gamma_text = FlagValue(c.args, "-gamma");
   if (!gamma_text.empty()) {
@@ -602,20 +598,7 @@ Result<std::string> EngineApi::Optimize(const Call& c) {
   ORPHEUS_ASSIGN_OR_RETURN(part::LyreSplitResult split,
                            part::LyreSplit::RunForBudget(cvd->graph(), gamma));
 
-  // Materialize the partitions and install the checkout/query routing.
-  std::map<VersionId, std::vector<RecordId>> version_rids;
-  for (VersionId vid : cvd->graph().versions()) {
-    ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                             cvd->model()->VersionRecords(vid));
-    version_rids[vid] = std::move(rids);
-  }
-  // Drop any previous store first so a re-optimize can reuse its
-  // physical table names (and WAL replay does the same).
-  orpheus_.DetachPartitionStore(name);
-  auto store = std::make_unique<part::PartitionStore>(orpheus_.db(), name,
-                                                      model->DataTable());
-  ORPHEUS_RETURN_NOT_OK(store->Build(split.partitioning, std::move(version_rids)));
-  ORPHEUS_RETURN_NOT_OK(orpheus_.AttachPartitionStore(name, std::move(store)));
+  ORPHEUS_RETURN_NOT_OK(orpheus_.Repartition(name, split.partitioning));
   return "partitioned " + name + " into " +
          std::to_string(split.partitioning.num_partitions()) +
          " partitions (delta=" + StrFormat("%.4f", split.delta) +

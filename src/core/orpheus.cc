@@ -5,6 +5,23 @@
 
 namespace orpheus::core {
 
+namespace {
+
+// The CVD's split-by-rlist model: versioned SQL and partitions need it.
+Result<SplitByRlistModel*> RlistModel(OrpheusDB* db, const std::string& cvd_name) {
+  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, db->GetCvd(cvd_name));
+  auto* model = dynamic_cast<SplitByRlistModel*>(cvd->model());
+  if (model == nullptr) {
+    return Status::NotSupported(
+        "versioned SQL and partitions require the split-by-rlist data model "
+        "(CVD " + cvd_name + " uses " + DataModelKindName(cvd->model()->kind()) +
+        ")");
+  }
+  return model;
+}
+
+}  // namespace
+
 OrpheusDB::OrpheusDB() {
   users_.insert("default");
   current_user_ = "default";
@@ -74,7 +91,6 @@ Status OrpheusDB::DropCvd(const std::string& name) {
       ORPHEUS_RETURN_NOT_OK(db_.DropTable(table));
     }
   }
-  resolver_overrides_.erase(name);
   cvds_.erase(it);
   if (storage_ != nullptr) {
     ORPHEUS_RETURN_NOT_OK(storage_->LogDropCvd(name));
@@ -113,71 +129,40 @@ Status OrpheusDB::DiscardStaged(const std::string& cvd_name,
 
 Result<std::pair<std::string, std::string>> OrpheusDB::ResolveTables(
     const std::string& cvd_name, VersionId vid) {
-  auto override_it = resolver_overrides_.find(cvd_name);
-  if (override_it != resolver_overrides_.end()) {
-    return override_it->second(cvd_name, vid);
-  }
-  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  auto* rlist = dynamic_cast<SplitByRlistModel*>(cvd->model());
-  if (rlist == nullptr) {
-    return Status::NotSupported(
-        "versioned SQL requires the split-by-rlist data model (CVD " +
-        cvd_name + " uses " + DataModelKindName(cvd->model()->kind()) + ")");
-  }
-  return std::make_pair(rlist->DataTable(), rlist->VersioningTable());
+  ORPHEUS_ASSIGN_OR_RETURN(SplitByRlistModel * model, RlistModel(this, cvd_name));
+  return model->TablesFor(vid);
 }
 
-void OrpheusDB::SetTableResolver(const std::string& cvd_name,
-                                 TableResolver resolver) {
-  resolver_overrides_[cvd_name] = std::move(resolver);
-}
-
-void OrpheusDB::ClearTableResolver(const std::string& cvd_name) {
-  resolver_overrides_.erase(cvd_name);
+Status OrpheusDB::Repartition(const std::string& cvd_name,
+                              const part::Partitioning& partitioning) {
+  ORPHEUS_ASSIGN_OR_RETURN(SplitByRlistModel * model, RlistModel(this, cvd_name));
+  ORPHEUS_ASSIGN_OR_RETURN(auto version_rids, model->AllVersionRecords());
+  ORPHEUS_RETURN_NOT_OK(model->SetPartitionStore(nullptr));
+  auto store =
+      std::make_unique<part::PartitionStore>(&db_, cvd_name, model->DataTable());
+  ORPHEUS_RETURN_NOT_OK(store->Build(partitioning, std::move(version_rids)));
+  return AttachPartitionStore(cvd_name, std::move(store));
 }
 
 Status OrpheusDB::AttachPartitionStore(
     const std::string& cvd_name, std::unique_ptr<part::PartitionStore> store) {
-  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  auto* model = dynamic_cast<SplitByRlistModel*>(cvd->model());
-  if (model == nullptr) {
-    return Status::NotSupported(
-        "partition stores require the split-by-rlist data model");
-  }
-  part::PartitionStore* raw = store.get();
-  cvd->SetCheckoutOverride(
-      [raw](VersionId vid, const std::string& table) {
-        return raw->CheckoutVersion(vid, table);
-      });
-  SetTableResolver(
-      cvd_name, [raw, model](const std::string&, VersionId vid)
-                    -> Result<std::pair<std::string, std::string>> {
-        if (vid < 0) {
-          // Whole-CVD queries still use the unpartitioned tables.
-          return std::make_pair(model->DataTable(), model->VersioningTable());
-        }
-        return raw->TablesFor(vid);
-      });
-  partition_stores_[cvd_name] = std::move(store);
+  ORPHEUS_ASSIGN_OR_RETURN(SplitByRlistModel * model, RlistModel(this, cvd_name));
+  ORPHEUS_RETURN_NOT_OK(model->SetPartitionStore(std::move(store)));
   if (storage_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(
-        storage_->LogRepartition(cvd_name, raw->VersionGroups()));
+    ORPHEUS_RETURN_NOT_OK(storage_->LogRepartition(
+        cvd_name, model->partition_store()->VersionGroups()));
   }
   return Status::OK();
 }
 
 part::PartitionStore* OrpheusDB::partition_store(const std::string& cvd_name) {
-  auto it = partition_stores_.find(cvd_name);
-  return it == partition_stores_.end() ? nullptr : it->second.get();
+  Result<SplitByRlistModel*> model = RlistModel(this, cvd_name);
+  return model.ok() ? model.value()->partition_store() : nullptr;
 }
 
 void OrpheusDB::DetachPartitionStore(const std::string& cvd_name) {
-  auto it = partition_stores_.find(cvd_name);
-  if (it == partition_stores_.end()) return;
-  auto cvd = GetCvd(cvd_name);
-  if (cvd.ok()) cvd.value()->ClearCheckoutOverride();
-  ClearTableResolver(cvd_name);
-  partition_stores_.erase(it);  // the store drops its tables
+  Result<SplitByRlistModel*> model = RlistModel(this, cvd_name);
+  if (model.ok()) (void)model.value()->SetPartitionStore(nullptr);  // drops its tables
 }
 
 Result<rel::Chunk> OrpheusDB::Run(const std::string& sql) {

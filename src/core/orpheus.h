@@ -1,12 +1,12 @@
 // OrpheusDB: the top-level middleware facade (Figure 2 of the paper).
 //
-// Owns the backing relstore Database, the registered CVDs, the user
-// registry (access controller), any partition stores installed by the
-// optimizer, and — when a durable directory is open — the storage
-// manager that makes the version-control verbs crash-safe. The CLI and
-// the examples talk to this class; tests may also reach into Cvd
-// directly (such direct mutations bypass the commit WAL and are only
-// persisted by the next checkpoint).
+// Owns the backing relstore Database, the registered CVDs (a
+// split-by-rlist CVD's model owns the optimizer's partition store), the
+// user registry (access controller), and — when a durable directory is
+// open — the storage manager that makes the version-control verbs
+// crash-safe. The CLI and the examples talk to this class; tests may
+// also reach into Cvd directly (such direct mutations bypass the commit
+// WAL and are only persisted by the next checkpoint).
 //
 // Durability contract: with Open() active, every verb that changes a
 // CVD or the user set (CreateUser/Login/InitCvd/Commit/DropCvd and
@@ -79,26 +79,25 @@ class OrpheusDB {
   // Translates VERSION/OF/CVD constructs, then executes.
   Result<rel::Chunk> Run(const std::string& sql);
 
-  // The translator's view of which tables back a CVD version; the
-  // partition optimizer installs overrides through Cvd.
+  // The translator's view of which tables back a CVD version: the
+  // split-by-rlist model's TablesFor, the same route checkout takes.
   Result<std::pair<std::string, std::string>> ResolveTables(
       const std::string& cvd_name, VersionId vid);
 
-  // Per-CVD table resolver overrides (installed by the partition
-  // optimizer alongside the checkout override).
-  void SetTableResolver(const std::string& cvd_name, TableResolver resolver);
-  void ClearTableResolver(const std::string& cvd_name);
-
   // --- Partition optimizer integration -------------------------------
-  // Takes ownership of a built partition store for `cvd_name` and
-  // installs the checkout override + query-translator resolver (and
-  // logs the repartitioning when durable). Replaces any prior store.
+  // Builds `partitioning` of a split-by-rlist CVD after dropping any
+  // prior store (so table names are reused) and attaches it: both
+  // `optimize` and the WAL replay of its record run this.
+  Status Repartition(const std::string& cvd_name,
+                     const part::Partitioning& partitioning);
+  // Hands a built store to the CVD's split-by-rlist model, replacing
+  // any prior one; logs the repartitioning when durable.
   Status AttachPartitionStore(const std::string& cvd_name,
                               std::unique_ptr<part::PartitionStore> store);
   // nullptr if the CVD has no partition store.
   part::PartitionStore* partition_store(const std::string& cvd_name);
-  // Destroys the CVD's store (dropping its partition tables) and
-  // removes the overrides. No-op without a store.
+  // Destroys the CVD's store (dropping its partition tables). No-op
+  // without a store.
   void DetachPartitionStore(const std::string& cvd_name);
 
   // --- Durable storage ----------------------------------------------------
@@ -126,11 +125,9 @@ class OrpheusDB {
   friend class storage::StorageManager;
 
   rel::Database db_;
+  // Destroyed before db_ (reverse member order): a CVD's partition
+  // store drops its tables.
   std::map<std::string, std::unique_ptr<Cvd>> cvds_;
-  std::map<std::string, TableResolver> resolver_overrides_;
-  // One store per optimized CVD; destroyed before db_ (reverse member
-  // order) since dropping a store drops its tables.
-  std::map<std::string, std::unique_ptr<part::PartitionStore>> partition_stores_;
   std::set<std::string> users_;
   std::string current_user_;
   std::unique_ptr<storage::StorageManager> storage_;

@@ -1,6 +1,7 @@
 #include "core/query_translator.h"
 
 #include "common/str_util.h"
+#include "core/data_model.h"
 #include "relstore/lexer.h"
 
 namespace orpheus::core {
@@ -11,16 +12,6 @@ bool IsWord(const rel::Token& tok, const char* word) {
   return (tok.type == rel::TokenType::kIdentifier ||
           tok.type == rel::TokenType::kKeyword) &&
          EqualsIgnoreCase(tok.text, word);
-}
-
-// Builds the derived-table SQL for one version of a CVD.
-std::string SingleVersionSubquery(const std::string& data_table,
-                                  const std::string& versioning_table,
-                                  VersionId vid) {
-  return "(SELECT d.* FROM " + data_table +
-         " d, (SELECT unnest(rlist) AS orpheus_rid FROM " + versioning_table +
-         " WHERE vid = " + std::to_string(vid) +
-         ") AS orpheus_v WHERE d.rid = orpheus_v.orpheus_rid)";
 }
 
 // Builds the derived-table SQL exposing every version's records with a
@@ -70,10 +61,9 @@ Result<std::string> TranslateVersionedSql(const std::string& sql,
     }
     ORPHEUS_ASSIGN_OR_RETURN(auto tables, resolver(cvd_name, vid));
 
-    std::string subquery = is_version
-                               ? SingleVersionSubquery(tables.first, tables.second, vid)
-                               : AllVersionsSubquery(tables.first, tables.second);
-    out += subquery;
+    out += is_version
+               ? "(" + RlistVersionSql(tables.first, tables.second, vid) + ")"
+               : AllVersionsSubquery(tables.first, tables.second);
 
     // Preserve a user alias if present, else invent one (derived
     // tables require aliases).

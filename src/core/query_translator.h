@@ -28,8 +28,8 @@ namespace orpheus::core {
 
 // Resolves the physical tables backing a CVD for one version (or for
 // all versions when vid < 0). Returns {data_table, versioning_table}.
-// The partition optimizer installs a resolver that routes a version to
-// its partition's tables.
+// OrpheusDB::ResolveTables is the engine's resolver: it routes a
+// version to its partition's tables when one holds it.
 using TableResolver = std::function<Result<std::pair<std::string, std::string>>(
     const std::string& cvd_name, VersionId vid)>;
 

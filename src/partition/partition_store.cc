@@ -6,6 +6,7 @@
 #include "common/flat_join_table.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/data_model.h"
 
 namespace orpheus::part {
 
@@ -101,16 +102,8 @@ Status PartitionStore::Build(const Partitioning& partitioning,
 
 Status PartitionStore::CheckoutVersion(VersionId vid,
                                        const std::string& table_name) {
-  ORPHEUS_ASSIGN_OR_RETURN(size_t k, PartitionOf(vid));
-  const Phys& phys = parts_[k];
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("SELECT d.* INTO " + table_name + " FROM " + phys.data_table +
-                   " d, (SELECT unnest(rlist) AS rid_tmp FROM " +
-                   phys.rlist_table + " WHERE vid = " + std::to_string(vid) +
-                   ") AS tmp WHERE d.rid = tmp.rid_tmp"));
-  (void)unused;
-  return Status::OK();
+  ORPHEUS_ASSIGN_OR_RETURN(auto t, TablesFor(vid));
+  return db_->Execute(core::RlistVersionSql(t.first, t.second, vid, table_name)).status();
 }
 
 Result<std::pair<std::string, std::string>> PartitionStore::TablesFor(

@@ -46,11 +46,11 @@ class PartitionStore {
                std::map<VersionId, std::vector<RecordId>> version_rids);
 
   // Single-version checkout against the owning partition's tables
-  // (same SQL shape as split-by-rlist checkout in Table 1).
+  // (core::RlistVersionSql, Table 1's split-by-rlist checkout).
   Status CheckoutVersion(VersionId vid, const std::string& table_name);
 
-  // {data table, versioning table} backing `vid` (for the query
-  // translator override).
+  // {data table, versioning table} backing `vid` (what the owning
+  // split-by-rlist model's TablesFor returns for it).
   Result<std::pair<std::string, std::string>> TablesFor(VersionId vid) const;
 
   // --- Online maintenance hooks (§4.3) --------------------------------

@@ -321,9 +321,14 @@ void SnapshotCodec::EncodeMeta(OrpheusDB& db, BinaryWriter* w) {
   w->PutU32(static_cast<uint32_t>(db.cvds_.size()));
   for (const auto& [name, cvd] : db.cvds_) EncodeCvd(*cvd, w);
 
-  w->PutU32(static_cast<uint32_t>(db.partition_stores_.size()));
-  for (const auto& [name, store] : db.partition_stores_) {
-    EncodePartitionStore(name, *store, w);
+  // In CVD-name order, like the CVDs.
+  std::vector<std::string> partitioned;
+  for (const auto& [name, cvd] : db.cvds_) {
+    if (db.partition_store(name) != nullptr) partitioned.push_back(name);
+  }
+  w->PutU32(static_cast<uint32_t>(partitioned.size()));
+  for (const std::string& name : partitioned) {
+    EncodePartitionStore(name, *db.partition_store(name), w);
   }
 }
 

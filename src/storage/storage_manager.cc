@@ -570,28 +570,9 @@ Status StorageManager::ApplyRecord(const WalRecord& record) {
         partitioning.groups.push_back(std::move(group));
       }
       ORPHEUS_RETURN_NOT_OK(r.status());
-      ORPHEUS_ASSIGN_OR_RETURN(core::Cvd * cvd, db_->GetCvd(cvd_name));
-      auto* model = dynamic_cast<core::SplitByRlistModel*>(cvd->model());
-      if (model == nullptr) {
-        return Status::Internal("repartition record for non-rlist CVD " +
-                                cvd_name);
-      }
-      std::map<VersionId, std::vector<core::RecordId>> version_rids;
-      for (const std::vector<VersionId>& group : partitioning.groups) {
-        for (VersionId vid : group) {
-          ORPHEUS_ASSIGN_OR_RETURN(version_rids[vid],
-                                   model->VersionRecords(vid));
-        }
-      }
-      // Mirror the live `optimize` sequence exactly: detach (dropping
-      // any previous partition tables) so the rebuilt store reuses the
+      // The live `optimize` sequence, so the rebuilt store reuses the
       // same physical table names.
-      db_->DetachPartitionStore(cvd_name);
-      auto store = std::make_unique<part::PartitionStore>(
-          db_->db(), cvd_name, model->DataTable());
-      ORPHEUS_RETURN_NOT_OK(
-          store->Build(partitioning, std::move(version_rids)));
-      return db_->AttachPartitionStore(cvd_name, std::move(store));
+      return db_->Repartition(cvd_name, partitioning);
     }
   }
   if (IsRetired(record.type)) {

@@ -162,6 +162,19 @@ TEST_F(CliTest, OptimizePartitionsAndCheckoutStillWorks) {
   // Versioned SQL routes to partition tables for specific versions.
   std::string q = Must("run SELECT count(*) FROM VERSION 5 OF CVD protein");
   EXPECT_NE(q.find("7"), std::string::npos);
+
+  // A version committed after `optimize` is in no partition; checkout
+  // and versioned SQL read it from the CVD's own tables.
+  Must("sql INSERT INTO after_opt VALUES (0, 'N9', 'M', 5)");
+  EXPECT_NE(Must("commit -t after_opt -m post").find("version 6"),
+            std::string::npos);
+  Must("checkout protein -v 6 -t v6");
+  EXPECT_NE(Must("sql SELECT count(*) FROM v6").find("6"), std::string::npos);
+  q = Must("run SELECT protein1 FROM VERSION 6 OF CVD protein "
+           "WHERE protein2 = 'M'");
+  EXPECT_NE(q.find("N9"), std::string::npos);
+  EXPECT_NE(q.find("N1"), std::string::npos);  // a v3 row v6 keeps
+  EXPECT_EQ(q.find("N2"), std::string::npos);  // v4's row is not in v6
 }
 
 TEST_F(CliTest, ErrorsSurfaceCleanly) {

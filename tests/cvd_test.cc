@@ -15,6 +15,7 @@
 #include <random>
 #include <set>
 
+#include "common/thread_pool.h"
 #include "core/cvd.h"
 #include "core/data_model.h"
 #include "core/orpheus.h"
@@ -981,8 +982,8 @@ TEST(CommitParentRowsTest, CheckpointAndReopenMatchesKeptRows) {
   }
 }
 
-// A checkout served by a partition override keeps no rows. The twin
-// checks out before the same partitioning is attached.
+// A checkout a partition serves keeps no rows. The twin checks out
+// before the same partitioning is attached.
 TEST(CommitParentRowsTest, PartitionOverrideMatchesKeptRows) {
   auto attach = [](OrpheusDB* db) {
     auto* model = dynamic_cast<SplitByRlistModel*>(
@@ -1048,6 +1049,124 @@ TEST(CommitParentRowsTest, SchemaEvolutionMatchesKeptRows) {
 
   ExpectSameCommit(fallback, kept);
   EXPECT_TRUE(TableImage(&db, "t_meta") == TableImage(&twin, "t_meta"));
+}
+
+// --- Partition routing --------------------------------------------------
+
+// Partitions SeedBranches' CVD as {1, 2}, {3}.
+void PartitionSeed(OrpheusDB* db) {
+  part::Partitioning partitioning;
+  partitioning.groups = {{1, 2}, {3}};
+  ASSERT_TRUE(db->Repartition("t", partitioning).ok());
+  ASSERT_NE(nullptr, db->partition_store("t"));
+}
+
+// Relstore rows `fn` scans.
+template <typename Fn>
+int64_t RowsScanned(OrpheusDB* db, Fn fn) {
+  const int64_t before = db->db()->stats()->rows_scanned;
+  fn();
+  return db->db()->stats()->rows_scanned - before;
+}
+
+// Commit falls back to VersionRows after a partition-served checkout,
+// and VersionRows reads the same partition: it scans exactly the rows
+// the checkout scanned.
+TEST(PartitionRouteTest, CommitScansWhatPartitionServedCheckoutScanned) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetExecThreads(threads);
+    OrpheusDB db;
+    SeedBranches(&db);
+    PartitionSeed(&db);
+    const int64_t checkout = RowsScanned(
+        &db, [&] { ASSERT_TRUE(db.Checkout("t", {3}, "w").ok()); });
+    EditStaged(&db, "w");
+    const CommitOutcome commit = CommitStaged(&db, "w");
+    EXPECT_GT(checkout, 0);
+    EXPECT_EQ(checkout, commit.rows_scanned);
+  }
+  SetExecThreads(0);
+}
+
+// A merging checkout of a placed version (3) and a version committed
+// after the partitioning (4) reads each from its own tables: it scans
+// what the two single checkouts scan and holds their rows, the first
+// occurrence of each rid in precedence order.
+TEST(PartitionRouteTest, MergeOfPlacedAndUnplacedVersion) {
+  OrpheusDB db;
+  SeedBranches(&db);
+  PartitionSeed(&db);
+  ASSERT_TRUE(db.Checkout("t", {3}, "w").ok());
+  EditStaged(&db, "w");
+  ASSERT_EQ(4, db.Commit("t", "w", "after partitioning").ValueOrDie());
+
+  const int64_t scanned3 = RowsScanned(
+      &db, [&] { ASSERT_TRUE(db.Checkout("t", {3}, "c3").ok()); });
+  const int64_t scanned4 = RowsScanned(
+      &db, [&] { ASSERT_TRUE(db.Checkout("t", {4}, "c4").ok()); });
+  const int64_t merge_scanned = RowsScanned(
+      &db, [&] { ASSERT_TRUE(db.Checkout("t", {3, 4}, "m").ok()); });
+  EXPECT_EQ(scanned3 + scanned4, merge_scanned);
+
+  const rel::Chunk& c3 = db.db()->GetTable("c3").ValueOrDie()->data();
+  const rel::Chunk& c4 = db.db()->GetTable("c4").ValueOrDie()->data();
+  std::set<int64_t> seen(c3.column(0).ints().begin(), c3.column(0).ints().end());
+  std::vector<uint32_t> only4;
+  for (size_t r = 0; r < c4.num_rows(); ++r) {
+    if (seen.count(c4.column(0).ints()[r]) == 0) only4.push_back(r);
+  }
+  ASSERT_FALSE(only4.empty());
+  rel::Chunk expected = c3;
+  expected.GatherFrom(c4, only4);
+  EXPECT_EQ(ChunkBytes(expected),
+            ChunkBytes(db.db()->GetTable("m").ValueOrDie()->data()));
+}
+
+// Schema evolution alters the partitions' data tables too, and
+// attaching a store built before the change brings its tables up to
+// date, so a commit whose parent a partition serves resolves like one
+// on an unpartitioned twin.
+TEST(PartitionRouteTest, SchemaEvolutionReachesPartitions) {
+  auto evolve = [](OrpheusDB* db) {
+    ASSERT_TRUE(db->Checkout("t", {2}, "grow").ok());
+    rel::Table* staged = db->db()->GetTable("grow").ValueOrDie();
+    ASSERT_TRUE(staged->AddColumn("extra", rel::DataType::kInt64).ok());
+    ASSERT_TRUE(staged->AlterColumnType("x", rel::DataType::kDouble).ok());
+    ASSERT_EQ(4, db->Commit("t", "grow", "add extra, widen x").ValueOrDie());
+  };
+  OrpheusDB twin;
+  SeedBranches(&twin);
+  evolve(&twin);
+  ASSERT_TRUE(twin.Checkout("t", {3}, "w").ok());
+  EditStaged(&twin, "w");
+  const CommitOutcome kept = CommitStaged(&twin, "w");
+
+  for (bool attach_after : {false, true}) {
+    SCOPED_TRACE(attach_after ? "store attached after" : "store attached before");
+    OrpheusDB db;
+    SeedBranches(&db);
+    std::unique_ptr<part::PartitionStore> stale;
+    if (attach_after) {
+      auto* model = dynamic_cast<SplitByRlistModel*>(
+          db.GetCvd("t").ValueOrDie()->model());
+      stale = std::make_unique<part::PartitionStore>(db.db(), "t",
+                                                     model->DataTable());
+      part::Partitioning partitioning;
+      partitioning.groups = {{1, 2}, {3}};
+      ASSERT_TRUE(
+          stale->Build(partitioning, model->AllVersionRecords().ValueOrDie()).ok());
+    } else {
+      PartitionSeed(&db);
+    }
+    evolve(&db);
+    if (attach_after) {
+      ASSERT_TRUE(db.AttachPartitionStore("t", std::move(stale)).ok());
+    }
+    ASSERT_TRUE(db.Checkout("t", {3}, "w").ok());
+    EditStaged(&db, "w");
+    ExpectSameCommit(CommitStaged(&db, "w"), kept);
+  }
 }
 
 }  // namespace

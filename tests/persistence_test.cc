@@ -607,6 +607,49 @@ TEST(Persistence, PartitionStoreSurvivesWalAndSnapshot) {
                     "snapshot partition checkout");
 }
 
+// A version committed after the repartition is in no partition: it is
+// read from the CVD's own tables, live, after WAL replay and after a
+// checkpoint.
+TEST(Persistence, VersionCommittedAfterRepartitionSurvivesWalAndSnapshot) {
+  TempDir dir;
+  rel::Chunk live;
+  {
+    OrpheusDB db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    CvdOptions options;
+    options.primary_key = {"k"};
+    ASSERT_TRUE(db.InitCvd("t", SampleRows(6), options, "init").ok());
+    ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
+    ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 1.5 WHERE k = 1").ok());
+    ASSERT_EQ(2, db.Commit("t", "w", "step").ValueOrDie());
+    part::Partitioning partitioning;
+    partitioning.groups = {{1}, {2}};
+    ASSERT_TRUE(db.Repartition("t", partitioning).ok());
+    ASSERT_TRUE(db.Checkout("t", {2}, "w").ok());
+    ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 2.5 WHERE k = 2").ok());
+    ASSERT_TRUE(db.db()->Execute("INSERT INTO w (k, name, score) VALUES (9, 'nine', 9.5)").ok());
+    ASSERT_EQ(3, db.Commit("t", "w", "after repartition").ValueOrDie());
+    ASSERT_TRUE(db.Checkout("t", {3}, "out").ok());
+    live = db.db()->GetTable("out").ValueOrDie()->data();
+    ASSERT_TRUE(db.DiscardStaged("t", "out").ok());
+    ASSERT_EQ(7u, live.num_rows());
+  }
+  for (const char* pass : {"wal", "checkpoint"}) {
+    SCOPED_TRACE(pass);
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(dir.path()).ok());
+    ASSERT_NE(nullptr, recovered.partition_store("t"));
+    ASSERT_TRUE(recovered.Checkout("t", {3}, "out").ok());
+    ExpectChunksEqual(live, recovered.db()->GetTable("out").ValueOrDie()->data(),
+                      std::string(pass) + " checkout of v3");
+    EXPECT_EQ(7u, recovered.Run("SELECT k FROM VERSION 3 OF CVD t")
+                      .ValueOrDie()
+                      .num_rows());
+    ASSERT_TRUE(recovered.DiscardStaged("t", "out").ok());
+    ASSERT_TRUE(recovered.Checkpoint().ok());
+  }
+}
+
 // --- Recovery edge cases ------------------------------------------------
 
 TEST(Persistence, TornWalTailAtEveryByteOfLastRecord) {
