@@ -36,7 +36,7 @@ Result<double> MeasureCheckout(rel::Database* db, const wl::Dataset& data,
   part::PartitionStore store(db, "cm", "src_data");
   std::map<core::VersionId, std::vector<core::RecordId>> rids;
   for (const wl::VersionSpec& v : data.versions()) rids[v.vid] = v.rids;
-  ORPHEUS_RETURN_NOT_OK(store.Build(partitioning, std::move(rids)));
+  ORPHEUS_RETURN_NOT_OK(store.Build(partitioning, rids));
   // Two passes; the first warms indexes and allocator state, the
   // second is timed (as the paper warms the buffer cache per trial).
   double best = 1e18;

@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
       part::PartitionStore store(&db, "cvd", rlist->DataTable());
       std::map<core::VersionId, std::vector<core::RecordId>> rids;
       for (const wl::VersionSpec& v : data.versions()) rids[v.vid] = v.rids;
-      st = store.Build(split.value().partitioning, std::move(rids));
+      st = store.Build(split.value().partitioning, rids);
       if (!st.ok()) {
         std::cerr << "build: " << st.ToString() << "\n";
         return 1;

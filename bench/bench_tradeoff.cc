@@ -35,7 +35,7 @@ Result<double> MeasureCheckout(rel::Database* db, const wl::Dataset& data,
   part::PartitionStore store(db, "sweep", "src_data");
   std::map<core::VersionId, std::vector<core::RecordId>> rids;
   for (const wl::VersionSpec& v : data.versions()) rids[v.vid] = v.rids;
-  ORPHEUS_RETURN_NOT_OK(store.Build(partitioning, std::move(rids)));
+  ORPHEUS_RETURN_NOT_OK(store.Build(partitioning, rids));
   // First pass warms lazily built indexes; second pass is timed.
   double best = 1e18;
   for (int pass = 0; pass < 2; ++pass) {

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -86,6 +87,36 @@ bool ApplyObsFlags(const orpheus::Flags& flags, std::string* metrics_dump) {
   orpheus::obs::ProcStatsSampler::Instance().Start(static_cast<int>(
       std::min<int64_t>(std::max<int64_t>(procstats_ms, 0), 1 << 30)));
   *metrics_dump = flags.GetString("metrics-dump", "");
+  return true;
+}
+
+// Opens the --db directory, if one was given, and arms the automatic
+// checkpoint policy from --wal-checkpoint-bytes / --wal-checkpoint-records
+// (non-negative integers; 0 = no bound). False on a malformed flag or
+// a failed open, after printing the error.
+bool OpenDbFlag(const orpheus::Flags& flags, orpheus::core::OrpheusDB* db) {
+  auto bound = [&flags](const char* name) {
+    return orpheus::ParseNumber<uint64_t>(flags.GetString(name, "0"), 0,
+                                          std::numeric_limits<uint64_t>::max());
+  };
+  std::optional<uint64_t> max_bytes = bound("wal-checkpoint-bytes");
+  std::optional<uint64_t> max_records = bound("wal-checkpoint-records");
+  if (!max_bytes || !max_records) {
+    std::cerr << "error: --wal-checkpoint-bytes and --wal-checkpoint-records "
+                 "expect a non-negative integer\n";
+    return false;
+  }
+  std::string db_dir = flags.GetString("db", "");
+  if (db_dir.empty()) return true;
+  orpheus::Status st = db->Open(db_dir);
+  if (!st.ok()) {
+    std::cerr << "error: cannot open --db=" << db_dir << ": " << st.ToString()
+              << "\n";
+    return false;
+  }
+  if (flags.Has("wal-checkpoint-bytes") || flags.Has("wal-checkpoint-records")) {
+    db->storage()->SetAutoCheckpointPolicy(*max_bytes, *max_records);
+  }
   return true;
 }
 
@@ -148,20 +179,7 @@ int ServeMain(const orpheus::Flags& flags) {
   orpheus::core::EngineApi api;
   std::string metrics_dump;
   if (!ApplyObsFlags(flags, &metrics_dump)) return 1;
-  std::string db_dir = flags.GetString("db", "");
-  if (!db_dir.empty()) {
-    orpheus::Status st = api.orpheus()->Open(db_dir);
-    if (!st.ok()) {
-      std::cerr << "error: cannot open --db=" << db_dir << ": "
-                << st.ToString() << "\n";
-      return 1;
-    }
-    if (flags.Has("wal-checkpoint-bytes") || flags.Has("wal-checkpoint-records")) {
-      api.orpheus()->storage()->SetAutoCheckpointPolicy(
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-bytes", 0)),
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-records", 0)));
-    }
-  }
+  if (!OpenDbFlag(flags, api.orpheus())) return 1;
 
   orpheus::server::ServerOptions options;
   int64_t port = flags.GetInt("serve", 0);
@@ -228,20 +246,7 @@ int main(int argc, char** argv) {
   orpheus::cli::CommandProcessor processor;
   std::string metrics_dump;
   if (!ApplyObsFlags(flags, &metrics_dump)) return 1;
-  std::string db_dir = flags.GetString("db", "");
-  if (!db_dir.empty()) {
-    orpheus::Status st = processor.orpheus()->Open(db_dir);
-    if (!st.ok()) {
-      std::cerr << "error: cannot open --db=" << db_dir << ": "
-                << st.ToString() << "\n";
-      return 1;
-    }
-    if (flags.Has("wal-checkpoint-bytes") || flags.Has("wal-checkpoint-records")) {
-      processor.orpheus()->storage()->SetAutoCheckpointPolicy(
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-bytes", 0)),
-          static_cast<uint64_t>(flags.GetInt("wal-checkpoint-records", 0)));
-    }
-  }
+  if (!OpenDbFlag(flags, processor.orpheus())) return 1;
   int rc = RunFrontEnd(&processor, flags.positional(),
                        [&processor] { return processor.exited(); });
   orpheus::obs::ProcStatsSampler::Instance().Stop();

@@ -453,9 +453,7 @@ SplitByRlistModel::AllVersionRecords() const {
 std::vector<std::string> SplitByRlistModel::DataTables() const {
   std::vector<std::string> tables = {DataTable()};
   if (store_ != nullptr) {
-    for (const auto& part : store_->ExportState().parts) {
-      tables.push_back(part.data_table);
-    }
+    for (const auto& part : store_->partitions()) tables.push_back(part.data_table);
   }
   return tables;
 }

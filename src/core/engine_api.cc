@@ -500,6 +500,14 @@ Result<std::string> EngineApi::Checkout(const Call& c) {
       (table.empty() && file.empty())) {
     return UsageError(c.usage);
   }
+  // Every token after the name is a flag and its value: a stray one
+  // (`-v 1 3` for the merge `-v 1,3`) is refused, not ignored.
+  for (size_t i = 2; i < c.args.size(); i += 2) {
+    const std::string& flag = c.args[i];
+    if ((flag != "-v" && flag != "-t" && flag != "-f") || i + 1 == c.args.size()) {
+      return UsageError(c.usage);
+    }
+  }
   const std::string& name = c.args[1];
   std::vector<VersionId> vids;
   for (const std::string& piece : Split(vid_text, ',')) {

@@ -140,7 +140,7 @@ Status OrpheusDB::Repartition(const std::string& cvd_name,
   ORPHEUS_RETURN_NOT_OK(model->SetPartitionStore(nullptr));
   auto store =
       std::make_unique<part::PartitionStore>(&db_, cvd_name, model->DataTable());
-  ORPHEUS_RETURN_NOT_OK(store->Build(partitioning, std::move(version_rids)));
+  ORPHEUS_RETURN_NOT_OK(store->Build(partitioning, version_rids));
   return AttachPartitionStore(cvd_name, std::move(store));
 }
 

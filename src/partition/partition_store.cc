@@ -1,7 +1,7 @@
 #include "partition/partition_store.h"
 
 #include <algorithm>
-#include <limits>
+#include <unordered_set>
 
 #include "common/flat_join_table.h"
 #include "common/thread_pool.h"
@@ -18,23 +18,23 @@ PartitionStore::PartitionStore(rel::Database* db, std::string cvd_name,
 
 PartitionStore::~PartitionStore() { (void)DropAll(); }
 
-Result<PartitionStore::Phys> PartitionStore::CreatePhys() {
+Result<PartitionStore::PartTables> PartitionStore::CreatePart() {
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * source, db_->GetTable(source_data_table_));
-  Phys phys;
+  PartTables part;
   int id = next_phys_id_++;
-  phys.data_table = cvd_name_ + "_p" + std::to_string(id) + "_data";
-  phys.rlist_table = cvd_name_ + "_p" + std::to_string(id) + "_rlist";
+  part.data_table = cvd_name_ + "_p" + std::to_string(id) + "_data";
+  part.rlist_table = cvd_name_ + "_p" + std::to_string(id) + "_rlist";
   ORPHEUS_RETURN_NOT_OK(
-      db_->CreateTable(phys.data_table, source->schema(), {"rid"}));
+      db_->CreateTable(part.data_table, source->schema(), {"rid"}));
   rel::Schema versioning;
   versioning.AddColumn("vid", rel::DataType::kInt64);
   versioning.AddColumn("rlist", rel::DataType::kIntArray);
   ORPHEUS_RETURN_NOT_OK(
-      db_->CreateTable(phys.rlist_table, std::move(versioning), {"vid"}));
-  return phys;
+      db_->CreateTable(part.rlist_table, std::move(versioning), {"vid"}));
+  return part;
 }
 
-Status PartitionStore::InsertRecords(Phys* phys,
+Status PartitionStore::InsertRecords(const PartTables& part,
                                      const std::vector<RecordId>& rids) {
   if (rids.empty()) return Status::OK();
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * source, db_->GetTable(source_data_table_));
@@ -56,33 +56,48 @@ Status PartitionStore::InsertRecords(Phys* phys,
         }
         return Status::OK();
       }));
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * dest, db_->GetTable(phys->data_table));
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * dest, db_->GetTable(part.data_table));
   dest->mutable_chunk().GatherFrom(source->data(), rows);
-  phys->records.insert(rids.begin(), rids.end());
   return Status::OK();
 }
 
-Status PartitionStore::AppendRlistRow(Phys* phys, VersionId vid,
+Status PartitionStore::AppendRlistRow(const PartTables& part, VersionId vid,
                                       const std::vector<RecordId>& rids) {
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db_->GetTable(phys->rlist_table));
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db_->GetTable(part.rlist_table));
   rel::Chunk& chunk = rlist->mutable_chunk();
   chunk.mutable_column(0).AppendInt(vid);
   chunk.mutable_column(1).AppendArray(rel::IntArray(rids.begin(), rids.end()));
-  phys->versions.push_back(vid);
   return Status::OK();
 }
 
-Status PartitionStore::Build(const Partitioning& partitioning,
-                             std::map<VersionId, std::vector<RecordId>> version_rids) {
+Result<std::vector<RecordId>> PartitionStore::MissingRecords(
+    const PartTables& part, const std::vector<RecordId>& rids) {
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(part.data_table));
+  ORPHEUS_ASSIGN_OR_RETURN(const FlatJoinTable* index, data->Index("rid"));
+  std::vector<RecordId> missing;
+  for (RecordId rid : rids) {
+    if (index->Find(rid) == FlatJoinTable::kEnd) missing.push_back(rid);
+  }
+  return missing;
+}
+
+int64_t PartitionStore::RowsOf(const std::string& table) const {
+  Result<rel::Table*> t = db_->GetTable(table);
+  return t.ok() ? static_cast<int64_t>(t.value()->num_rows()) : 0;
+}
+
+Status PartitionStore::Build(
+    const Partitioning& partitioning,
+    const std::map<VersionId, std::vector<RecordId>>& version_rids) {
   ORPHEUS_RETURN_NOT_OK(DropAll());
-  version_rids_ = std::move(version_rids);
   for (const std::vector<VersionId>& group : partitioning.groups) {
-    ORPHEUS_ASSIGN_OR_RETURN(Phys phys, CreatePhys());
+    ORPHEUS_ASSIGN_OR_RETURN(PartTables part, CreatePart());
+    parts_.push_back(part);
     // Union of the group's records.
     std::unordered_set<RecordId> unioned;
     for (VersionId vid : group) {
-      auto it = version_rids_.find(vid);
-      if (it == version_rids_.end()) {
+      auto it = version_rids.find(vid);
+      if (it == version_rids.end()) {
         return Status::InvalidArgument("missing record list for version " +
                                        std::to_string(vid));
       }
@@ -90,12 +105,11 @@ Status PartitionStore::Build(const Partitioning& partitioning,
     }
     std::vector<RecordId> sorted(unioned.begin(), unioned.end());
     std::sort(sorted.begin(), sorted.end());
-    ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, sorted));
+    ORPHEUS_RETURN_NOT_OK(InsertRecords(part, sorted));
     for (VersionId vid : group) {
-      ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids_.at(vid)));
-      vid_to_part_[vid] = parts_.size();
+      ORPHEUS_RETURN_NOT_OK(AppendRlistRow(part, vid, version_rids.at(vid)));
+      vid_to_part_[vid] = parts_.size() - 1;
     }
-    parts_.push_back(std::move(phys));
   }
   return Status::OK();
 }
@@ -128,15 +142,11 @@ Status PartitionStore::AddVersionToPartition(VersionId vid, size_t partition,
   if (vid_to_part_.count(vid) > 0) {
     return Status::AlreadyExists("version already placed: " + std::to_string(vid));
   }
-  Phys& phys = parts_[partition];
-  std::vector<RecordId> fresh;
-  for (RecordId rid : rids) {
-    if (phys.records.count(rid) == 0) fresh.push_back(rid);
-  }
-  ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, fresh));
-  ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, rids));
+  const PartTables& part = parts_[partition];
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> fresh, MissingRecords(part, rids));
+  ORPHEUS_RETURN_NOT_OK(InsertRecords(part, fresh));
+  ORPHEUS_RETURN_NOT_OK(AppendRlistRow(part, vid, rids));
   vid_to_part_[vid] = partition;
-  version_rids_[vid] = rids;
   return Status::OK();
 }
 
@@ -145,15 +155,14 @@ Result<size_t> PartitionStore::AddVersionAsNewPartition(
   if (vid_to_part_.count(vid) > 0) {
     return Status::AlreadyExists("version already placed: " + std::to_string(vid));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(Phys phys, CreatePhys());
+  ORPHEUS_ASSIGN_OR_RETURN(PartTables part, CreatePart());
   std::vector<RecordId> sorted = rids;
   std::sort(sorted.begin(), sorted.end());
-  ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, sorted));
-  ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, rids));
+  ORPHEUS_RETURN_NOT_OK(InsertRecords(part, sorted));
+  ORPHEUS_RETURN_NOT_OK(AppendRlistRow(part, vid, rids));
   size_t k = parts_.size();
   vid_to_part_[vid] = k;
-  version_rids_[vid] = rids;
-  parts_.push_back(std::move(phys));
+  parts_.push_back(std::move(part));
   return k;
 }
 
@@ -162,32 +171,40 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
   WallTimer timer;
   MigrationStats stats;
 
-  // Record sets of the target partitions (from the in-memory mirror of
-  // the versioning data — this is the paper's "calculate the number of
-  // common records based on the version graph without probing Ri").
-  std::vector<std::unordered_set<RecordId>> new_sets;
+  // Every placed version's record list, read once from the current
+  // versioning tables. The target partitions' record sets come from
+  // these lists alone — the paper's "calculate the number of common
+  // records based on the version graph without probing Ri".
+  std::map<VersionId, std::vector<RecordId>> version_rids;
+  for (const PartTables& part : parts_) {
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db_->GetTable(part.rlist_table));
+    const std::vector<int64_t>& vids = rlist->data().column(0).ints();
+    const std::vector<rel::IntArray>& lists = rlist->data().column(1).arrays();
+    for (size_t r = 0; r < vids.size(); ++r) version_rids[vids[r]] = lists[r];
+  }
+  // Sorted record sets of the target partitions.
+  std::vector<std::vector<RecordId>> new_sets;
   new_sets.reserve(new_partitioning.groups.size());
   for (const std::vector<VersionId>& group : new_partitioning.groups) {
     std::unordered_set<RecordId> s;
     for (VersionId vid : group) {
-      auto it = version_rids_.find(vid);
-      if (it == version_rids_.end()) {
+      auto it = version_rids.find(vid);
+      if (it == version_rids.end()) {
         return Status::InvalidArgument("migration target references unknown version " +
                                        std::to_string(vid));
       }
       s.insert(it->second.begin(), it->second.end());
     }
-    new_sets.push_back(std::move(s));
+    std::vector<RecordId> sorted(s.begin(), s.end());
+    std::sort(sorted.begin(), sorted.end());
+    new_sets.push_back(std::move(sorted));
   }
 
   if (!intelligent) {
     // Naive: drop everything and rebuild from scratch.
-    std::map<VersionId, std::vector<RecordId>> rids = std::move(version_rids_);
-    ORPHEUS_RETURN_NOT_OK(Build(new_partitioning, std::move(rids)));
+    ORPHEUS_RETURN_NOT_OK(Build(new_partitioning, version_rids));
     stats.partitions_rebuilt = static_cast<int>(parts_.size());
-    for (const Phys& phys : parts_) {
-      stats.rows_inserted += static_cast<int64_t>(phys.records.size());
-    }
+    stats.rows_inserted = StorageRecords();
     stats.seconds = timer.ElapsedSeconds();
     return stats;
   }
@@ -200,10 +217,12 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
   // for the chosen pairs.
   size_t n_new = new_sets.size();
   size_t n_old = parts_.size();
-  std::vector<std::unordered_set<VersionId>> old_version_sets(n_old);
-  for (size_t j = 0; j < n_old; ++j) {
-    old_version_sets[j].insert(parts_[j].versions.begin(),
-                               parts_[j].versions.end());
+  std::vector<std::vector<int64_t>> common(n_new, std::vector<int64_t>(n_old, 0));
+  for (size_t i = 0; i < n_new; ++i) {
+    for (VersionId vid : new_partitioning.groups[i]) {
+      common[i][vid_to_part_.at(vid)] +=
+          static_cast<int64_t>(version_rids.at(vid).size());
+    }
   }
   struct Pair {
     int64_t score;  // record-weighted common versions
@@ -211,16 +230,9 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
     size_t oj;
   };
   std::vector<Pair> pairs;
-  pairs.reserve(n_new * n_old);
   for (size_t i = 0; i < n_new; ++i) {
     for (size_t j = 0; j < n_old; ++j) {
-      int64_t score = 0;
-      for (VersionId vid : new_partitioning.groups[i]) {
-        if (old_version_sets[j].count(vid) > 0) {
-          score += static_cast<int64_t>(version_rids_.at(vid).size());
-        }
-      }
-      if (score > 0) pairs.push_back({score, i, j});
+      if (common[i][j] > 0) pairs.push_back({common[i][j], i, j});
     }
   }
   std::sort(pairs.begin(), pairs.end(),
@@ -234,94 +246,65 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
     old_used[pair.oj] = 1;
   }
 
-  std::vector<Phys> new_parts;
+  std::vector<PartTables> new_parts;
   std::map<VersionId, size_t> new_vid_to_part;
   for (size_t i = 0; i < n_new; ++i) {
     const std::vector<VersionId>& group = new_partitioning.groups[i];
-    if (match_of_new[i] < 0) {
-      // Build from scratch.
-      ORPHEUS_ASSIGN_OR_RETURN(Phys phys, CreatePhys());
-      std::vector<RecordId> sorted(new_sets[i].begin(), new_sets[i].end());
-      std::sort(sorted.begin(), sorted.end());
-      ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, sorted));
-      stats.rows_inserted += static_cast<int64_t>(sorted.size());
-      for (VersionId vid : group) {
-        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids_.at(vid)));
-        new_vid_to_part[vid] = new_parts.size();
-      }
-      ++stats.partitions_rebuilt;
-      new_parts.push_back(std::move(phys));
-      continue;
-    }
-    // Transform the matched old partition in place.
-    Phys phys = std::move(parts_[static_cast<size_t>(match_of_new[i])]);
-    const std::unordered_set<RecordId>& target = new_sets[i];
-    // Deletes: rows in the old partition not needed anymore.
-    std::vector<RecordId> to_delete;
-    for (RecordId rid : phys.records) {
-      if (target.count(rid) == 0) to_delete.push_back(rid);
-    }
-    // §4.3: if transforming costs more than building |R'i| rows from
-    // scratch, rebuild instead.
-    int64_t insert_estimate = 0;
-    for (RecordId rid : target) {
-      if (phys.records.count(rid) == 0) ++insert_estimate;
-    }
-    if (static_cast<int64_t>(to_delete.size()) + insert_estimate >
-        static_cast<int64_t>(target.size())) {
-      ORPHEUS_RETURN_NOT_OK(db_->DropTable(phys.data_table, true));
-      ORPHEUS_RETURN_NOT_OK(db_->DropTable(phys.rlist_table, true));
-      ORPHEUS_ASSIGN_OR_RETURN(Phys fresh, CreatePhys());
-      std::vector<RecordId> sorted(target.begin(), target.end());
-      std::sort(sorted.begin(), sorted.end());
-      ORPHEUS_RETURN_NOT_OK(InsertRecords(&fresh, sorted));
-      stats.rows_inserted += static_cast<int64_t>(sorted.size());
-      for (VersionId vid : group) {
-        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&fresh, vid, version_rids_.at(vid)));
-        new_vid_to_part[vid] = new_parts.size();
-      }
-      ++stats.partitions_rebuilt;
-      new_parts.push_back(std::move(fresh));
-      continue;
-    }
-    if (!to_delete.empty()) {
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(phys.data_table));
-      std::unordered_set<RecordId> drop(to_delete.begin(), to_delete.end());
-      int rid_col = data->schema().FindColumn("rid");
-      const std::vector<int64_t>& rids_col = data->data().column(rid_col).ints();
+    const std::vector<RecordId>& target = new_sets[i];
+    bool rebuild = match_of_new[i] < 0;
+    PartTables part;
+    if (!rebuild) {
+      // Transform the matched old partition in place: delete the rows
+      // no target version needs, insert the missing ones.
+      part = parts_[static_cast<size_t>(match_of_new[i])];
+      ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> to_insert,
+                               MissingRecords(part, target));
+      ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(part.data_table));
+      FlatJoinTable wanted;
+      wanted.Build(target);
+      const std::vector<int64_t>& rids_col =
+          data->data().column(data->schema().FindColumn("rid")).ints();
       std::vector<bool> keep(rids_col.size());
+      int64_t deletes = 0;
       for (size_t r = 0; r < rids_col.size(); ++r) {
-        keep[r] = drop.count(rids_col[r]) == 0;
+        keep[r] = wanted.Find(rids_col[r]) != FlatJoinTable::kEnd;
+        if (!keep[r]) ++deletes;
       }
-      data->mutable_chunk().FilterRows(keep);
-      for (RecordId rid : to_delete) phys.records.erase(rid);
-      stats.rows_deleted += static_cast<int64_t>(to_delete.size());
-    }
-    // Inserts: rows required but missing.
-    std::vector<RecordId> to_insert;
-    for (RecordId rid : target) {
-      if (phys.records.count(rid) == 0) to_insert.push_back(rid);
-    }
-    std::sort(to_insert.begin(), to_insert.end());
-    ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, to_insert));
-    stats.rows_inserted += static_cast<int64_t>(to_insert.size());
-    // Replace the versioning rows.
-    {
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db_->GetTable(phys.rlist_table));
-      rlist->mutable_chunk().Clear();
-      phys.versions.clear();
-      for (VersionId vid : group) {
-        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids_.at(vid)));
-        new_vid_to_part[vid] = new_parts.size();
+      // §4.3: if transforming costs more than building |R'i| rows from
+      // scratch, rebuild instead.
+      rebuild = deletes + static_cast<int64_t>(to_insert.size()) >
+                static_cast<int64_t>(target.size());
+      if (rebuild) {
+        ORPHEUS_RETURN_NOT_OK(db_->DropTable(part.data_table, true));
+        ORPHEUS_RETURN_NOT_OK(db_->DropTable(part.rlist_table, true));
+      } else {
+        if (deletes > 0) {
+          data->mutable_chunk().FilterRows(keep);
+          stats.rows_deleted += deletes;
+        }
+        ORPHEUS_RETURN_NOT_OK(InsertRecords(part, to_insert));
+        stats.rows_inserted += static_cast<int64_t>(to_insert.size());
+        ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db_->GetTable(part.rlist_table));
+        rlist->mutable_chunk().Clear();
+        ++stats.partitions_modified;
       }
     }
-    ++stats.partitions_modified;
-    new_parts.push_back(std::move(phys));
+    if (rebuild) {
+      ORPHEUS_ASSIGN_OR_RETURN(part, CreatePart());
+      ORPHEUS_RETURN_NOT_OK(InsertRecords(part, target));
+      stats.rows_inserted += static_cast<int64_t>(target.size());
+      ++stats.partitions_rebuilt;
+    }
+    for (VersionId vid : group) {
+      ORPHEUS_RETURN_NOT_OK(AppendRlistRow(part, vid, version_rids.at(vid)));
+      new_vid_to_part[vid] = new_parts.size();
+    }
+    new_parts.push_back(std::move(part));
   }
 
   // Drop old partitions that were not reused.
   for (size_t j = 0; j < n_old; ++j) {
-    if (old_used[j] || parts_[j].data_table.empty()) continue;
+    if (old_used[j]) continue;
     ORPHEUS_RETURN_NOT_OK(db_->DropTable(parts_[j].data_table, true));
     ORPHEUS_RETURN_NOT_OK(db_->DropTable(parts_[j].rlist_table, true));
   }
@@ -332,84 +315,73 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
 }
 
 PartitionStore::PersistedState PartitionStore::ExportState() const {
-  PersistedState state;
-  state.source_data_table = source_data_table_;
-  state.next_phys_id = next_phys_id_;
-  state.parts.reserve(parts_.size());
-  for (const Phys& phys : parts_) {
-    state.parts.push_back({phys.data_table, phys.rlist_table});
-  }
-  return state;
+  return {source_data_table_, next_phys_id_, parts_};
 }
 
 Result<std::unique_ptr<PartitionStore>> PartitionStore::Restore(
     rel::Database* db, std::string cvd_name, const PersistedState& state) {
+  // Check every table before a store exists: a store drops its tables
+  // when destroyed, so a failed restore must not have built one.
+  std::map<VersionId, size_t> vid_to_part;
+  for (size_t k = 0; k < state.parts.size(); ++k) {
+    const PartTables& part = state.parts[k];
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db->GetTable(part.data_table));
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db->GetTable(part.rlist_table));
+    const rel::Schema& versioning = rlist->schema();
+    if (!data->HasIndex("rid") || versioning.num_columns() != 2 ||
+        versioning.column(0).type != rel::DataType::kInt64 ||
+        versioning.column(1).type != rel::DataType::kIntArray) {
+      return Status::Internal("malformed partition tables: " + part.data_table +
+                              ", " + part.rlist_table);
+    }
+    for (int64_t vid : rlist->data().column(0).ints()) {
+      if (!vid_to_part.emplace(vid, k).second) {
+        return Status::Internal("version in two partitions: " + std::to_string(vid));
+      }
+    }
+  }
   auto store = std::unique_ptr<PartitionStore>(
       new PartitionStore(db, std::move(cvd_name), state.source_data_table));
   store->next_phys_id_ = state.next_phys_id;
-  for (const PersistedState::Part& part : state.parts) {
-    Phys phys;
-    phys.data_table = part.data_table;
-    phys.rlist_table = part.rlist_table;
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db->GetTable(part.data_table));
-    int rid_col = data->schema().FindColumn("rid");
-    if (rid_col < 0) {
-      return Status::Internal("partition data table lacks rid column: " +
-                              part.data_table);
-    }
-    const std::vector<int64_t>& rids = data->data().column(rid_col).ints();
-    phys.records.insert(rids.begin(), rids.end());
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db->GetTable(part.rlist_table));
-    const rel::Chunk& rows = rlist->data();
-    const std::vector<int64_t>& vids = rows.column(0).ints();
-    const std::vector<rel::IntArray>& lists = rows.column(1).arrays();
-    size_t k = store->parts_.size();
-    for (size_t r = 0; r < rows.num_rows(); ++r) {
-      phys.versions.push_back(vids[r]);
-      store->vid_to_part_[vids[r]] = k;
-      store->version_rids_[vids[r]] =
-          std::vector<RecordId>(lists[r].begin(), lists[r].end());
-    }
-    store->parts_.push_back(std::move(phys));
-  }
+  store->parts_ = state.parts;
+  store->vid_to_part_ = std::move(vid_to_part);
   return store;
 }
 
 std::vector<std::vector<VersionId>> PartitionStore::VersionGroups() const {
   std::vector<std::vector<VersionId>> groups;
   groups.reserve(parts_.size());
-  for (const Phys& phys : parts_) groups.push_back(phys.versions);
+  for (const PartTables& part : parts_) {
+    Result<rel::Table*> rlist = db_->GetTable(part.rlist_table);
+    groups.push_back(rlist.ok() ? rlist.value()->data().column(0).ints()
+                                : std::vector<VersionId>());
+  }
   return groups;
 }
 
 int64_t PartitionStore::StorageRecords() const {
   int64_t total = 0;
-  for (const Phys& phys : parts_) {
-    total += static_cast<int64_t>(phys.records.size());
-  }
+  for (const PartTables& part : parts_) total += RowsOf(part.data_table);
   return total;
 }
 
 double PartitionStore::AvgCheckoutCost() const {
   if (vid_to_part_.empty()) return 0.0;
   int64_t weighted = 0;
-  for (const Phys& phys : parts_) {
-    weighted += static_cast<int64_t>(phys.versions.size()) *
-                static_cast<int64_t>(phys.records.size());
+  for (const PartTables& part : parts_) {
+    weighted += RowsOf(part.rlist_table) * RowsOf(part.data_table);
   }
   return static_cast<double>(weighted) /
          static_cast<double>(vid_to_part_.size());
 }
 
 Status PartitionStore::DropAll() {
-  for (const Phys& phys : parts_) {
-    if (phys.data_table.empty()) continue;
-    ORPHEUS_RETURN_NOT_OK(db_->DropTable(phys.data_table, true));
-    ORPHEUS_RETURN_NOT_OK(db_->DropTable(phys.rlist_table, true));
+  for (const PartTables& part : parts_) {
+    ORPHEUS_RETURN_NOT_OK(db_->DropTable(part.data_table, true));
+    ORPHEUS_RETURN_NOT_OK(db_->DropTable(part.rlist_table, true));
   }
   parts_.clear();
   vid_to_part_.clear();
-  version_rids_.clear();
   return Status::OK();
 }
 

@@ -4,6 +4,11 @@
 // pairs <cvd>_p<id>_data / <cvd>_p<id>_rlist inside the backing
 // database, so that checking out a version touches exactly one
 // partition's tables (§4.1's single-partition-per-version invariant).
+// Those tables are the store's only record of what each partition
+// holds: R_k's rows (and its rid index) say which records, V_k's vid
+// column which versions, and S and Cavg are read off their row
+// counts. The store itself keeps just the table names and the routing
+// map from a version to its partition.
 //
 // Also implements the migration engine of §4.3: `Migrate` transforms
 // the current physical layout into a new partitioning either naively
@@ -18,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -39,11 +43,11 @@ class PartitionStore {
   PartitionStore(const PartitionStore&) = delete;
   PartitionStore& operator=(const PartitionStore&) = delete;
 
-  // Materializes `partitioning`; `version_rids` supplies each
-  // version's record list (it is retained for later online updates
-  // and migrations — the in-memory mirror of the versioning table).
+  // Materializes `partitioning`; `version_rids` supplies each grouped
+  // version's record list, which lands in its partition's versioning
+  // table (the store keeps no other copy).
   Status Build(const Partitioning& partitioning,
-               std::map<VersionId, std::vector<RecordId>> version_rids);
+               const std::map<VersionId, std::vector<RecordId>>& version_rids);
 
   // Single-version checkout against the owning partition's tables
   // (core::RlistVersionSql, Table 1's split-by-rlist checkout).
@@ -52,6 +56,14 @@ class PartitionStore {
   // {data table, versioning table} backing `vid` (what the owning
   // split-by-rlist model's TablesFor returns for it).
   Result<std::pair<std::string, std::string>> TablesFor(VersionId vid) const;
+
+  // One partition P_k: its data table R_k and versioning table V_k.
+  struct PartTables {
+    std::string data_table;
+    std::string rlist_table;
+  };
+  // Every partition's tables, in partition order.
+  const std::vector<PartTables>& partitions() const { return parts_; }
 
   // --- Online maintenance hooks (§4.3) --------------------------------
 
@@ -84,8 +96,9 @@ class PartitionStore {
   size_t num_partitions() const { return parts_.size(); }
   size_t num_versions() const { return vid_to_part_.size(); }
 
-  // Version groups per partition, in partition order (the repartition
-  // WAL record logs exactly this so replay can rebuild the store).
+  // Version groups per partition, in partition order: each versioning
+  // table's vid column (the repartition WAL record logs exactly this so
+  // replay can rebuild the store).
   std::vector<std::vector<VersionId>> VersionGroups() const;
 
   // Drops all partition tables and clears state.
@@ -97,10 +110,7 @@ class PartitionStore {
   // themselves are persisted by the database snapshot; this is just
   // the wiring between them.
   struct PersistedState {
-    struct Part {
-      std::string data_table;
-      std::string rlist_table;
-    };
+    using Part = PartTables;
     std::string source_data_table;
     int next_phys_id = 0;
     std::vector<Part> parts;
@@ -108,32 +118,32 @@ class PartitionStore {
   PersistedState ExportState() const;
 
   // Re-attaches to partition tables already present in `db` (restored
-  // from a snapshot): rebuilds per-partition record sets, version
-  // placement, and the version->rid mirror from the rlist tables.
+  // from a snapshot): checks each listed pair (the data table has its
+  // rid index, the versioning table is (INT vid, INT[] rlist), no
+  // version sits in two partitions) and rebuilds the version->partition
+  // map from the versioning tables' vid columns.
   static Result<std::unique_ptr<PartitionStore>> Restore(
       rel::Database* db, std::string cvd_name, const PersistedState& state);
 
  private:
-  struct Phys {
-    std::string data_table;
-    std::string rlist_table;
-    std::unordered_set<RecordId> records;
-    std::vector<VersionId> versions;
-  };
-
-  Result<Phys> CreatePhys();
+  Result<PartTables> CreatePart();
   // Appends the given records (fetched from the source data table by
   // rid) to a partition's data table.
-  Status InsertRecords(Phys* phys, const std::vector<RecordId>& rids);
-  Status AppendRlistRow(Phys* phys, VersionId vid,
+  Status InsertRecords(const PartTables& part, const std::vector<RecordId>& rids);
+  Status AppendRlistRow(const PartTables& part, VersionId vid,
                         const std::vector<RecordId>& rids);
+  // The rids of `rids` that `part`'s data table does not hold, in
+  // input order, looked up through the table's rid index.
+  Result<std::vector<RecordId>> MissingRecords(const PartTables& part,
+                                               const std::vector<RecordId>& rids);
+  // Row count of a partition table (0 if raw SQL dropped it).
+  int64_t RowsOf(const std::string& table) const;
 
   rel::Database* db_;
   std::string cvd_name_;
   std::string source_data_table_;
-  std::vector<Phys> parts_;
+  std::vector<PartTables> parts_;
   std::map<VersionId, size_t> vid_to_part_;
-  std::map<VersionId, std::vector<RecordId>> version_rids_;
   int next_phys_id_ = 0;
 };
 

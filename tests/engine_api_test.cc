@@ -234,5 +234,26 @@ TEST(EngineApiArgs, NumericArgumentsAreStrict) {
   EXPECT_TRUE(api.Execute(session.get(), "optimize c -gamma 2.5").ok());
 }
 
+TEST(EngineApiArgs, CheckoutRefusesStrayTokens) {
+  EngineApi api;
+  CvdOptions options;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(api.orpheus()->InitCvd("c", MakeRows(4), options, "init").ok());
+  auto session = api.NewSession();
+  // `-v 1 3` is not the merge `-v 1,3`: refused, nothing staged.
+  for (const char* line : {"checkout c -v 1 3 -t m", "checkout c 1 -v 1 -t m",
+                           "checkout c -v 1 -t m extra", "checkout c -v 1 -x y -t m",
+                           "checkout c -v 1 -t"}) {
+    SCOPED_TRACE(line);
+    auto result = api.Execute(session.get(), line);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(StatusCode::kInvalidArgument, result.status().code())
+        << result.status().ToString();
+    EXPECT_FALSE(api.orpheus()->db()->HasTable("m"));
+  }
+  EXPECT_TRUE(api.Execute(session.get(), "checkout c -t m -v 1").ok());
+  EXPECT_TRUE(api.orpheus()->db()->HasTable("m"));
+}
+
 }  // namespace
 }  // namespace orpheus

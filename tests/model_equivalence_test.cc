@@ -148,7 +148,7 @@ TEST(PartitionEquivalenceTest, PartitionedCheckoutMatchesModel) {
                                rlist->DataTable());
     std::map<VersionId, std::vector<RecordId>> rids;
     for (const wl::VersionSpec& v : data.versions()) rids[v.vid] = v.rids;
-    ASSERT_TRUE(store.Build(split.value().partitioning, std::move(rids)).ok());
+    ASSERT_TRUE(store.Build(split.value().partitioning, rids).ok());
     for (size_t i = 0; i < data.versions().size(); i += 7) {
       const wl::VersionSpec& v = data.versions()[i];
       std::string table =

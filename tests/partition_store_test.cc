@@ -84,7 +84,7 @@ TEST_F(PartitionStoreTest, OnlineAdditions) {
     initial.groups[0].push_back(data_.versions()[i].vid);
     rids[data_.versions()[i].vid] = data_.versions()[i].rids;
   }
-  ASSERT_TRUE(store.Build(initial, std::move(rids)).ok());
+  ASSERT_TRUE(store.Build(initial, rids).ok());
 
   const wl::VersionSpec& next = data_.versions()[half];
   ASSERT_TRUE(store.AddVersionToPartition(next.vid, 0, next.rids).ok());
@@ -159,6 +159,173 @@ TEST_F(PartitionStoreTest, DropAllRemovesTables) {
   ASSERT_TRUE(store.DropAll().ok());
   EXPECT_FALSE(db_.HasTable("cvd_p0_data"));
   EXPECT_EQ(store.num_partitions(), 0u);
+}
+
+// --- Restore: the partition tables are the whole state ------------------
+
+// Row-identical tables: same column names and types, same values in
+// the same order.
+void ExpectSameRows(const rel::Chunk& want, const rel::Chunk& got,
+                    const std::string& context) {
+  ASSERT_EQ(want.num_columns(), got.num_columns()) << context;
+  ASSERT_EQ(want.num_rows(), got.num_rows()) << context;
+  for (int c = 0; c < want.num_columns(); ++c) {
+    SCOPED_TRACE(context + " column " + want.schema().column(c).name);
+    EXPECT_EQ(want.schema().column(c).name, got.schema().column(c).name);
+    EXPECT_EQ(want.schema().column(c).type, got.schema().column(c).type);
+    EXPECT_EQ(want.column(c).ints(), got.column(c).ints());
+    EXPECT_EQ(want.column(c).doubles(), got.column(c).doubles());
+    EXPECT_EQ(want.column(c).strings(), got.column(c).strings());
+    EXPECT_EQ(want.column(c).arrays(), got.column(c).arrays());
+  }
+}
+
+class PartitionRestoreTest : public PartitionStoreTest {
+ protected:
+  // Copies the source table and the live store's partition tables
+  // into `copy_`, as a checkpoint restore brings them back, and
+  // re-attaches a store to them from the exported wiring alone.
+  std::unique_ptr<PartitionStore> RestoreCopy(const PartitionStore& live) {
+    PartitionStore::PersistedState state = live.ExportState();
+    std::vector<std::pair<std::string, std::string>> tables = {
+        {state.source_data_table, "rid"}};
+    for (const PartitionStore::PartTables& part : state.parts) {
+      tables.push_back({part.data_table, "rid"});
+      tables.push_back({part.rlist_table, "vid"});
+    }
+    for (const auto& [name, key] : tables) {
+      EXPECT_TRUE(
+          copy_.AdoptTable(name, db_.GetTable(name).ValueOrDie()->data(), {key}).ok())
+          << name;
+    }
+    auto restored = PartitionStore::Restore(&copy_, "cvd", state);
+    EXPECT_TRUE(restored.ok()) << restored.status().ToString();
+    return restored.ok() ? std::move(restored).value() : nullptr;
+  }
+
+  // The restored store answers every question the live one does, with
+  // the same values and row-identical tables and checkouts.
+  void ExpectSameStore(PartitionStore* live, PartitionStore* restored) {
+    ASSERT_NE(restored, nullptr);
+    EXPECT_EQ(live->num_partitions(), restored->num_partitions());
+    EXPECT_EQ(live->num_versions(), restored->num_versions());
+    EXPECT_EQ(live->StorageRecords(), restored->StorageRecords());
+    EXPECT_EQ(live->AvgCheckoutCost(), restored->AvgCheckoutCost());
+    EXPECT_EQ(live->VersionGroups(), restored->VersionGroups());
+    for (const PartitionStore::PartTables& part : live->partitions()) {
+      for (const std::string& name : {part.data_table, part.rlist_table}) {
+        ASSERT_TRUE(copy_.HasTable(name)) << name;
+        ExpectSameRows(db_.GetTable(name).ValueOrDie()->data(),
+                       copy_.GetTable(name).ValueOrDie()->data(), name);
+      }
+    }
+    for (const wl::VersionSpec& v : data_.versions()) {
+      Result<size_t> want = live->PartitionOf(v.vid);
+      Result<size_t> got = restored->PartitionOf(v.vid);
+      ASSERT_EQ(want.ok(), got.ok()) << "vid " << v.vid;
+      if (!want.ok()) continue;
+      EXPECT_EQ(want.value(), got.value()) << "vid " << v.vid;
+      ASSERT_TRUE(db_.DropTable("chk", true).ok());
+      ASSERT_TRUE(copy_.DropTable("chk", true).ok());
+      ASSERT_TRUE(live->CheckoutVersion(v.vid, "chk").ok());
+      ASSERT_TRUE(restored->CheckoutVersion(v.vid, "chk").ok());
+      ExpectSameRows(db_.GetTable("chk").ValueOrDie()->data(),
+                     copy_.GetTable("chk").ValueOrDie()->data(),
+                     "checkout of vid " + std::to_string(v.vid));
+    }
+  }
+
+  // Restores a copy of `live`, compares it, then runs the same
+  // migration (vid % 3) on both stores and compares again: a restored
+  // store must migrate from its tables exactly as the live one does.
+  void CheckRestoreAndMigrate(PartitionStore* live) {
+    std::unique_ptr<PartitionStore> restored = RestoreCopy(*live);
+    ExpectSameStore(live, restored.get());
+    Partitioning target;
+    target.groups.resize(3);
+    for (const wl::VersionSpec& v : data_.versions()) {
+      if (live->PartitionOf(v.vid).ok()) {
+        target.groups[static_cast<size_t>(v.vid % 3)].push_back(v.vid);
+      }
+    }
+    for (bool intelligent : {true, false}) {
+      SCOPED_TRACE(intelligent ? "intelligent" : "naive");
+      auto want = live->Migrate(target, intelligent);
+      auto got = restored->Migrate(target, intelligent);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(want.value().rows_inserted, got.value().rows_inserted);
+      EXPECT_EQ(want.value().rows_deleted, got.value().rows_deleted);
+      EXPECT_EQ(want.value().partitions_rebuilt, got.value().partitions_rebuilt);
+      EXPECT_EQ(want.value().partitions_modified, got.value().partitions_modified);
+      ExpectSameStore(live, restored.get());
+    }
+  }
+
+  rel::Database copy_;
+};
+
+TEST_F(PartitionRestoreTest, AfterBuild) {
+  PartitionStore store(&db_, "cvd", "cvd_data");
+  ASSERT_TRUE(store.Build(TwoWaySplit(), VersionRids()).ok());
+  CheckRestoreAndMigrate(&store);
+}
+
+TEST_F(PartitionRestoreTest, AfterOnlineAdditions) {
+  PartitionStore store(&db_, "cvd", "cvd_data");
+  Partitioning initial;
+  initial.groups.resize(1);
+  std::map<VersionId, std::vector<RecordId>> rids;
+  size_t half = data_.versions().size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    initial.groups[0].push_back(data_.versions()[i].vid);
+    rids[data_.versions()[i].vid] = data_.versions()[i].rids;
+  }
+  ASSERT_TRUE(store.Build(initial, rids).ok());
+  for (size_t i = half; i < data_.versions().size(); ++i) {
+    const wl::VersionSpec& v = data_.versions()[i];
+    if (i % 3 == 0) {
+      ASSERT_TRUE(store.AddVersionAsNewPartition(v.vid, v.rids).ok());
+    } else {
+      ASSERT_TRUE(
+          store.AddVersionToPartition(v.vid, i % store.num_partitions(), v.rids).ok());
+    }
+  }
+  CheckRestoreAndMigrate(&store);
+}
+
+TEST_F(PartitionRestoreTest, AfterEachMigrationMode) {
+  for (bool intelligent : {false, true}) {
+    SCOPED_TRACE(intelligent ? "intelligent" : "naive");
+    PartitionStore store(&db_, "cvd", "cvd_data");
+    ASSERT_TRUE(store.Build(TwoWaySplit(), VersionRids()).ok());
+    // Move every fifth version to the other group.
+    Partitioning target;
+    target.groups.resize(2);
+    for (const wl::VersionSpec& v : data_.versions()) {
+      size_t group = static_cast<size_t>(v.vid % 2);
+      if (v.vid % 5 == 0) group = 1 - group;
+      target.groups[group].push_back(v.vid);
+    }
+    ASSERT_TRUE(store.Migrate(target, intelligent).ok());
+    CheckRestoreAndMigrate(&store);
+    for (const std::string& name : copy_.ListTables()) {
+      ASSERT_TRUE(copy_.DropTable(name).ok());
+    }
+  }
+}
+
+TEST_F(PartitionRestoreTest, RestoreRefusesMissingTables) {
+  PartitionStore store(&db_, "cvd", "cvd_data");
+  ASSERT_TRUE(store.Build(TwoWaySplit(), VersionRids()).ok());
+  PartitionStore::PersistedState state = store.ExportState();
+  state.parts[1].rlist_table = "no_such_table";
+  EXPECT_FALSE(PartitionStore::Restore(&db_, "cvd", state).ok());
+  // The failed restore left the live store's tables alone.
+  for (const PartitionStore::PartTables& part : store.partitions()) {
+    EXPECT_TRUE(db_.HasTable(part.data_table)) << part.data_table;
+    EXPECT_TRUE(db_.HasTable(part.rlist_table)) << part.rlist_table;
+  }
 }
 
 // --- Online maintenance ---------------------------------------------------

@@ -565,7 +565,7 @@ TEST(Persistence, PartitionStoreSurvivesWalAndSnapshot) {
     }
     auto store = std::make_unique<part::PartitionStore>(db.db(), "t",
                                                         model->DataTable());
-    ASSERT_TRUE(store->Build(partitioning, std::move(version_rids)).ok());
+    ASSERT_TRUE(store->Build(partitioning, version_rids).ok());
     ASSERT_TRUE(db.AttachPartitionStore("t", std::move(store)).ok());
     groups = db.partition_store("t")->VersionGroups();
     ref = Capture(&db);
