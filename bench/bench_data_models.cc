@@ -55,7 +55,8 @@ Result<ModelNumbers> MeasureModel(DataModelKind kind, const wl::Dataset& data) {
 
   const wl::VersionSpec& latest = data.versions().back();
   WallTimer checkout_timer;
-  ORPHEUS_RETURN_NOT_OK(model->CheckoutVersion(latest.vid, "work"));
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk work_rows, model->VersionRows(latest.vid));
+  ORPHEUS_RETURN_NOT_OK(db.AdoptTable("work", std::move(work_rows)));
   out.checkout_seconds = checkout_timer.ElapsedSeconds();
 
   // Commit the unchanged checkout back as a new version.
@@ -85,7 +86,8 @@ Result<RoundTrip> MeasureRoundTrip(DataModelKind kind, const wl::Dataset& data,
   const wl::VersionSpec& latest = data.versions().back();
   RoundTrip out;
   WallTimer checkout_timer;
-  ORPHEUS_RETURN_NOT_OK(model->CheckoutVersion(latest.vid, "work"));
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk work_rows, model->VersionRows(latest.vid));
+  ORPHEUS_RETURN_NOT_OK(db.AdoptTable("work", std::move(work_rows)));
   out.checkout_seconds = checkout_timer.ElapsedSeconds();
 
   std::vector<core::RecordId> rids = latest.rids;
@@ -158,13 +160,15 @@ Result<DeltaCompaction> MeasureDeltaCompaction(const wl::Dataset& data) {
   out.storage_before = model->StorageBytes();
   {
     WallTimer timer;
-    ORPHEUS_RETURN_NOT_OK(model->CheckoutVersion(deepest, "deep"));
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk deep_rows, model->VersionRows(deepest));
+    ORPHEUS_RETURN_NOT_OK(db.AdoptTable("deep", std::move(deep_rows)));
     out.deep_checkout_seconds = timer.ElapsedSeconds();
   }
   {
     WallTimer timer;
-    ORPHEUS_RETURN_NOT_OK(
-        model->CheckoutVersion(data.versions().front().vid, "root"));
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk root_rows,
+                             model->VersionRows(data.versions().front().vid));
+    ORPHEUS_RETURN_NOT_OK(db.AdoptTable("root", std::move(root_rows)));
     out.root_checkout_seconds = timer.ElapsedSeconds();
   }
   // Compaction: re-register the materialized deep version as a fresh
@@ -183,7 +187,8 @@ Result<DeltaCompaction> MeasureDeltaCompaction(const wl::Dataset& data) {
   out.storage_after = model->StorageBytes();
   {
     WallTimer timer;
-    ORPHEUS_RETURN_NOT_OK(model->CheckoutVersion(compacted, "compacted"));
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk compacted_rows, model->VersionRows(compacted));
+    ORPHEUS_RETURN_NOT_OK(db.AdoptTable("compacted", std::move(compacted_rows)));
     out.compacted_checkout_seconds = timer.ElapsedSeconds();
   }
   return out;

@@ -28,7 +28,6 @@
 #include "core/data_model.h"
 #include "partition/lyresplit.h"
 #include "relstore/database.h"
-#include "relstore/intarray_codec.h"
 #include "workload/generator.h"
 
 namespace orpheus {
@@ -237,7 +236,8 @@ void BM_CheckoutUnnestJoin(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     std::string table = "chk" + std::to_string(i++);
-    if (!model->CheckoutVersion(latest, table).ok()) {
+    auto rows = model->VersionRows(latest);
+    if (!rows.ok() || !db.AdoptTable(table, std::move(rows).value()).ok()) {
       state.SkipWithError("checkout failed");
       return;
     }
@@ -260,11 +260,12 @@ void BM_CommitRlistVsCombined(benchmark::State& state) {
     return;
   }
   const wl::VersionSpec& latest = data.versions().back();
-  if (!model->CheckoutVersion(latest.vid, "work").ok()) {
+  auto checkout = model->VersionRows(latest.vid);
+  if (!checkout.ok()) {
     state.SkipWithError("checkout failed");
     return;
   }
-  const rel::Chunk& work = db.GetTable("work").ValueOrDie()->data();
+  const rel::Chunk& work = checkout.value();
   core::VersionId next = static_cast<core::VersionId>(data.versions().size()) + 1;
   for (auto _ : state) {
     if (!model->AddVersion(next++, work, latest.rids, rel::Chunk(),
@@ -275,32 +276,6 @@ void BM_CommitRlistVsCombined(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CommitRlistVsCombined)->Arg(0)->Arg(1);
-
-void BM_RlistCompression(benchmark::State& state) {
-  // §3.2's compression remark as an ablation: encode/decode the
-  // rlists of a generated workload and report the size ratio.
-  const wl::Dataset& data = SharedData();
-  int64_t plain = 0;
-  int64_t encoded_bytes = 0;
-  for (auto _ : state) {
-    plain = 0;
-    encoded_bytes = 0;
-    for (const wl::VersionSpec& v : data.versions()) {
-      auto encoded = rel::EncodeSortedArray(v.rids);
-      if (!encoded.ok()) {
-        state.SkipWithError("encode failed");
-        return;
-      }
-      plain += rel::PlainSize(v.rids);
-      encoded_bytes += static_cast<int64_t>(encoded.value().size());
-      auto decoded = rel::DecodeSortedArray(encoded.value());
-      benchmark::DoNotOptimize(decoded);
-    }
-  }
-  state.counters["compression_ratio"] =
-      static_cast<double>(plain) / static_cast<double>(encoded_bytes);
-}
-BENCHMARK(BM_RlistCompression);
 
 void BM_LyreSplit(benchmark::State& state) {
   const wl::Dataset& data = SharedData();

@@ -32,7 +32,8 @@ Result<CheckoutCost> AvgCheckoutUnpartitioned(
   int count = 0;
   for (core::VersionId vid : sample) {
     std::string table = "u" + std::to_string(count++);
-    ORPHEUS_RETURN_NOT_OK(model->CheckoutVersion(vid, table));
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model->VersionRows(vid));
+    ORPHEUS_RETURN_NOT_OK(db->AdoptTable(table, std::move(rows)));
     ORPHEUS_RETURN_NOT_OK(db->DropTable(table));
   }
   CheckoutCost cost;

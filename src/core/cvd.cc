@@ -197,32 +197,28 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
 
 Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name,
                            std::vector<rel::Chunk>* parent_rows) {
-  // Does this version carry all live attributes?
-  const rel::Schema& schema = model_->data_schema();
-  std::vector<std::string> attr_names;
-  for (int64_t attr_id : version_attrs_.at(vid)) {
-    attr_names.push_back(attributes_[static_cast<size_t>(attr_id - 1)].name);
-  }
-  bool full = attr_names.size() == static_cast<size_t>(schema.num_columns());
-
-  const std::string target = full ? table_name : table_name + "_fullattrs";
-  ORPHEUS_RETURN_NOT_OK(model_->CheckoutVersion(vid, target));
-  if (model_->ServesFromOwnTables(vid)) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rows, db_->GetTable(target));
-    parent_rows->push_back(rows->data());
-  }
-  if (!full) {
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(vid));
+  if (model_->ServesFromOwnTables(vid)) parent_rows->push_back(rows);
+  const std::vector<int64_t>& attr_ids = version_attrs_.at(vid);
+  if (attr_ids.size() != static_cast<size_t>(model_->data_schema().num_columns())) {
     // Project down to the attributes this version actually has.
-    std::vector<std::string> cols = {"rid"};
-    cols.insert(cols.end(), attr_names.begin(), attr_names.end());
-    ORPHEUS_ASSIGN_OR_RETURN(
-        rel::Chunk unused,
-        db_->Execute("SELECT " + Join(cols, ", ") + " INTO " + table_name +
-                     " FROM " + target));
-    (void)unused;
-    ORPHEUS_RETURN_NOT_OK(db_->DropTable(target));
+    rel::Schema schema;
+    schema.AddColumn("rid", rel::DataType::kInt64);
+    std::vector<int> cols = {0};
+    for (int64_t attr_id : attr_ids) {
+      const std::string& name = attributes_[static_cast<size_t>(attr_id - 1)].name;
+      ORPHEUS_ASSIGN_OR_RETURN(int col, rows.schema().Resolve(name));
+      schema.AddColumn(name, rows.column(col).type());
+      cols.push_back(col);
+    }
+    rel::Chunk projected(std::move(schema));
+    for (int c = 0; c < projected.num_columns(); ++c) {
+      projected.mutable_column(c) =
+          std::move(rows.mutable_column(cols[static_cast<size_t>(c)]));
+    }
+    rows = std::move(projected);
   }
-  return Status::OK();
+  return db_->AdoptTable(table_name, std::move(rows));
 }
 
 Status Cvd::Checkout(const std::vector<VersionId>& vids,

@@ -73,10 +73,10 @@ struct StagedTableInfo {
   std::string table_name;
   std::vector<VersionId> parents;  // precedence order
   int64_t checkout_time = 0;
-  // Each parent's VersionRows as checkout built them, in precedence
+  // Each parent's VersionRows as checkout read them, in precedence
   // order, or empty: a merging checkout moves its per-version rows in,
-  // a single checkout copies its full-attribute table unless a
-  // partition served it. Commit resolves against these rows instead of
+  // a single checkout copies its full-attribute rows unless a
+  // partition served them. Commit resolves against these rows instead of
   // materializing the parents again. Not persisted.
   std::vector<rel::Chunk> parent_rows;
 };
@@ -181,9 +181,10 @@ class Cvd {
   Cvd(rel::Database* db, std::string name, rel::Schema data_schema,
       CvdOptions options);
 
-  // Materializes a single version into `table_name` through the model,
-  // projected to the version's attribute set. Appends the version's
-  // rows to `parent_rows` unless a partition served the checkout.
+  // Materializes a single version into `table_name`: the model's
+  // VersionRows, projected in memory to the version's attribute set and
+  // adopted as the table. Appends the version's rows to `parent_rows`
+  // unless a partition served them.
   Status CheckoutSingle(VersionId vid, const std::string& table_name,
                         std::vector<rel::Chunk>* parent_rows);
 

@@ -97,11 +97,10 @@ Result<DataModelKind> DataModelKindFromName(const std::string& name) {
 }
 
 std::string RlistVersionSql(const std::string& data_table,
-                            const std::string& versioning_table, VersionId vid,
-                            const std::string& into) {
+                            const std::string& versioning_table, VersionId vid) {
   // Unnest the version's rlist, join the data table on rid.
-  return "SELECT d.*" + (into.empty() ? "" : " INTO " + into) + " FROM " +
-         data_table + " d, (SELECT unnest(rlist) AS orpheus_rid FROM " +
+  return "SELECT d.* FROM " + data_table +
+         " d, (SELECT unnest(rlist) AS orpheus_rid FROM " +
          versioning_table + " WHERE vid = " + std::to_string(vid) +
          ") AS orpheus_v WHERE d.rid = orpheus_v.orpheus_rid";
 }
@@ -131,17 +130,6 @@ int64_t DataModel::TableBytes(const std::string& table) const {
   auto result = db_->GetTable(table);
   if (!result.ok()) return 0;
   return result.value()->ByteSize() + result.value()->IndexByteSize();
-}
-
-Result<rel::Chunk> DataModel::VersionRows(VersionId vid) {
-  // A name no table holds: a user's table is never dropped.
-  std::string tmp = cvd_name_ + "_vrows_tmp";
-  while (db_->HasTable(tmp)) tmp += "_";
-  ORPHEUS_RETURN_NOT_OK(CheckoutVersion(vid, tmp));
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(tmp));
-  rel::Chunk rows = std::move(table->mutable_chunk());
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(tmp));
-  return rows;
 }
 
 Status DataModel::AddDataColumn(const std::string& name, rel::DataType type) {
@@ -228,14 +216,8 @@ Status TablePerVersionModel::AddVersion(VersionId vid, const rel::Chunk& content
   return Status::OK();
 }
 
-Status TablePerVersionModel::CheckoutVersion(VersionId vid,
-                                             const std::string& table_name) {
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("SELECT " + RecordColumnList() + " INTO " + table_name +
-                   " FROM " + VersionTable(vid)));
-  (void)unused;
-  return Status::OK();
+Result<rel::Chunk> TablePerVersionModel::VersionRows(VersionId vid) {
+  return db_->Execute("SELECT " + RecordColumnList() + " FROM " + VersionTable(vid));
 }
 
 Result<std::vector<RecordId>> TablePerVersionModel::VersionRecords(VersionId vid) {
@@ -292,16 +274,10 @@ Status CombinedTableModel::AddVersion(VersionId vid, const rel::Chunk& content,
   return Status::OK();
 }
 
-Status CombinedTableModel::CheckoutVersion(VersionId vid,
-                                           const std::string& table_name) {
+Result<rel::Chunk> CombinedTableModel::VersionRows(VersionId vid) {
   // Table 1 checkout: array-containment scan over the combined table.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("SELECT " + RecordColumnList() + " INTO " + table_name +
-                   " FROM " + CombinedTable() + " WHERE ARRAY[" +
-                   std::to_string(vid) + "] <@ vlist"));
-  (void)unused;
-  return Status::OK();
+  return db_->Execute("SELECT " + RecordColumnList() + " FROM " + CombinedTable() +
+                      " WHERE ARRAY[" + std::to_string(vid) + "] <@ vlist");
 }
 
 Result<std::vector<RecordId>> CombinedTableModel::VersionRecords(VersionId vid) {
@@ -351,17 +327,12 @@ Status SplitByVlistModel::AddVersion(VersionId vid, const rel::Chunk& content,
   return Status::OK();
 }
 
-Status SplitByVlistModel::CheckoutVersion(VersionId vid,
-                                          const std::string& table_name) {
+Result<rel::Chunk> SplitByVlistModel::VersionRows(VersionId vid) {
   // Table 1 checkout: select qualifying rids, then join the data table.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("SELECT d.* INTO " + table_name + " FROM " + DataTable() +
-                   " d, (SELECT rid AS rid_tmp FROM " + VersioningTable() +
-                   " WHERE ARRAY[" + std::to_string(vid) +
-                   "] <@ vlist) AS tmp WHERE d.rid = tmp.rid_tmp"));
-  (void)unused;
-  return Status::OK();
+  return db_->Execute("SELECT d.* FROM " + DataTable() +
+                      " d, (SELECT rid AS rid_tmp FROM " + VersioningTable() +
+                      " WHERE ARRAY[" + std::to_string(vid) +
+                      "] <@ vlist) AS tmp WHERE d.rid = tmp.rid_tmp");
 }
 
 Result<std::vector<RecordId>> SplitByVlistModel::VersionRecords(VersionId vid) {
@@ -407,10 +378,9 @@ Status SplitByRlistModel::AddVersion(VersionId vid, const rel::Chunk& content,
   return Status::OK();
 }
 
-Status SplitByRlistModel::CheckoutVersion(VersionId vid,
-                                          const std::string& table_name) {
+Result<rel::Chunk> SplitByRlistModel::VersionRows(VersionId vid) {
   auto [data, versioning] = TablesFor(vid);
-  return db_->Execute(RlistVersionSql(data, versioning, vid, table_name)).status();
+  return db_->Execute(RlistVersionSql(data, versioning, vid));
 }
 
 Result<std::vector<RecordId>> SplitByRlistModel::VersionRecords(VersionId vid) {
@@ -543,10 +513,13 @@ Result<std::vector<VersionId>> DeltaBasedModel::Lineage(VersionId vid) const {
   return chain;
 }
 
-Status DeltaBasedModel::Replay(VersionId vid, rel::Chunk* out) {
+Result<rel::Chunk> DeltaBasedModel::VersionRows(VersionId vid) {
+  // The paper's replay: walk the lineage newest first; the first
+  // occurrence of a rid wins, and a tombstone hides the record.
   ORPHEUS_ASSIGN_OR_RETURN(std::vector<VersionId> chain, Lineage(vid));
+  rel::Chunk out(RecordSchema());
   std::unordered_set<RecordId> seen;
-  for (VersionId v : chain) {  // newest first: first occurrence wins
+  for (VersionId v : chain) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Table * delta, db_->GetTable(DeltaTable(v)));
     const rel::Chunk& rows = delta->data();
     int rid_col = rows.schema().FindColumn("rid");
@@ -559,18 +532,11 @@ Status DeltaBasedModel::Replay(VersionId vid, rel::Chunk* out) {
       if (tombs[i] == 0) keep.push_back(static_cast<uint32_t>(i));
     }
     // Append kept rows (rid + data columns; tombstone dropped).
-    for (int c = 0; c < out->num_columns(); ++c) {
-      out->mutable_column(c).Gather(rows.column(c), keep);
+    for (int c = 0; c < out.num_columns(); ++c) {
+      out.mutable_column(c).Gather(rows.column(c), keep);
     }
   }
-  return Status::OK();
-}
-
-Status DeltaBasedModel::CheckoutVersion(VersionId vid,
-                                        const std::string& table_name) {
-  rel::Chunk out(RecordSchema());
-  ORPHEUS_RETURN_NOT_OK(Replay(vid, &out));
-  return db_->AdoptTable(table_name, std::move(out));
+  return out;
 }
 
 Result<std::vector<RecordId>> DeltaBasedModel::VersionRecords(VersionId vid) {

@@ -1,8 +1,9 @@
 // The five CVD representations of §3 of the paper, behind one
 // interface. Each model owns its backing tables inside the (version-
-// unaware) relstore database, implements checkout by issuing the SQL
-// of the paper's Table 1, and performs that table's commit statements
-// as direct appends to its tables.
+// unaware) relstore database, reads a version by issuing the checkout
+// query of the paper's Table 1 and taking its rows back as a chunk
+// (VersionRows), and performs that table's commit statements as direct
+// appends to its tables.
 //
 //  - kTablePerVersion : one table per version (storage baseline)
 //  - kCombinedTable   : single table with a `vlist INT[]` per record
@@ -19,10 +20,16 @@
 // PartitionStore (§4.1); its TablesFor is the one route from a version
 // to the tables that hold it.
 //
-// Execution: every checkout here bottoms out in relstore SQL,
-// so the scans (vlist containment, unnest joins, rid probes) run on
-// the executor's batched parallel pipeline and scale with --threads
-// (see relstore/executor.h). Models never spawn threads themselves.
+// Reads: VersionRows (rid + data attributes) and VersionRecords (rids
+// only) are each model's only reads of a version. Neither creates,
+// drops or renames a table, so they are safe under the engine's shared
+// lock; the caller that wants a table (checkout) adopts the chunk.
+//
+// Execution: every read here except the delta model's replay bottoms
+// out in relstore SQL, so the scans (vlist containment, unnest joins,
+// rid probes) run on the executor's batched parallel pipeline and scale
+// with --threads (see relstore/executor.h). Models never spawn threads
+// themselves.
 
 #ifndef ORPHEUS_CORE_DATA_MODEL_H_
 #define ORPHEUS_CORE_DATA_MODEL_H_
@@ -57,11 +64,10 @@ const char* DataModelKindName(DataModelKind kind);
 Result<DataModelKind> DataModelKindFromName(const std::string& name);
 
 // Table 1's split-by-rlist checkout of version `vid` (rid + data
-// attributes), INTO `into` unless it is empty: the model's checkout, a
-// partition's and the translator's `VERSION v OF CVD c` all issue it.
+// attributes): the model's VersionRows, a partition's checkout and the
+// translator's `VERSION v OF CVD c` all issue it.
 std::string RlistVersionSql(const std::string& data_table,
-                            const std::string& versioning_table, VersionId vid,
-                            const std::string& into = "");
+                            const std::string& versioning_table, VersionId vid);
 
 class DataModel {
  public:
@@ -94,19 +100,17 @@ class DataModel {
   // content only for models that do.
   virtual bool ReadsContent() const { return true; }
 
-  // Materializes version `vid` as `table_name` (schema: rid + data
-  // attributes) — the checkout path.
-  virtual Status CheckoutVersion(VersionId vid, const std::string& table_name) = 0;
+  // Version `vid`'s rows (rid + data attributes): the model's Table 1
+  // checkout query without INTO, read back as a chunk. Checkout, merges,
+  // diff, commit's parent rows and WAL replay all read a version here.
+  virtual Result<rel::Chunk> VersionRows(VersionId vid) = 0;
 
-  // Whether CheckoutVersion(vid) reads this model's own tables, not a
+  // Whether VersionRows(vid) reads this model's own tables, not a
   // partition's. Only then does a checkout keep its rows for commit.
   virtual bool ServesFromOwnTables(VersionId) const { return true; }
 
   // The rid set of a version (record-manager bookkeeping).
   virtual Result<std::vector<RecordId>> VersionRecords(VersionId vid) = 0;
-
-  // Convenience: version rows as an in-memory chunk (rid + data).
-  Result<rel::Chunk> VersionRows(VersionId vid);
 
   // Payload + index bytes across this model's backing tables.
   virtual int64_t StorageBytes() const = 0;
@@ -161,7 +165,7 @@ class TablePerVersionModel : public DataModel {
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
-  Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
+  Result<rel::Chunk> VersionRows(VersionId vid) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
   Status RestoreFromTables(const VersionGraph& graph) override;
@@ -181,7 +185,7 @@ class CombinedTableModel : public DataModel {
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   bool ReadsContent() const override { return false; }
-  Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
+  Result<rel::Chunk> VersionRows(VersionId vid) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
 
@@ -199,7 +203,7 @@ class SplitByVlistModel : public DataModel {
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   bool ReadsContent() const override { return false; }
-  Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
+  Result<rel::Chunk> VersionRows(VersionId vid) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
 
@@ -223,7 +227,7 @@ class SplitByRlistModel : public DataModel {
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   bool ReadsContent() const override { return false; }
-  Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
+  Result<rel::Chunk> VersionRows(VersionId vid) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   bool ServesFromOwnTables(VersionId vid) const override;
   int64_t StorageBytes() const override;
@@ -264,7 +268,7 @@ class DeltaBasedModel : public DataModel {
                     const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
-  Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
+  Result<rel::Chunk> VersionRows(VersionId vid) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
   Status RestoreFromTables(const VersionGraph& graph) override;
@@ -273,9 +277,6 @@ class DeltaBasedModel : public DataModel {
   std::string DeltaTable(VersionId vid) const;
   // Walks vid -> base -> ... -> root, newest first.
   Result<std::vector<VersionId>> Lineage(VersionId vid) const;
-  // Applies the paper's first-seen-wins replay; returns kept row
-  // positions per lineage table.
-  Status Replay(VersionId vid, rel::Chunk* out);
 
   // Precedent metadata: vid -> base version (also persisted in the
   // <cvd>_deltameta table for inspection).

@@ -133,7 +133,7 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
     {LockMode::kShared, "diff <cvd> <v1> <v2>",
      "records only in one of two versions",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 4) return UsageError(c.usage);
+       if (c.args.size() != 4) return UsageError(c.usage);
        ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, c.api->orpheus_.GetCvd(c.args[1]));
        ORPHEUS_ASSIGN_OR_RETURN(VersionId v1, ParseVid(c.args[2], c.usage));
        ORPHEUS_ASSIGN_OR_RETURN(VersionId v2, ParseVid(c.args[3], c.usage));

@@ -117,7 +117,9 @@ Status PartitionStore::Build(
 Status PartitionStore::CheckoutVersion(VersionId vid,
                                        const std::string& table_name) {
   ORPHEUS_ASSIGN_OR_RETURN(auto t, TablesFor(vid));
-  return db_->Execute(core::RlistVersionSql(t.first, t.second, vid, table_name)).status();
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows,
+                           db_->Execute(core::RlistVersionSql(t.first, t.second, vid)));
+  return db_->AdoptTable(table_name, std::move(rows));
 }
 
 Result<std::pair<std::string, std::string>> PartitionStore::TablesFor(

@@ -49,8 +49,9 @@ class PartitionStore {
   Status Build(const Partitioning& partitioning,
                const std::map<VersionId, std::vector<RecordId>>& version_rids);
 
-  // Single-version checkout against the owning partition's tables
-  // (core::RlistVersionSql, Table 1's split-by-rlist checkout).
+  // Single-version checkout against the owning partition's tables: runs
+  // core::RlistVersionSql (Table 1's split-by-rlist checkout) and adopts
+  // its rows as `table_name`.
   Status CheckoutVersion(VersionId vid, const std::string& table_name);
 
   // {data table, versioning table} backing `vid` (what the owning

@@ -208,6 +208,54 @@ TEST(EngineApiSessions, SessionsSeeSharedEngineButOwnUser) {
   EXPECT_EQ("default", MustExecute(&api, b.get(), "whoami"));
 }
 
+// --- Reads that overlap ----------------------------------------------------
+//
+// diff and a versioned SELECT run under the shared lock. Both read a
+// version's rows into memory and leave the catalog alone, so they may
+// overlap freely (TSan runs this test in CI).
+
+TEST(EngineApiSessions, ConcurrentDiffsAndVersionReadsAllSucceed) {
+  EngineApi api;
+  Seed(&api, "c", 64);
+  auto setup = api.NewSession();
+  MustExecute(&api, setup.get(), "checkout c -v 1 -t w");
+  MustExecute(&api, setup.get(), "sql UPDATE w SET score = 1.5 WHERE k < 8");
+  MustExecute(&api, setup.get(), "commit -t w -m edit");
+  const std::string diff = MustExecute(&api, setup.get(), "diff c 1 2");
+  const std::string count =
+      MustExecute(&api, setup.get(), "run SELECT count(*) FROM VERSION 1 OF CVD c");
+
+  constexpr int kDiffers = 4;
+  constexpr int kDiffs = 200;
+  std::atomic<bool> diffs_done{false};
+  std::atomic<bool> reader_started{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    auto session = api.NewSession();
+    do {
+      auto got =
+          api.Execute(session.get(), "run SELECT count(*) FROM VERSION 1 OF CVD c");
+      if (!got.ok() || got.value() != count) failures.fetch_add(1);
+      reader_started.store(true);
+    } while (!diffs_done.load());
+  });
+  while (!reader_started.load()) std::this_thread::yield();
+  std::vector<std::thread> differs;
+  for (int d = 0; d < kDiffers; ++d) {
+    differs.emplace_back([&] {
+      auto session = api.NewSession();
+      for (int i = 0; i < kDiffs; ++i) {
+        auto got = api.Execute(session.get(), "diff c 1 2");
+        if (!got.ok() || got.value() != diff) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : differs) t.join();
+  diffs_done.store(true);
+  reader.join();
+  EXPECT_EQ(0, failures.load());
+}
+
 // --- Snapshot-isolated readers ------------------------------------------
 //
 // Acceptance criterion: a reader that pinned version 1 keeps observing

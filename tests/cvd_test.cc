@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -19,6 +20,7 @@
 #include "core/cvd.h"
 #include "core/data_model.h"
 #include "core/orpheus.h"
+#include "partition/lyresplit.h"
 #include "partition/partition_store.h"
 #include "relstore/database.h"
 #include "storage/io_util.h"
@@ -45,6 +47,16 @@ rel::Chunk InitialRows() {
   rows.AppendRow({rel::Value::String("ENSP300413"), rel::Value::String("ENSP274242"),
                   rel::Value::Int(426), rel::Value::Int(0), rel::Value::Int(164)});
   return rows;
+}
+
+// The tables a step added or dropped: `before` and `after` are
+// ListTables() around it.
+std::vector<std::string> TableChanges(const std::vector<std::string>& before,
+                                      const std::vector<std::string>& after) {
+  std::vector<std::string> changed;
+  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
+                                after.end(), std::back_inserter(changed));
+  return changed;
 }
 
 class CvdModelTest : public ::testing::TestWithParam<DataModelKind> {
@@ -168,7 +180,9 @@ TEST_P(CvdModelTest, MergeCheckoutUsesPrecedence) {
   auto v3 = cvd_->Commit("wb", "branch b");
   ASSERT_TRUE(v3.ok());
 
+  const std::vector<std::string> tables = db_.ListTables();
   ASSERT_TRUE(cvd_->Checkout({v2.value(), v3.value()}, "merged").ok());
+  EXPECT_EQ(std::vector<std::string>{"merged"}, TableChanges(tables, db_.ListTables()));
   EXPECT_EQ(RowCount("merged"), 3);  // PK dedupe, not 4 rows
   auto r = db_.Execute(
       "SELECT coexpression FROM merged WHERE protein2 = 'ENSP261890'");
@@ -190,6 +204,8 @@ TEST_P(CvdModelTest, DiffFindsAsymmetricRecords) {
                           "WHERE protein2 = 'ENSP261890'").ok());
   auto v2 = cvd_->Commit("w1", "edit");
   ASSERT_TRUE(v2.ok());
+  // Diff is a read: it leaves the catalog as it found it.
+  const std::vector<std::string> tables = db_.ListTables();
   auto fwd = cvd_->Diff(v2.value(), 1);
   ASSERT_TRUE(fwd.ok()) << fwd.status().ToString();
   EXPECT_EQ(fwd.value().num_rows(), 1u);  // the modified record
@@ -199,6 +215,7 @@ TEST_P(CvdModelTest, DiffFindsAsymmetricRecords) {
   auto self = cvd_->Diff(1, 1);
   ASSERT_TRUE(self.ok());
   EXPECT_EQ(self.value().num_rows(), 0u);
+  EXPECT_EQ(tables, db_.ListTables());
 }
 
 TEST_P(CvdModelTest, CommitWithoutCheckoutFails) {
@@ -1082,9 +1099,14 @@ TEST(PartitionRouteTest, CommitScansWhatPartitionServedCheckoutScanned) {
     const int64_t checkout = RowsScanned(
         &db, [&] { ASSERT_TRUE(db.Checkout("t", {3}, "w").ok()); });
     EditStaged(&db, "w");
+    const std::vector<std::string> tables = db.db()->ListTables();
     const CommitOutcome commit = CommitStaged(&db, "w");
     EXPECT_GT(checkout, 0);
     EXPECT_EQ(checkout, commit.rows_scanned);
+    // The parent's rows were read, not staged in a table: the commit
+    // dropped only the staged table.
+    EXPECT_EQ(std::vector<std::string>{"w"},
+              TableChanges(tables, db.db()->ListTables()));
   }
   SetExecThreads(0);
 }
@@ -1167,6 +1189,80 @@ TEST(PartitionRouteTest, SchemaEvolutionReachesPartitions) {
     EditStaged(&db, "w");
     ExpectSameCommit(CommitStaged(&db, "w"), kept);
   }
+}
+
+// A checkout of a version with fewer attributes than the CVD projects
+// the version's rows in memory: it adds the staged table and touches no
+// other, such as a user's `w_fullattrs`.
+TEST(CheckoutCatalogTest, NarrowVersionAddsOnlyTheStagedTable) {
+  OrpheusDB db;
+  SeedBranches(&db);
+  ASSERT_TRUE(db.Checkout("t", {1}, "before").ok());
+  ASSERT_TRUE(db.Checkout("t", {2}, "grow").ok());
+  rel::Table* staged = db.db()->GetTable("grow").ValueOrDie();
+  ASSERT_TRUE(staged->AddColumn("extra", rel::DataType::kInt64).ok());
+  ASSERT_EQ(4, db.Commit("t", "grow", "add extra").ValueOrDie());
+  ASSERT_TRUE(db.db()->Execute("CREATE TABLE w_fullattrs (x INT)").ok());
+  ASSERT_TRUE(db.db()->Execute("INSERT INTO w_fullattrs VALUES (7)").ok());
+  const std::vector<std::string> tables = db.db()->ListTables();
+
+  const Status checkout = db.Checkout("t", {1}, "w");
+  ASSERT_TRUE(checkout.ok()) << checkout.ToString();
+  EXPECT_EQ(std::vector<std::string>{"w"}, TableChanges(tables, db.db()->ListTables()));
+  // v1's own attributes, rows as checked out before the evolution.
+  EXPECT_EQ(ChunkBytes(db.db()->GetTable("before").ValueOrDie()->data()),
+            ChunkBytes(db.db()->GetTable("w").ValueOrDie()->data()));
+  EXPECT_EQ(7,
+            db.db()->Execute("SELECT x FROM w_fullattrs").ValueOrDie().Get(0, 0).AsInt());
+}
+
+// Fig. 9's cost model, counted exactly. Under the hash join, a
+// partition-served checkout of v scans its partition's data table R_k,
+// its versioning table V_k (the `WHERE vid = v` scan reads every row)
+// and v's unnested rids; so Cavg, the mean |R_k| over versions, is the
+// data-table part of the mean checkout.
+TEST(PartitionCostTest, CheckoutScansPartitionPlusVersion) {
+  OrpheusDB db;
+  ASSERT_EQ(rel::JoinMethod::kHash, db.db()->join_method());
+  SeedBranches(&db);
+  // Two branches, v2 and v3, grow in turns to v13.
+  VersionId heads[2] = {2, 3};
+  for (int i = 0; i < 10; ++i) {
+    VersionId& head = heads[i % 2];
+    ASSERT_TRUE(db.Checkout("t", {head}, "w").ok());
+    for (const std::string& sql :
+         {"UPDATE w SET x = " + std::to_string(i) + " WHERE k = " + std::to_string(i % 8),
+          "INSERT INTO w (k, s, x) VALUES (" + std::to_string(200 + i) + ", 'b', 0)"}) {
+      ASSERT_TRUE(db.db()->Execute(sql).ok()) << sql;
+    }
+    head = db.Commit("t", "w", "grow").ValueOrDie();
+  }
+  Cvd* cvd = db.GetCvd("t").ValueOrDie();
+  ASSERT_EQ(13, cvd->latest_version());
+  const part::LyreSplitResult split =
+      part::LyreSplit::Run(cvd->graph(), 0.5).ValueOrDie();
+  ASSERT_TRUE(db.Repartition("t", split.partitioning).ok());
+  const part::PartitionStore* store = db.partition_store("t");
+  ASSERT_GT(store->num_partitions(), 1u);
+  ASSERT_LT(store->num_partitions(), 13u);  // some partition holds several
+
+  int64_t data_rows = 0;
+  for (VersionId v = 1; v <= 13; ++v) {
+    SCOPED_TRACE("v" + std::to_string(v));
+    const auto [data_table, rlist_table] = store->TablesFor(v).ValueOrDie();
+    const int64_t r_k = static_cast<int64_t>(
+        db.db()->GetTable(data_table).ValueOrDie()->num_rows());
+    const int64_t v_k = static_cast<int64_t>(
+        db.db()->GetTable(rlist_table).ValueOrDie()->num_rows());
+    const int64_t rids = static_cast<int64_t>(
+        cvd->model()->VersionRecords(v).ValueOrDie().size());
+    const std::string table = "chk" + std::to_string(v);
+    EXPECT_EQ(r_k + v_k + rids, RowsScanned(&db, [&] {
+                ASSERT_TRUE(db.Checkout("t", {v}, table).ok());
+              }));
+    data_rows += r_k;
+  }
+  EXPECT_EQ(static_cast<double>(data_rows) / 13.0, store->AvgCheckoutCost());
 }
 
 }  // namespace

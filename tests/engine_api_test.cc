@@ -217,7 +217,8 @@ TEST(EngineApiArgs, NumericArgumentsAreStrict) {
            "checkout c -v abc -t w", "checkout c -v 1x -t w",
            "checkout c -v 1,2.5 -t w",
            "pin c -v 1.5", "pin c -v x",
-           "diff c 1 x", "diff c 1e2 1", "diff c 1 -2"}) {
+           "diff c 1 x", "diff c 1e2 1", "diff c 1 -2",
+           "diff c 1 1 2", "diff c 1 1 x"}) {
     SCOPED_TRACE(line);
     auto result = api.Execute(session.get(), line);
     ASSERT_FALSE(result.ok());

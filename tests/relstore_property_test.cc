@@ -9,13 +9,11 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <set>
 #include <string>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "relstore/database.h"
-#include "relstore/intarray_codec.h"
 
 namespace orpheus::rel {
 namespace {
@@ -405,55 +403,6 @@ TEST(SchemaEvolutionPrimitives, WideningLattice) {
   // Narrowing rejected.
   EXPECT_EQ(table.value()->AlterColumnType("s", DataType::kInt64).code(),
             StatusCode::kNotSupported);
-}
-
-// --- Sorted-array codec (the §3.2 compression ablation) ----------------
-
-TEST(IntArrayCodecTest, RoundTripsRandomArrays) {
-  Rng rng(77);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::set<int64_t> unique;
-    size_t target = rng.Uniform(200);
-    while (unique.size() < target) {
-      unique.insert(static_cast<int64_t>(rng.Uniform(100000)));
-    }
-    IntArray input(unique.begin(), unique.end());
-    auto encoded = EncodeSortedArray(input);
-    ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-    auto decoded = DecodeSortedArray(encoded.value());
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value(), input);
-  }
-}
-
-TEST(IntArrayCodecTest, ConsecutiveRunsCompressWell) {
-  // A version rlist: mostly consecutive rids.
-  IntArray rlist;
-  for (int64_t r = 1000; r < 26000; ++r) rlist.push_back(r);
-  rlist.push_back(50000);
-  rlist.push_back(50001);
-  auto encoded = EncodeSortedArray(rlist);
-  ASSERT_TRUE(encoded.ok());
-  // 25002 values * 8 bytes plain vs a handful of varint runs.
-  EXPECT_LT(encoded.value().size(), 64u);
-  EXPECT_EQ(PlainSize(rlist), 25002 * 8);
-  auto decoded = DecodeSortedArray(encoded.value());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), rlist);
-}
-
-TEST(IntArrayCodecTest, RejectsUnsortedAndCorrupt) {
-  EXPECT_FALSE(EncodeSortedArray({3, 2, 1}).ok());
-  EXPECT_FALSE(EncodeSortedArray({1, 1}).ok());
-  EXPECT_TRUE(EncodeSortedArray({}).ok());
-  auto empty = EncodeSortedArray({});
-  auto decoded_empty = DecodeSortedArray(empty.value());
-  ASSERT_TRUE(decoded_empty.ok());
-  EXPECT_TRUE(decoded_empty.value().empty());
-  EXPECT_FALSE(DecodeSortedArray("").ok());
-  auto good = EncodeSortedArray({1, 2, 3}).value();
-  EXPECT_FALSE(DecodeSortedArray(good + "junk").ok());
-  EXPECT_FALSE(DecodeSortedArray(good.substr(0, 1)).ok());
 }
 
 }  // namespace
