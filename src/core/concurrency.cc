@@ -1,5 +1,7 @@
 #include "core/concurrency.h"
 
+#include <utility>
+
 namespace orpheus::core {
 
 namespace {
@@ -43,6 +45,17 @@ void SnapshotRegistry::ForgetCvd(const std::string& cvd) {
   pins_.erase(cvd);
 }
 
+std::map<std::string, SessionPin> SnapshotRegistry::PinsOf(
+    uint64_t session) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::map<std::string, SessionPin> out;
+  for (const auto& [cvd, by_session] : pins_) {
+    auto it = by_session.find(session);
+    if (it != by_session.end()) out[cvd] = it->second;
+  }
+  return out;
+}
+
 int SnapshotRegistry::PinCount(const std::string& cvd) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pins_.find(cvd);
@@ -71,62 +84,21 @@ void SessionContext::set_user(std::string user) {
   user_ = std::move(user);
 }
 
-void SessionContext::AddStagedTable(const std::string& table,
-                                    const std::string& cvd) {
-  std::lock_guard<std::mutex> lock(mu_);
-  staged_[table] = cvd;
-}
-
-void SessionContext::RemoveStagedTable(const std::string& table) {
-  std::lock_guard<std::mutex> lock(mu_);
-  staged_.erase(table);
-}
-
-std::string SessionContext::StagedCvd(const std::string& table) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = staged_.find(table);
-  return it == staged_.end() ? std::string() : it->second;
-}
-
-std::map<std::string, std::string> SessionContext::StagedTables() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return staged_;
-}
-
 void SessionContext::AddCsvStaging(const std::string& file,
-                                   const std::string& cvd,
                                    const std::string& table) {
   std::lock_guard<std::mutex> lock(mu_);
-  csv_staging_[file] = {cvd, table};
+  csv_staging_[file] = table;
 }
 
-std::pair<std::string, std::string> SessionContext::GetCsvStaging(
-    const std::string& file) const {
+std::string SessionContext::GetCsvStaging(const std::string& file) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = csv_staging_.find(file);
-  return it == csv_staging_.end()
-             ? std::pair<std::string, std::string>()
-             : it->second;
+  return it == csv_staging_.end() ? std::string() : it->second;
 }
 
 void SessionContext::RemoveCsvStaging(const std::string& file) {
   std::lock_guard<std::mutex> lock(mu_);
   csv_staging_.erase(file);
-}
-
-void SessionContext::RecordPin(const std::string& cvd, SessionPin pin) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pins_[cvd] = pin;
-}
-
-void SessionContext::RemovePin(const std::string& cvd) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pins_.erase(cvd);
-}
-
-std::map<std::string, SessionPin> SessionContext::Pins() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pins_;
 }
 
 void SessionContext::NoteDurableLsn(uint64_t lsn) {

@@ -26,9 +26,12 @@
 //
 //  * SessionContext — the per-session state that used to live
 //    implicitly in the single-session CommandProcessor (current user,
-//    csv staging map, staged-table ownership, pins, activity clock),
-//    made thread-safe so a session manager and an idle reaper can
-//    inspect it while the session's connection thread uses it.
+//    csv file -> staged table map, activity clock), made thread-safe
+//    so a session manager and an idle reaper can inspect it while the
+//    session's connection thread uses it. It copies no engine state:
+//    which session checked out a staged table is recorded in the
+//    CVD's staging area (StagedTableInfo::session), and its pins live
+//    in the SnapshotRegistry only.
 //
 // Lock ordering: EngineLock first, then any SessionContext /
 // SnapshotRegistry internal mutex. Neither of the latter is ever held
@@ -44,7 +47,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -93,6 +95,9 @@ class SnapshotRegistry {
   // Drops every pin on `cvd` (after the CVD itself is dropped).
   void ForgetCvd(const std::string& cvd);
 
+  // `session`'s pins, by CVD name.
+  std::map<std::string, SessionPin> PinsOf(uint64_t session) const;
+
   // Number of sessions currently pinning `cvd`.
   int PinCount(const std::string& cvd) const;
 
@@ -120,23 +125,14 @@ class SessionContext {
   bool exited() const { return exited_.load(std::memory_order_acquire); }
   void set_exited() { exited_.store(true, std::memory_order_release); }
 
-  // --- Staged-table ownership (checkout provenance) ----------------
-  // table name -> owning CVD. Commit/discard consult this first so a
-  // session operates on its own checkouts by default.
-  void AddStagedTable(const std::string& table, const std::string& cvd);
-  void RemoveStagedTable(const std::string& table);
-  // Empty string if this session did not check the table out.
-  std::string StagedCvd(const std::string& table) const;
-  // Copy of table -> cvd, for session teardown.
-  std::map<std::string, std::string> StagedTables() const;
-
   // --- CSV staging (checkout -f / commit -f flows) -----------------
-  void AddCsvStaging(const std::string& file, const std::string& cvd,
-                     const std::string& table);
-  // Returns {cvd, table}; empty pair if unknown. The entry stays until
-  // RemoveCsvStaging (commit only clears it once the csv was
-  // re-parsed and schema-checked, so an invalid edit can be retried).
-  std::pair<std::string, std::string> GetCsvStaging(const std::string& file) const;
+  // file -> the staged table it was checked out from; the table's
+  // staging entry names the CVD.
+  void AddCsvStaging(const std::string& file, const std::string& table);
+  // Empty if unknown. The entry stays until RemoveCsvStaging (commit
+  // only clears it once the csv was re-parsed and schema-checked, so
+  // an invalid edit can be retried).
+  std::string GetCsvStaging(const std::string& file) const;
   void RemoveCsvStaging(const std::string& file);
 
   // Monotonic counter for generated staging-table names.
@@ -149,11 +145,6 @@ class SessionContext {
   uint64_t ops_executed() const {
     return ops_.load(std::memory_order_relaxed);
   }
-
-  // --- Pins (session-side mirror of the SnapshotRegistry) ----------
-  void RecordPin(const std::string& cvd, SessionPin pin);
-  void RemovePin(const std::string& cvd);
-  std::map<std::string, SessionPin> Pins() const;
 
   // --- Durability bookmark (group-commit bookkeeping) --------------
   // Highest WAL LSN this session has waited durable. Monotonic per
@@ -179,9 +170,7 @@ class SessionContext {
 
   mutable std::mutex mu_;
   std::string user_ = "default";
-  std::map<std::string, std::string> staged_;  // table -> cvd
-  std::map<std::string, std::pair<std::string, std::string>> csv_staging_;
-  std::map<std::string, SessionPin> pins_;
+  std::map<std::string, std::string> csv_staging_;  // file -> table
 };
 
 }  // namespace orpheus::core

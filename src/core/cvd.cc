@@ -222,7 +222,7 @@ Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name,
 }
 
 Status Cvd::Checkout(const std::vector<VersionId>& vids,
-                     const std::string& table_name) {
+                     const std::string& table_name, uint64_t session) {
   if (vids.empty()) return Status::InvalidArgument("no versions given");
   if (db_->HasTable(table_name)) {
     return Status::AlreadyExists("table already exists: " + table_name);
@@ -268,7 +268,8 @@ Status Cvd::Checkout(const std::vector<VersionId>& vids,
     info.parent_rows = std::move(versions);
   }
 
-  info.checkout_time = ++logical_clock_;
+  info.checkout_time = logical_clock_;
+  info.session = session;
   staged_[table_name] = std::move(info);
   return Status::OK();
 }

@@ -68,11 +68,16 @@ struct ResolvedCommit {
 };
 
 // Provenance of an uncommitted staged table, and the parents' rows
-// its checkout built.
+// its checkout built. The CVD's staging area is the one record of
+// which staged tables exist and who checked them out.
 struct StagedTableInfo {
   std::string table_name;
   std::vector<VersionId> parents;  // precedence order
-  int64_t checkout_time = 0;
+  int64_t checkout_time = 0;       // the logical clock at checkout
+  // The EngineApi session that checked the table out: its own tables
+  // are found first and discarded when it closes. 0 for a direct
+  // engine call and for an entry a checkpoint restored. Not persisted.
+  uint64_t session = 0;
   // Each parent's VersionRows as checkout read them, in precedence
   // order, or empty: a merging checkout moves its per-version rows in,
   // a single checkout copies its full-attribute rows unless a
@@ -98,8 +103,11 @@ class Cvd {
   // Materializes one or more versions into `table_name`. With several
   // vids this is a merging checkout: records are added in precedence
   // order and a record is skipped if its primary key was already
-  // emitted (§2.2).
-  Status Checkout(const std::vector<VersionId>& vids, const std::string& table_name);
+  // emitted (§2.2). `session` is recorded in the staging entry.
+  // Checkout reads the logical clock without ticking it: checkouts are
+  // not logged, so only commits move the clock replay reproduces.
+  Status Checkout(const std::vector<VersionId>& vids, const std::string& table_name,
+                  uint64_t session = 0);
 
   // Commits a staged table as a new version; parents come from the
   // table's checkout provenance. Returns the new vid. This is

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 #include <shared_mutex>
+#include <utility>
 
 #include "common/csv.h"
 #include "common/str_util.h"
@@ -41,6 +41,43 @@ Result<VersionId> ParseVid(std::string_view text, const char* usage) {
       ParseNumber<int64_t>(text, 1, std::numeric_limits<int64_t>::max());
   if (!vid) return UsageError(usage);
   return *vid;
+}
+
+// Refuses a token the usage line does not name. Each "-flag" the usage
+// names takes the next token as its value (a bracketed "[-flag]"
+// takes none); every other token fills the usage's next positional
+// slot ("<cvd>", optional "[<n>]", "[recent|slow]"), and the slots not
+// in brackets must be filled. Flags a usage requires are left to the
+// verb, which knows their alternatives.
+Status CheckArgs(const std::vector<std::string>& args, const char* usage) {
+  std::vector<std::string> words = SplitWhitespace(usage);
+  std::vector<std::pair<std::string, bool>> flags;  // flag, takes a value
+  size_t required = 0;
+  size_t slots = 0;
+  for (size_t w = 1; w < words.size(); ++w) {
+    const std::string& word = words[w];
+    const size_t start = word.find_first_not_of("[(");
+    if (word[start] == '-') {
+      const bool valued = word.back() != ']';
+      flags.emplace_back(word.substr(start, word.find(']') - start), valued);
+      if (valued) ++w;  // the flag's value
+    } else if (word != "|") {
+      ++slots;
+      if (word[0] != '[') ++required;
+    }
+  }
+  size_t filled = 0;
+  for (size_t i = 1; i < args.size(); ++i) {
+    auto flag = std::find_if(flags.begin(), flags.end(),
+                             [&](const auto& f) { return f.first == args[i]; });
+    if (flag == flags.end()) {
+      ++filled;
+    } else if (flag->second && ++i == args.size()) {
+      return UsageError(usage);
+    }
+  }
+  if (filled < required || filled > slots) return UsageError(usage);
+  return Status::OK();
 }
 
 // A statement may run under the shared lock iff it can only read:
@@ -120,20 +157,15 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
      "drop a staged table without committing",
      [](const Call& c) -> Result<std::string> {
        std::string table = FlagValue(c.args, "-t");
-       if (table.empty() && c.args.size() >= 2 && c.args[1][0] != '-') {
-         table = c.args[1];
-       }
        if (table.empty()) return UsageError(c.usage);
        ORPHEUS_ASSIGN_OR_RETURN(std::string cvd,
-                                c.api->ResolveStagedCvd(*c.session, table));
+                                c.api->ResolveStagedCvd(c.session->id(), table));
        ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.DiscardStaged(cvd, table));
-       c.session->RemoveStagedTable(table);
        return "discarded staged table " + table;
      }},
     {LockMode::kShared, "diff <cvd> <v1> <v2>",
      "records only in one of two versions",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() != 4) return UsageError(c.usage);
        ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, c.api->orpheus_.GetCvd(c.args[1]));
        ORPHEUS_ASSIGN_OR_RETURN(VersionId v1, ParseVid(c.args[2], c.usage));
        ORPHEUS_ASSIGN_OR_RETURN(VersionId v2, ParseVid(c.args[3], c.usage));
@@ -151,13 +183,11 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
      }},
     {LockMode::kShared, "graph <cvd>", "version graph as Graphviz dot",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, c.api->orpheus_.GetCvd(c.args[1]));
        return cvd->graph().ToDot();
      }},
     {LockMode::kExclusive, "drop <cvd>", "delete a CVD (refused while pinned)",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        const std::string& name = c.args[1];
        int others = c.api->registry_.PinsByOthers(name, c.session->id());
        if (others > 0) {
@@ -167,7 +197,6 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
        }
        ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.DropCvd(name));
        c.api->registry_.ForgetCvd(name);
-       c.session->RemovePin(name);
        return "dropped " + name;
      }},
     {LockMode::kExclusive, "optimize <cvd> [-gamma <factor>]",
@@ -197,7 +226,6 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
     {LockMode::kShared, "pin <cvd> [-v <vid>]",
      "pin a version snapshot for this session",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        const std::string& name = c.args[1];
        ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, c.api->orpheus_.GetCvd(name));
        VersionId vid = cvd->latest_version();
@@ -211,24 +239,21 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
        }
        SessionPin pin{vid, c.api->lock_.epoch()};
        c.api->registry_.Pin(c.session->id(), name, pin);
-       c.session->RecordPin(name, pin);
        return "pinned " + name + " at version " + std::to_string(vid) +
               " (epoch " + std::to_string(pin.epoch) + ")";
      }},
     {LockMode::kNone, "unpin <cvd>", "release this session's pin",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        if (!c.api->registry_.Unpin(c.session->id(), c.args[1])) {
          return Status::NotFound("no pin on CVD " + c.args[1] +
                                  " held by this session");
        }
-       c.session->RemovePin(c.args[1]);
        return "unpinned " + c.args[1];
      }},
     {LockMode::kNone, "pins", "list this session's pins",
      [](const Call& c) -> Result<std::string> {
        std::vector<std::string> lines;
-       for (const auto& [cvd, pin] : c.session->Pins()) {
+       for (const auto& [cvd, pin] : c.api->registry_.PinsOf(c.session->id())) {
          lines.push_back(cvd + " v" + std::to_string(pin.vid) + " (epoch " +
                          std::to_string(pin.epoch) + ")");
        }
@@ -238,7 +263,6 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
     {LockMode::kExclusive, "open <dir>",
      "open/create a durable database directory",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        OrpheusDB& db = c.api->orpheus_;
        ORPHEUS_RETURN_NOT_OK(db.Open(c.args[1]));
        // Recovery may have replayed a login; mirror it into the session
@@ -261,7 +285,6 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
     {LockMode::kExclusive, "save <dir>",
      "export: checkpoint into a fresh database directory",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.SaveSnapshot(c.args[1]));
        return "saved database to " + c.args[1];
      }},
@@ -310,13 +333,11 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
     // --- Users and the session -----------------------------------------------
     {LockMode::kExclusive, "create_user <name>", "register a user",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.CreateUser(c.args[1]));
        return "created user " + c.args[1];
      }},
     {LockMode::kExclusive, "config <name>", "log in as a user",
      [](const Call& c) -> Result<std::string> {
-       if (c.args.size() < 2) return UsageError(c.usage);
        ORPHEUS_RETURN_NOT_OK(c.api->orpheus_.Login(c.args[1]));
        c.session->set_user(c.args[1]);
        return "logged in as " + c.args[1];
@@ -438,6 +459,8 @@ Result<std::string> EngineApi::Execute(SessionContext* session,
                                  SqlOperand(trimmed, call.args, verb->usage));
         mode = IsReadOnlySql(call.sql) ? LockMode::kShared
                                        : LockMode::kExclusive;
+      } else {
+        ORPHEUS_RETURN_NOT_OK(CheckArgs(call.args, verb->usage));
       }
     }
     return RunLocked(mode, session, [&] { return verb->run(call); });
@@ -447,17 +470,19 @@ Result<std::string> EngineApi::Execute(SessionContext* session,
 }
 
 void EngineApi::CloseSession(SessionContext* session, bool discard_staged) {
-  std::map<std::string, std::string> staged;
-  if (discard_staged) staged = session->StagedTables();
-  if (!staged.empty()) {
+  if (discard_staged) {
     // Best-effort: disconnect cleanup has no caller to report an
-    // error to.
+    // error to. Only the staging entries recorded under this session
+    // are discarded; a table it checked out that another session has
+    // committed (and perhaps checked out again) is no longer its own.
     (void)RunLocked(LockMode::kExclusive, session, [&] {
-      for (const auto& [table, cvd] : staged) {
-        // The table may already be gone (CVD dropped, or the staged
-        // table committed through the global fallback path).
-        (void)orpheus_.DiscardStaged(cvd, table);
-        session->RemoveStagedTable(table);
+      for (const std::string& name : orpheus_.ListCvds()) {
+        Cvd* cvd = orpheus_.GetCvd(name).value();
+        std::vector<std::string> own;
+        for (const auto& [table, info] : cvd->staged_tables()) {
+          if (info.session == session->id()) own.push_back(table);
+        }
+        for (const std::string& table : own) (void)cvd->DiscardStaged(table);
       }
       return Result<std::string>(std::string());
     });
@@ -470,7 +495,7 @@ void EngineApi::CloseSession(SessionContext* session, bool discard_staged) {
 
 Result<std::string> EngineApi::Init(const Call& c) {
   std::string file = FlagValue(c.args, "-f");
-  if (c.args.size() < 2 || file.empty()) return UsageError(c.usage);
+  if (file.empty()) return UsageError(c.usage);
   const std::string& name = c.args[1];
   ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, ReadCsvFile(file));
 
@@ -496,17 +521,8 @@ Result<std::string> EngineApi::Checkout(const Call& c) {
   std::string vid_text = FlagValue(c.args, "-v");
   std::string table = FlagValue(c.args, "-t");
   std::string file = FlagValue(c.args, "-f");
-  if (c.args.size() < 2 || vid_text.empty() ||
-      (table.empty() && file.empty())) {
+  if (vid_text.empty() || (table.empty() && file.empty())) {
     return UsageError(c.usage);
-  }
-  // Every token after the name is a flag and its value: a stray one
-  // (`-v 1 3` for the merge `-v 1,3`) is refused, not ignored.
-  for (size_t i = 2; i < c.args.size(); i += 2) {
-    const std::string& flag = c.args[i];
-    if ((flag != "-v" && flag != "-t" && flag != "-f") || i + 1 == c.args.size()) {
-      return UsageError(c.usage);
-    }
   }
   const std::string& name = c.args[1];
   std::vector<VersionId> vids;
@@ -525,12 +541,11 @@ Result<std::string> EngineApi::Checkout(const Call& c) {
       table = name + "_csvstage_" + std::to_string(c.session->NextStagingId());
     } while (orpheus_.db()->HasTable(table));
   }
-  ORPHEUS_RETURN_NOT_OK(orpheus_.Checkout(name, vids, table));
-  c.session->AddStagedTable(table, name);
+  ORPHEUS_RETURN_NOT_OK(orpheus_.Checkout(name, vids, table, c.session->id()));
   if (!file.empty()) {
     ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, orpheus_.db()->GetTable(table));
     ORPHEUS_RETURN_NOT_OK(WriteCsvFile(file, staged->data()));
-    c.session->AddCsvStaging(file, name, table);
+    c.session->AddCsvStaging(file, table);
     return "checked out version(s) " + vid_text + " of " + name + " into " +
            file;
   }
@@ -538,16 +553,17 @@ Result<std::string> EngineApi::Checkout(const Call& c) {
          " into table " + table;
 }
 
-Result<std::string> EngineApi::ResolveStagedCvd(const SessionContext& session,
+Result<std::string> EngineApi::ResolveStagedCvd(uint64_t session,
                                                 const std::string& table) {
-  std::string cvd_name = session.StagedCvd(table);
-  if (!cvd_name.empty()) return cvd_name;
-  // Fallback: scan every CVD's staging area. Covers tables staged by a
-  // previous process (WAL replay) or through direct engine access.
+  std::string any;
   for (const std::string& name : orpheus_.ListCvds()) {
     ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
-    if (cvd->staged_tables().count(table) > 0) return name;
+    auto it = cvd->staged_tables().find(table);
+    if (it == cvd->staged_tables().end()) continue;
+    if (it->second.session == session) return name;
+    if (any.empty()) any = name;
   }
+  if (!any.empty()) return any;
   return Status::NotFound("table was not checked out from any CVD: " + table);
 }
 
@@ -557,14 +573,17 @@ Result<std::string> EngineApi::Commit(const Call& c) {
   std::string message = FlagValue(c.args, "-m");
   if (message.empty()) message = "(no message)";
 
-  std::string cvd_name;
   if (!file.empty()) {
-    auto entry = c.session->GetCsvStaging(file);
-    if (entry.first.empty()) {
+    table = c.session->GetCsvStaging(file);
+    if (table.empty()) {
       return Status::NotFound("file was not checked out from a CVD: " + file);
     }
-    cvd_name = entry.first;
-    table = entry.second;
+  } else if (table.empty()) {
+    return UsageError(c.usage);
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(std::string cvd_name,
+                           ResolveStagedCvd(c.session->id(), table));
+  if (!file.empty()) {
     // Reload the (possibly externally edited) csv into the staged
     // table, keeping the rid column where rows still carry one.
     ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, ReadCsvFile(file));
@@ -576,20 +595,13 @@ Result<std::string> EngineApi::Commit(const Call& c) {
     }
     staged->mutable_chunk() = std::move(rows);
     c.session->RemoveCsvStaging(file);
-  } else if (!table.empty()) {
-    ORPHEUS_ASSIGN_OR_RETURN(cvd_name, ResolveStagedCvd(*c.session, table));
-  } else {
-    return UsageError(c.usage);
   }
-
   ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
                            orpheus_.Commit(cvd_name, table, message));
-  c.session->RemoveStagedTable(table);
   return "committed version " + std::to_string(vid) + " to " + cvd_name;
 }
 
 Result<std::string> EngineApi::Optimize(const Call& c) {
-  if (c.args.size() < 2) return UsageError(c.usage);
   const std::string& name = c.args[1];
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, orpheus_.GetCvd(name));
   double factor = 2.0;

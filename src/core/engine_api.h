@@ -10,8 +10,8 @@
 // Concurrency contract (see concurrency.h for the primitives):
 //  * Every verb is one entry of the verb table, kVerbs in
 //    engine_api.cc: its lock mode, usage line and handler. Dispatch,
-//    `help`, usage errors and the per-verb metric labels all derive
-//    from it. Lock modes: none (session-local or internally
+//    `help`, usage errors, the check that refuses tokens a usage line
+//    does not name, and the per-verb metric labels all derive from it. Lock modes: none (session-local or internally
 //    synchronized state), shared (read-only; overlaps other readers),
 //    exclusive (mutating; the WAL records a statement enqueues while
 //    holding it form a correct total order), and by-SQL (shared iff
@@ -60,9 +60,10 @@ class EngineApi {
   std::shared_ptr<SessionContext> NewSession();
 
   // Ends a session: releases its pins and (optionally) discards every
-  // staged table it still owns — the server does this on disconnect so
-  // abandoned checkouts don't leak. Like every discard, this is not
-  // logged; it is durable at the next checkpoint.
+  // staged table whose staging entry records this session — the server
+  // does this on disconnect so abandoned checkouts don't leak. Like
+  // every discard, this is not logged; it is durable at the next
+  // checkpoint.
   void CloseSession(SessionContext* session, bool discard_staged);
 
   // Executes one command line on behalf of `session`; returns the text
@@ -114,10 +115,11 @@ class EngineApi {
   // rows — the `explain analyze` / `profile` verbs.
   Result<std::string> ProfileSql(const std::string& sql, bool json);
 
-  // Resolves which CVD owns a staged table: the session's own
-  // checkouts first, then any CVD's staging area (so a session can
-  // adopt tables replayed from the WAL of an earlier process).
-  Result<std::string> ResolveStagedCvd(const SessionContext& session,
+  // Resolves which CVD owns a staged table, in one pass over the CVDs'
+  // staging areas: the entry `session` checked out first, else any
+  // CVD's entry (so a session can commit a table another session
+  // staged, or one a checkpoint restored).
+  Result<std::string> ResolveStagedCvd(uint64_t session,
                                        const std::string& table);
 
   OrpheusDB orpheus_;

@@ -100,9 +100,9 @@ Status OrpheusDB::DropCvd(const std::string& name) {
 
 Status OrpheusDB::Checkout(const std::string& cvd_name,
                            const std::vector<VersionId>& vids,
-                           const std::string& table_name) {
+                           const std::string& table_name, uint64_t session) {
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  return cvd->Checkout(vids, table_name);
+  return cvd->Checkout(vids, table_name, session);
 }
 
 Result<VersionId> OrpheusDB::Commit(const std::string& cvd_name,

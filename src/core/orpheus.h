@@ -68,7 +68,7 @@ class OrpheusDB {
   // CVD up by name. Commit also logs the resolved commit when storage
   // is open, so prefer it over Cvd::Commit anywhere durability matters.
   Status Checkout(const std::string& cvd_name, const std::vector<VersionId>& vids,
-                  const std::string& table_name);
+                  const std::string& table_name, uint64_t session = 0);
   Result<VersionId> Commit(const std::string& cvd_name,
                            const std::string& table_name,
                            const std::string& message);

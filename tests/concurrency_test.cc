@@ -85,6 +85,9 @@ TEST(SnapshotRegistry, PinUnpinAndOwnership) {
   EXPECT_EQ(2, reg.PinCount("c"));
   EXPECT_EQ(1, reg.PinsByOthers("c", 1));  // session 2's pin
   EXPECT_EQ(0, reg.PinsByOthers("d", 2));  // own pin doesn't count
+  EXPECT_EQ(2u, reg.PinsOf(2).size());
+  EXPECT_EQ(3, reg.PinsOf(2).at("c").vid);
+  EXPECT_TRUE(reg.PinsOf(9).empty());
 
   // Re-pinning replaces, not duplicates.
   reg.Pin(1, "c", SessionPin{4, 12});
@@ -109,19 +112,10 @@ TEST(SessionContext, StagedTablesAndActivityClock) {
   EXPECT_EQ("default", session.user());
   EXPECT_FALSE(session.exited());
 
-  session.AddStagedTable("w1", "c");
-  session.AddStagedTable("w2", "d");
-  EXPECT_EQ("c", session.StagedCvd("w1"));
-  EXPECT_EQ("", session.StagedCvd("nope"));
-  session.RemoveStagedTable("w1");
-  EXPECT_EQ("", session.StagedCvd("w1"));
-  EXPECT_EQ(1u, session.StagedTables().size());
-
-  session.AddCsvStaging("f.csv", "c", "t5");
-  EXPECT_EQ(std::make_pair(std::string("c"), std::string("t5")),
-            session.GetCsvStaging("f.csv"));
+  session.AddCsvStaging("f.csv", "t5");
+  EXPECT_EQ("t5", session.GetCsvStaging("f.csv"));
   session.RemoveCsvStaging("f.csv");
-  EXPECT_EQ("", session.GetCsvStaging("f.csv").first);
+  EXPECT_EQ("", session.GetCsvStaging("f.csv"));
 
   EXPECT_LT(session.IdleSeconds(), 5.0);
   int a = session.NextStagingId();
@@ -195,6 +189,52 @@ TEST(EngineApiSessions, CloseSessionDiscardsStagedAndReleasesPins) {
   EXPECT_TRUE(session->exited());
   EXPECT_FALSE(api.orpheus()->db()->GetTable("w").ok());
   EXPECT_EQ(0, api.registry()->PinCount("c"));
+}
+
+// A staged table's owner is its staging entry, not a per-session copy:
+// once another session commits D's table and a third checks the name
+// out again, D's disconnect must leave the third session's table alone.
+TEST(EngineApiSessions, CloseDiscardsOnlyOwnCheckouts) {
+  EngineApi api;
+  Seed(&api, "c", 4);
+  auto d = api.NewSession();
+  auto e = api.NewSession();
+  auto f = api.NewSession();
+  MustExecute(&api, d.get(), "checkout c -v 1 -t w2");
+  // Any session may commit a staged table by name.
+  MustExecute(&api, e.get(), "commit -t w2 -m by_e");
+  MustExecute(&api, f.get(), "checkout c -v 1 -t w2");
+  api.CloseSession(d.get(), /*discard_staged=*/true);
+  EXPECT_TRUE(api.orpheus()->db()->HasTable("w2"));
+  EXPECT_EQ("committed version 3 to c",
+            MustExecute(&api, f.get(), "commit -t w2 -m by_f"));
+}
+
+// `pins` lists the registry's pins of this session: a pin, an unpin
+// and a drop each show there.
+TEST(EngineApiSessions, PinsComeFromTheRegistry) {
+  EngineApi api;
+  Seed(&api, "c", 4);
+  Seed(&api, "d", 4);
+  auto session = api.NewSession();
+  auto other = api.NewSession();
+  EXPECT_EQ("(no pins)", MustExecute(&api, session.get(), "pins"));
+  MustExecute(&api, session.get(), "pin c");
+  MustExecute(&api, session.get(), "pin d");
+  const uint64_t epoch = api.lock()->epoch();
+  EXPECT_EQ("c v1 (epoch " + std::to_string(epoch) + ")\nd v1 (epoch " +
+                std::to_string(epoch) + ")",
+            MustExecute(&api, session.get(), "pins"));
+  EXPECT_EQ(1u, api.registry()->PinsOf(session->id()).count("c"));
+  EXPECT_EQ("(no pins)", MustExecute(&api, other.get(), "pins"));
+
+  MustExecute(&api, session.get(), "unpin c");
+  EXPECT_EQ("d v1 (epoch " + std::to_string(epoch) + ")",
+            MustExecute(&api, session.get(), "pins"));
+  // The pinning session may drop its own pinned CVD; the pin goes with it.
+  MustExecute(&api, session.get(), "drop d");
+  EXPECT_EQ("(no pins)", MustExecute(&api, session.get(), "pins"));
+  EXPECT_TRUE(api.registry()->PinsOf(session->id()).empty());
 }
 
 TEST(EngineApiSessions, SessionsSeeSharedEngineButOwnUser) {
@@ -325,12 +365,11 @@ TEST(EngineApiSessions, PinnedReaderSeesStableSnapshotWhileWriterCommits) {
 // and its WAL append, so the WAL is a total order; replaying it into a
 // fresh engine must reproduce the live engine's state bit-for-bit
 // (compared through the snapshot codec, which canonicalizes all engine
-// state). Checkout is not logged, so the clock ticks of the checkouts
-// sessions discard or abandon are not replayed; a last checkout and
-// commit per CVD sets each clock from a commit record, and session
-// close leaves the staging area empty. Run at both --threads=1 and
-// --threads=4 so the relstore's parallel scan paths are exercised under
-// the shared lock too.
+// state). Checkout is not logged and does not tick the logical clock,
+// and session close leaves the staging area empty, so the checkouts
+// sessions discard or abandon leave nothing replay could miss. Run at
+// both --threads=1 and --threads=4 so the relstore's parallel scan
+// paths are exercised under the shared lock too.
 
 void RunInterleavingSchedule(int exec_threads, uint32_t seed) {
   SetExecThreads(exec_threads);
@@ -381,12 +420,6 @@ void RunInterleavingSchedule(int exec_threads, uint32_t seed) {
       });
     }
     for (std::thread& t : threads) t.join();
-    auto last = api.NewSession();
-    for (const std::string cvd : {"c", "d"}) {
-      MustExecute(&api, last.get(), "checkout " + cvd + " -v 1 -t last_" + cvd);
-      MustExecute(&api, last.get(), "commit -t last_" + cvd + " -m last");
-    }
-    api.CloseSession(last.get(), /*discard_staged=*/true);
     live_blob = storage::SnapshotCodec::Encode(*api.orpheus(), 0);
   }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/engine_api.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -254,6 +255,51 @@ TEST(EngineApiArgs, CheckoutRefusesStrayTokens) {
   }
   EXPECT_TRUE(api.Execute(session.get(), "checkout c -t m -v 1").ok());
   EXPECT_TRUE(api.orpheus()->db()->HasTable("m"));
+}
+
+// Every verb but the by-SQL ones takes exactly the tokens its usage
+// line names. A refused statement changes nothing.
+TEST(EngineApiArgs, StrayTokensAreRefused) {
+  TempDir dir;
+  EngineApi api;
+  CvdOptions options;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(api.orpheus()->InitCvd("c", MakeRows(4), options, "init").ok());
+  auto session = api.NewSession();
+  ASSERT_TRUE(api.Execute(session.get(), "checkout c -v 1 -t w").ok());
+  ASSERT_TRUE(api.Execute(session.get(), "slowlog 100").ok());
+  const int threads = ExecThreads();
+  const std::string db_dir = dir.path() + "/db";
+  for (const std::string& line : std::vector<std::string>{
+        "graph c junk", "graph", "drop c junk", "drop", "pin c junk",
+        "pin c -v 1 junk", "pin c -v", "unpin c junk", "open " + db_dir + " junk",
+        "save " + dir.path() + "/export junk", "create_user bob junk",
+        "config default junk", "threads 2 junk", "slowlog 5 junk",
+        "traces recent 1 junk", "diff c 1 1 junk", "optimize c junk",
+        "optimize c -gamma", "init e -f x.csv junk", "discard w",
+        "discard -t w junk", "commit -t w -m x junk", "commit -t w -m",
+        "ls junk", "pins junk", "checkpoint junk", "metrics junk",
+        "stats junk", "whoami junk", "help junk", "exit junk", "quit junk"}) {
+    SCOPED_TRACE(line);
+    auto result = api.Execute(session.get(), line);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(StatusCode::kInvalidArgument, result.status().code())
+        << result.status().ToString();
+  }
+  // Nothing moved: the CVD, its staged table, the (absent) pin, the
+  // settings, the user, the session and the directories.
+  EXPECT_TRUE(api.orpheus()->GetCvd("c").ok());
+  EXPECT_EQ(1, api.orpheus()->GetCvd("c").ValueOrDie()->latest_version());
+  EXPECT_TRUE(api.orpheus()->db()->HasTable("w"));
+  EXPECT_TRUE(api.registry()->PinsOf(session->id()).empty());
+  EXPECT_EQ(threads, ExecThreads());
+  EXPECT_EQ(100.0, obs::GlobalTraceLog().SlowOpThresholdMs());
+  EXPECT_FALSE(api.orpheus()->durable());
+  EXPECT_FALSE(storage::FileExists(dir.path() + "/export"));
+  EXPECT_EQ("default", session->user());
+  EXPECT_FALSE(session->exited());
+  EXPECT_EQ(std::vector<std::string>{"c"}, api.orpheus()->ListCvds());
+  EXPECT_FALSE(api.Execute(session.get(), "config bob").ok());  // no user bob
 }
 
 }  // namespace

@@ -156,33 +156,15 @@ EngineRef Capture(OrpheusDB* db) {
   return ref;
 }
 
-// What a recovered engine must reproduce. Checkout and discard are not
-// logged, so a crash loses the staging area since the last checkpoint
-// and the logical-clock ticks of checkouts never committed. kExact
-// holds whenever the last verb before the crash is logged and no
-// checkout is outstanding; kCommitted compares everything except the
-// staging area (its tables included) and the clock.
-enum class Match { kExact, kCommitted };
-
+// What a recovered engine must reproduce, image-exact. Checkout and
+// discard are not logged and do not tick the logical clock, so a crash
+// loses only the staging area since the last checkpoint: a reference
+// captured with no checkout outstanding (or after its discard) holds.
 void ExpectEngineEquals(const EngineRef& want, OrpheusDB* db,
-                        const std::string& context,
-                        Match match = Match::kExact) {
-  std::set<std::string> skip;
-  if (match == Match::kCommitted) {
-    skip = StagedNames(db);
-    for (const auto& [cvd, tables] : want.staged) {
-      skip.insert(tables.begin(), tables.end());
-    }
-  }
-  std::vector<std::string> got_tables;
-  for (const std::string& name : db->db()->ListTables()) {
-    if (skip.count(name) == 0) got_tables.push_back(name);
-  }
+                        const std::string& context) {
   std::vector<std::string> want_tables;
-  for (const auto& [name, chunk] : want.tables) {
-    if (skip.count(name) == 0) want_tables.push_back(name);
-  }
-  ASSERT_EQ(want_tables, got_tables) << context;
+  for (const auto& [name, chunk] : want.tables) want_tables.push_back(name);
+  ASSERT_EQ(want_tables, db->db()->ListTables()) << context;
   for (const std::string& name : want_tables) {
     ExpectChunksEqual(want.tables.at(name),
                       db->db()->GetTable(name).value()->data(),
@@ -193,17 +175,15 @@ void ExpectEngineEquals(const EngineRef& want, OrpheusDB* db,
     Cvd* cvd = db->GetCvd(name).value();
     EXPECT_EQ(want.latest.at(name), cvd->latest_version()) << context;
     EXPECT_EQ(want.total_records.at(name), cvd->total_records()) << context;
-    if (match == Match::kExact) {
-      std::vector<std::string> staged;
-      for (const auto& [table, info] : cvd->staged_tables()) {
-        staged.push_back(table);
-      }
-      auto want_staged = want.staged.find(name);
-      EXPECT_EQ(want_staged == want.staged.end() ? std::vector<std::string>{}
-                                                 : want_staged->second,
-                staged)
-          << context;
+    std::vector<std::string> staged;
+    for (const auto& [table, info] : cvd->staged_tables()) {
+      staged.push_back(table);
     }
+    auto want_staged = want.staged.find(name);
+    EXPECT_EQ(want_staged == want.staged.end() ? std::vector<std::string>{}
+                                               : want_staged->second,
+              staged)
+        << context;
     for (const auto& [vid, rows] : want.version_rows.at(name)) {
       ExpectChunksEqual(rows, cvd->model()->VersionRows(vid).ValueOrDie(),
                         context + " " + name + " v" + std::to_string(vid));
@@ -213,10 +193,8 @@ void ExpectEngineEquals(const EngineRef& want, OrpheusDB* db,
           << context << " " << name << " v" << vid << " edges";
     }
   }
-  if (match == Match::kExact) {
-    EXPECT_TRUE(want.image == storage::SnapshotCodec::Encode(*db, 0))
-        << context << ": live and recovered snapshot images differ";
-  }
+  EXPECT_TRUE(want.image == storage::SnapshotCodec::Encode(*db, 0))
+      << context << ": live and recovered snapshot images differ";
 }
 
 // k INT (pk), name STRING, score DOUBLE.
@@ -496,8 +474,8 @@ TEST(Persistence, MergingCheckoutAndDurableVerbsReplay) {
     // A dropped CVD replays.
     ASSERT_TRUE(db.DropCvd("gone").ok());
     ref = Capture(&db);
-    // A discarded checkout is not logged: it leaves no staged table,
-    // only a logical-clock tick that replay does not reproduce.
+    // A discarded checkout is not logged and leaves nothing behind:
+    // no staged table and no logical-clock tick.
     ASSERT_TRUE(db.Checkout("t", {3}, "scratch").ok());
     ASSERT_TRUE(db.DiscardStaged("t", "scratch").ok());
     after_discard = Capture(&db);
@@ -505,9 +483,8 @@ TEST(Persistence, MergingCheckoutAndDurableVerbsReplay) {
   OrpheusDB recovered;
   ASSERT_TRUE(recovered.Open(dir.path()).ok());
   ExpectEngineEquals(ref, &recovered, "verbs replay");
-  ExpectEngineEquals(after_discard, &recovered, "after the discard",
-                     Match::kCommitted);
-  EXPECT_FALSE(after_discard.image == ref.image);  // the clock moved
+  ExpectEngineEquals(after_discard, &recovered, "after the discard");
+  EXPECT_TRUE(after_discard.image == ref.image);
   EXPECT_EQ("bob", recovered.WhoAmI());
   EXPECT_FALSE(recovered.GetCvd("gone").ok());
 }
@@ -753,8 +730,8 @@ TEST(Persistence, CrcCorruptedRecordStopsReplayCleanly) {
 // A database whose WAL ends with the commit of v2, ready for a crafted
 // commit of a child of v2 ("w2"). v1 holds rids 0-5; v2 drops rid 5
 // and replaces rid 1 with rid 6, so total_records() is 7. The clock
-// reads 3 after replay (init, checkout, commit); the w2 checkout took
-// tick 4 live but is not logged.
+// reads 2 after replay and live (init, commit; checkouts do not tick
+// it). The good record's times, 4 and 5, are ahead of it.
 void BuildCommitBase(const std::string& dir) {
   OrpheusDB db;
   ASSERT_TRUE(db.Open(dir).ok());
@@ -961,8 +938,8 @@ TEST(Persistence, HostileCommitRecordsFailReplayCleanly) {
   // v1 does not hold rid 6, which the rids reuse from v2.
   cases.push_back({"rid of the wrong parent", with_header({{1}, 4, 5}),
                    "neither new nor in a parent"});
-  cases.push_back({"commit time behind the clock", with_header({{2}, 2, 3}),
-                   "does not follow the logical clock 3"});
+  cases.push_back({"commit time behind the clock", with_header({{2}, 1, 2}),
+                   "does not follow the logical clock 2"});
   cases.push_back({"checkout time after the commit", with_header({{2}, 6, 5}),
                    "and the checkout time 6"});
 
@@ -1243,9 +1220,9 @@ TEST(Persistence, StagedEntryWithoutItsTableReplays) {
 }
 
 // A checkout that is never committed is not durable: after a crash
-// the staged table and its clock tick are gone, and the engine is
-// bit-identical to its state before the checkout — with the staging
-// area restored from a checkpoint or empty.
+// the staged table is gone, and the engine is bit-identical to its
+// state before the checkout — with the staging area restored from a
+// checkpoint or empty.
 TEST(Persistence, UncommittedCheckoutIsGoneAfterCrash) {
   for (bool checkpoint : {false, true}) {
     SCOPED_TRACE(checkpoint ? "after a checkpoint" : "WAL only");
@@ -1380,11 +1357,10 @@ TEST(Persistence, CrashAtAnyWalRecordPrefixRecoversExactly) {
       const std::string context = "threads=" + std::to_string(threads) +
                                   " prefix=" + std::to_string(j);
       ExpectEngineEquals(refs[j], &recovered, context);
-      // The whole log ends on the junk checkout's discard: the
-      // committed state is the last commit's.
+      // The whole log ends on the junk checkout's discard, which left
+      // the engine as the last commit did.
       if (j == boundaries.size()) {
-        ExpectEngineEquals(after_discard, &recovered, context + " discard",
-                           Match::kCommitted);
+        ExpectEngineEquals(after_discard, &recovered, context + " discard");
       }
     }
   }
