@@ -6,8 +6,15 @@
 
 #include "common/flat_join_table.h"
 #include "common/str_util.h"
+#include "relstore/row_key.h"
 
 namespace orpheus::core {
+
+using rel::AppendRecordKeys;
+using rel::ColumnsOf;
+using rel::FirstOccurrences;
+using rel::RecordColumns;
+using rel::RecordIndex;
 
 namespace {
 

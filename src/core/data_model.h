@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/record.h"
 #include "core/version_graph.h"
 #include "relstore/database.h"
 

@@ -27,6 +27,24 @@ Status UsageError(const char* usage) {
   return Status::InvalidArgument(std::string("usage: ") + usage);
 }
 
+// Splits a statement at whitespace. A token that opens with a double
+// quote runs to the closing quote (or the end of the line) and drops
+// both quotes, so `-m "two words"` is one operand.
+std::vector<std::string> Tokenize(std::string_view line) {
+  constexpr const char* kSpace = " \t\n\v\f\r";
+  std::vector<std::string> tokens;
+  for (size_t i = line.find_first_not_of(kSpace); i != std::string_view::npos;
+       i = line.find_first_not_of(kSpace, i)) {
+    const size_t quoted = line[i] == '"' ? 1 : 0;
+    const size_t end = std::min(
+        quoted ? line.find('"', i + 1) : line.find_first_of(kSpace, i),
+        line.size());
+    tokens.emplace_back(line.substr(i + quoted, end - i - quoted));
+    i = std::min(end + quoted, line.size());
+  }
+  return tokens;
+}
+
 // Extracts "-flag value" from an argument vector; empty if absent.
 std::string FlagValue(const std::vector<std::string>& args,
                       const std::string& flag) {
@@ -151,7 +169,8 @@ const EngineApi::Verb EngineApi::kVerbs[] = {
      "stage versions as a table or CSV file",
      [](const Call& c) { return c.api->Checkout(c); }},
     {LockMode::kExclusive, "commit (-t <table> | -f <file.csv>) -m <message>",
-     "commit a staged table or file as a new version",
+     "commit a staged table or file as a new version (quote a message "
+     "with spaces)",
      [](const Call& c) { return c.api->Commit(c); }},
     {LockMode::kExclusive, "discard -t <table>",
      "drop a staged table without committing",
@@ -453,7 +472,7 @@ Result<std::string> EngineApi::Execute(SessionContext* session,
     LockMode mode = verb->lock;
     {
       obs::TraceSpan parse_span(obs::TraceStage::kParse);
-      call.args = SplitWhitespace(trimmed);
+      call.args = Tokenize(trimmed);
       if (mode == LockMode::kBySql) {
         ORPHEUS_ASSIGN_OR_RETURN(call.sql,
                                  SqlOperand(trimmed, call.args, verb->usage));

@@ -24,6 +24,7 @@
 namespace orpheus::core {
 
 using VersionId = int64_t;
+using RecordId = int64_t;  // a record id (rid), unique within a CVD
 
 struct VersionNode {
   VersionId vid = 0;

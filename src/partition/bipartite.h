@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/record.h"
 #include "core/version_graph.h"
 
 namespace orpheus::part {

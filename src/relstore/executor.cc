@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/flat_join_table.h"
 #include "common/thread_pool.h"
@@ -13,6 +12,7 @@
 #include "obs/profile.h"
 #include "relstore/database.h"
 #include "relstore/eval.h"
+#include "relstore/row_key.h"
 
 namespace orpheus::rel {
 
@@ -71,42 +71,53 @@ bool IsUnnestCall(const Expr& expr) {
   return expr.kind == ExprKind::kFunc && expr.func_name == "unnest";
 }
 
-// Serializes a value into a byte string for group-by / distinct keys.
-void EncodeValue(const Value& v, std::string* out) {
-  out->push_back(static_cast<char>(v.type()));
-  switch (v.type()) {
-    case DataType::kNull:
-      break;
-    case DataType::kInt64:
-    case DataType::kBool: {
-      int64_t x = v.AsInt();
-      out->append(reinterpret_cast<const char*>(&x), sizeof(x));
-      break;
+// A computed column of `values`, typed by all its non-NULL values, so
+// row order never decides it: their one type, DOUBLE for a mix of INT
+// and DOUBLE, `all_null` if there is none. Any other mix is refused,
+// since the column would store a placeholder (Value::AsInt of a DOUBLE
+// is 0) for the values of the other type.
+Result<Column> ColumnOfValues(const std::vector<Value>& values,
+                              DataType all_null) {
+  auto numeric = [](DataType t) {
+    return t == DataType::kInt64 || t == DataType::kDouble;
+  };
+  DataType type = DataType::kNull;
+  for (const Value& v : values) {
+    if (v.is_null() || v.type() == type) continue;
+    if (type != DataType::kNull && !(numeric(type) && numeric(v.type()))) {
+      return Status::InvalidArgument(std::string(DataTypeName(type)) +
+                                     " column cannot hold " + v.ToString());
     }
-    case DataType::kDouble: {
-      double d = v.AsDouble();
-      out->append(reinterpret_cast<const char*>(&d), sizeof(d));
-      break;
-    }
-    case DataType::kString: {
-      size_t len = v.AsString().size();
-      out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      out->append(v.AsString());
-      break;
-    }
-    case DataType::kIntArray: {
-      size_t len = v.AsArray().size();
-      out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      for (int64_t x : v.AsArray()) {
-        out->append(reinterpret_cast<const char*>(&x), sizeof(x));
-      }
-      break;
-    }
+    type = type == DataType::kNull ? v.type() : DataType::kDouble;
   }
+  Column col(type == DataType::kNull ? all_null : type);
+  col.Reserve(values.size());
+  for (const Value& v : values) col.Append(v);
+  return col;
 }
 
-DataType InferType(const Value& v) {
-  return v.is_null() ? DataType::kInt64 : v.type();
+// A computed GROUP BY key as key columns: one per type its values
+// take, each NULL where a value has another type, so values of
+// different types never group together (1 and 1.0 stay apart).
+std::vector<Column> KeyColumnsOf(const std::vector<Value>& values) {
+  std::vector<Column> cols;
+  for (const Value& v : values) {
+    if (v.is_null() || std::any_of(cols.begin(), cols.end(),
+                                   [&v](const Column& c) {
+                                     return c.type() == v.type();
+                                   })) {
+      continue;
+    }
+    cols.emplace_back(v.type());
+  }
+  if (cols.empty()) cols.emplace_back(DataType::kInt64);
+  for (Column& col : cols) {
+    col.Reserve(values.size());
+    for (const Value& v : values) {
+      col.Append(v.type() == col.type() ? v : Value::Null());
+    }
+  }
+  return cols;
 }
 
 // Strips an "alias." qualifier.
@@ -211,11 +222,8 @@ Status Executor::FilterSelection(const Evaluator& eval,
     for (size_t row = begin; row < end; ++row) {
       bool pass = true;
       for (const Expr* conjunct : conjuncts) {
-        ORPHEUS_ASSIGN_OR_RETURN(bool ok, eval.EvalPredicate(*conjunct, data, row));
-        if (!ok) {
-          pass = false;
-          break;
-        }
+        ORPHEUS_ASSIGN_OR_RETURN(pass, eval.EvalPredicate(*conjunct, data, row));
+        if (!pass) break;
       }
       if (pass) out->push_back(static_cast<uint32_t>(row));
     }
@@ -407,57 +415,7 @@ Result<Executor::Input> Executor::JoinPair(
     }
     const bool inl = method == JoinMethod::kIndexNestedLoop;
 
-    if (!single_int_key) {
-      // Generic multi-key hash join via encoded keys; rows with any
-      // NULL key are skipped (SQL equi-join semantics). Same serial
-      // build and batch-parallel probe as the single-INT-key path,
-      // with string-encoded composite keys.
-      auto any_null = [](const Chunk& chunk, const std::vector<int>& cols,
-                         size_t row) {
-        for (int col : cols) {
-          if (chunk.column(col).IsNull(row)) return true;
-        }
-        return false;
-      };
-      op_scope.SetDetail("hash multi-key");
-      std::unordered_map<std::string, std::vector<uint32_t>> hash;
-      {
-        obs::ProfileOpScope build_scope("hash_build");
-        build_scope.AddRowsIn(rc.num_rows());
-        build_scope.AddBatches(1);
-        std::string key;
-        for (size_t r = 0; r < rc.num_rows(); ++r) {
-          if (any_null(rc, rcols, r)) continue;
-          key.clear();
-          for (int col : rcols) EncodeValue(rc.Get(r, col), &key);
-          hash[key].push_back(static_cast<uint32_t>(r));
-        }
-        build_scope.AddRowsOut(hash.size());
-      }
-      {
-        obs::ProfileOpScope probe_scope("hash_probe");
-        probe_scope.AddRowsIn(lc.num_rows());
-        probe_scope.AddBatches(NumScanBatches(lc.num_rows()));
-        ORPHEUS_RETURN_NOT_OK(BatchedProbe(
-            lc.num_rows(),
-            [&](size_t begin, size_t end, MatchList* out) {
-              std::string key;
-              for (size_t l = begin; l < end; ++l) {
-                if (any_null(lc, lcols, l)) continue;
-                key.clear();
-                for (int col : lcols) EncodeValue(lc.Get(l, col), &key);
-                auto hit = hash.find(key);
-                if (hit == hash.end()) continue;
-                for (uint32_t m : hit->second) {
-                  out->l.push_back(static_cast<uint32_t>(l));
-                  out->r.push_back(m);
-                }
-              }
-            },
-            &lidx, &ridx));
-        probe_scope.AddRowsOut(lidx.size());
-      }
-    } else if (method == JoinMethod::kMerge) {
+    if (method == JoinMethod::kMerge) {
       op_scope.SetDetail("merge");
       const Column& lkcol = lc.column(lcols[0]);
       const Column& rkcol = rc.column(rcols[0]);
@@ -530,46 +488,81 @@ Result<Executor::Input> Executor::JoinPair(
         }
       }
     } else {
-      // Single INT key: a hash join builds a FlatJoinTable on the
-      // smaller side (the paper's "hash table on rids, sequential scan
-      // on the data table"); an index-nested-loop join takes the
-      // indexed base table's own FlatJoinTable (Table::Index, built
-      // here on the coordinating thread if DML invalidated it). Either
-      // way the other side probes it batch-parallel, per-batch match
-      // lists concatenated in batch order, and every chain lists its
-      // rows in ascending order — so the output order is the serial
-      // probe's at every thread count (see executor.h). NULL keys
-      // never participate in equi-joins: the build skips them and the
-      // probe skips them.
+      // A hash join builds a FlatJoinTable on the smaller side (the
+      // paper's "hash table on rids, sequential scan on the data
+      // table"); an index-nested-loop join takes the indexed base
+      // table's own FlatJoinTable (Table::Index, built here on the
+      // coordinating thread if DML invalidated it). A single INT key is
+      // its own table key; other keys are row keys (row_key.h), and each
+      // chain candidate is verified on the key columns. Either way the
+      // other side probes batch-parallel, per-batch match lists
+      // concatenated in batch order, and every chain lists its rows in
+      // ascending order — so the output order is the serial probe's at
+      // every thread count (see executor.h). NULL keys never take part
+      // in equi-joins: the build skips rows with any NULL key, the probe
+      // rows whose first key is NULL, and a NULL in a later key fails
+      // the verification. Key columns of different types never match,
+      // so such a build is empty (no row keys).
       const bool build_right =
           inl ? index_right : rc.num_rows() <= lc.num_rows();
-      const Column& bcol = build_right ? rc.column(rcols[0]) : lc.column(lcols[0]);
-      const Column& pcol = build_right ? lc.column(lcols[0]) : rc.column(rcols[0]);
-      const std::vector<int64_t>& pkeys = pcol.ints();
+      const RecordColumns bcols =
+          build_right ? ColumnsOf(rc, rcols) : ColumnsOf(lc, lcols);
+      const RecordColumns pcols =
+          build_right ? ColumnsOf(lc, lcols) : ColumnsOf(rc, rcols);
+      const size_t num_probe = pcols[0]->size();
+      bool comparable = true;
+      for (size_t k = 0; k < keys.size(); ++k) {
+        comparable = comparable && bcols[k]->type() == pcols[k]->type();
+      }
+      std::vector<int64_t> bhashes;
+      std::vector<int64_t> phashes;
+      if (!single_int_key) {
+        if (comparable) AppendRecordKeys(bcols, bcols[0]->size(), &bhashes);
+        AppendRecordKeys(pcols, num_probe, &phashes);
+      }
+      const std::vector<int64_t>& pkeys =
+          single_int_key ? pcols[0]->ints() : phashes;
       FlatJoinTable built;
       const FlatJoinTable* table = &built;
       if (inl) {
         op_scope.SetDetail("inl");
         ORPHEUS_ASSIGN_OR_RETURN(table, indexed_base->Index(index_col));
       } else {
-        op_scope.SetDetail("hash");
+        op_scope.SetDetail(single_int_key ? "hash" : "hash row-key");
         obs::ProfileOpScope build_scope("hash_build");
-        build_scope.AddRowsIn(bcol.size());
+        build_scope.AddRowsIn(bcols[0]->size());
         build_scope.AddBatches(1);
-        built.Build(bcol.ints(), [&](size_t i) { return bcol.IsNull(i); });
+        const Column& bkey = *bcols[0];
+        if (single_int_key) {
+          built.Build(bkey.ints(), [&bkey](size_t i) { return bkey.IsNull(i); });
+        } else {
+          built.Build(bhashes, [&bcols](size_t i) {
+            return std::any_of(bcols.begin(), bcols.end(),
+                               [i](const Column* col) { return col->IsNull(i); });
+          });
+        }
         build_scope.AddRowsOut(built.num_keys());
       }
       {
         obs::ProfileOpScope probe_scope(inl ? "inl_probe" : "hash_probe");
-        probe_scope.AddRowsIn(pkeys.size());
-        probe_scope.AddBatches(NumScanBatches(pkeys.size()));
+        probe_scope.AddRowsIn(num_probe);
+        probe_scope.AddBatches(NumScanBatches(num_probe));
         ORPHEUS_RETURN_NOT_OK(BatchedProbe(
-            pkeys.size(),
+            num_probe,
             [&](size_t begin, size_t end, MatchList* out) {
+              // Locals, so the loop reloads none of them after a push_back.
+              const Column& pkey = *pcols[0];
+              const bool verify = !single_int_key;
+              const FlatJoinTable& t = *table;
+              const int64_t* pk = pkeys.data();
               for (size_t i = begin; i < end; ++i) {
-                if (pcol.IsNull(i)) continue;
-                for (uint32_t m = table->Find(pkeys[i]);
-                     m != FlatJoinTable::kEnd; m = table->Next(m)) {
+                if (pkey.IsNull(i)) continue;
+                for (uint32_t m = t.Find(pk[i]); m != FlatJoinTable::kEnd;
+                     m = t.Next(m)) {
+                  if (verify &&
+                      !RecordsMatch(bcols, m, pcols, i, NanMatch::kSameBits)) {
+                    continue;
+                  }
                   if (build_right) {
                     out->l.push_back(static_cast<uint32_t>(i));
                     out->r.push_back(m);
@@ -589,8 +582,8 @@ Result<Executor::Input> Executor::JoinPair(
         // the distinct pages they touch; scattered matches cost about
         // one random page per outer row, but never more than the table.
         int64_t probes = 0;
-        for (size_t i = 0; i < pkeys.size(); ++i) probes += pcol.IsNull(i) ? 0 : 1;
-        int64_t pages = std::min<int64_t>(static_cast<int64_t>(pkeys.size()),
+        for (size_t i = 0; i < num_probe; ++i) probes += pcols[0]->IsNull(i) ? 0 : 1;
+        int64_t pages = std::min<int64_t>(static_cast<int64_t>(num_probe),
                                           indexed_base->num_pages());
         if (indexed_base->clustered_on() == index_col) {
           const int64_t rows_per_page = indexed_base->rows_per_page();
@@ -605,7 +598,7 @@ Result<Executor::Input> Executor::JoinPair(
           }
         }
         stats->index_probes += probes;
-        stats->rows_scanned += static_cast<int64_t>(pkeys.size());
+        stats->rows_scanned += static_cast<int64_t>(num_probe);
         stats->pages_read += pages;
       }
     }
@@ -820,100 +813,68 @@ Result<Chunk> Executor::Project(const SelectStmt& select, Input input,
     return Status::NotSupported("at most one unnest() per select list");
   }
 
-  if (unnest_count == 0) {
-    // Bulk path: gathers for direct columns, row loop only for
-    // computed expressions. An owned input is consumed here: under the
-    // identity selection a direct column referenced once is moved into
-    // the output instead of gathered. Computed columns are evaluated
-    // first, so no expression reads a moved-from column. A base table
-    // is never moved from.
-    Schema out_schema;
-    for (const OutCol& oc : out_cols) {
-      DataType type;
-      if (oc.source_col >= 0) {
-        type = schema.column(oc.source_col).type;
-      } else {
-        // Infer from the first row; default INT for empty inputs.
-        type = DataType::kInt64;
-        if (!sel.empty()) {
-          ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*oc.expr, data, sel[0]));
-          type = InferType(v);
-        }
+  // An unnest() item emits one output row per element of its array:
+  // `rows` repeats each selected row once per element. Every other
+  // column then reads `rows` the way it reads `sel` without one.
+  const std::vector<uint32_t>* rows = &sel;
+  std::vector<uint32_t> expanded;
+  Column elements(DataType::kInt64);
+  for (const OutCol& oc : out_cols) {
+    if (!oc.unnest) continue;
+    std::vector<Value> arrays;
+    ORPHEUS_RETURN_NOT_OK(EvalScalarBatched(eval, *oc.expr, data, sel, &arrays));
+    for (size_t i = 0; i < sel.size(); ++i) {
+      if (arrays[i].type() != DataType::kIntArray) {
+        return Status::InvalidArgument("unnest expects an INT[] argument");
       }
-      out_schema.AddColumn(oc.name, type);
-    }
-    Chunk out(out_schema);
-    std::vector<Value> computed;
-    std::vector<int> refs(static_cast<size_t>(schema.num_columns()), 0);
-    for (size_t c = 0; c < out_cols.size(); ++c) {
-      const OutCol& oc = out_cols[c];
-      if (oc.source_col >= 0) {
-        ++refs[static_cast<size_t>(oc.source_col)];
-        continue;
-      }
-      // Evaluate into a slot-per-row buffer on the pool, then append
-      // in row order on this thread.
-      ORPHEUS_RETURN_NOT_OK(
-          EvalScalarBatched(eval, *oc.expr, data, sel, &computed));
-      Column& dst = out.mutable_column(static_cast<int>(c));
-      for (const Value& v : computed) dst.Append(v);
-    }
-    const bool movable =
-        input.owned != nullptr && IsIdentity(sel, data.num_rows());
-    for (size_t c = 0; c < out_cols.size(); ++c) {
-      const int src = out_cols[c].source_col;
-      if (src < 0) continue;
-      Column& dst = out.mutable_column(static_cast<int>(c));
-      if (movable && refs[static_cast<size_t>(src)] == 1) {
-        dst = std::move(input.owned->mutable_column(src));
-      } else {
-        dst.Gather(data.column(src), sel);
+      for (int64_t element : arrays[i].AsArray()) {
+        expanded.push_back(sel[i]);
+        elements.AppendInt(element);
       }
     }
-    input = Input();  // consumed: free it inside op_scope
-    op_scope.AddRowsOut(out.num_rows());
-    return out;
+    rows = &expanded;
   }
 
-  // Unnest path: one output row per array element; other columns are
-  // replicated alongside.
-  Schema out_schema;
+  // Gathers for direct columns, a batched evaluation only for computed
+  // ones. An owned input is consumed here: under the identity selection
+  // a direct column referenced once is moved into the output instead of
+  // gathered. Computed columns are evaluated first, so no expression
+  // reads a moved-from column. A base table is never moved from.
+  std::vector<Column> cols;
+  cols.reserve(out_cols.size());
+  std::vector<int> refs(static_cast<size_t>(schema.num_columns()), 0);
+  std::vector<Value> computed;
   for (const OutCol& oc : out_cols) {
     if (oc.unnest) {
-      out_schema.AddColumn(oc.name, DataType::kInt64);
+      cols.push_back(std::move(elements));
     } else if (oc.source_col >= 0) {
-      out_schema.AddColumn(oc.name, schema.column(oc.source_col).type);
+      ++refs[static_cast<size_t>(oc.source_col)];
+      cols.emplace_back(schema.column(oc.source_col).type);
     } else {
-      out_schema.AddColumn(oc.name, DataType::kInt64);
+      ORPHEUS_RETURN_NOT_OK(
+          EvalScalarBatched(eval, *oc.expr, data, *rows, &computed));
+      ORPHEUS_ASSIGN_OR_RETURN(Column col,
+                               ColumnOfValues(computed, DataType::kInt64));
+      cols.push_back(std::move(col));
     }
   }
+  const bool movable =
+      input.owned != nullptr && IsIdentity(*rows, data.num_rows());
+  Schema out_schema;
+  for (size_t c = 0; c < out_cols.size(); ++c) {
+    const int src = out_cols[c].source_col;
+    if (src >= 0) {
+      if (movable && refs[static_cast<size_t>(src)] == 1) {
+        cols[c] = std::move(input.owned->mutable_column(src));
+      } else {
+        cols[c].Gather(data.column(src), *rows);
+      }
+    }
+    out_schema.AddColumn(out_cols[c].name, cols[c].type());
+  }
   Chunk out(out_schema);
-  for (uint32_t row : sel) {
-    // Evaluate the unnest argument once per input row.
-    IntArray elements;
-    for (const OutCol& oc : out_cols) {
-      if (oc.unnest) {
-        ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*oc.expr, data, row));
-        if (v.type() != DataType::kIntArray) {
-          return Status::InvalidArgument("unnest expects an INT[] argument");
-        }
-        elements = v.AsArray();
-      }
-    }
-    for (int64_t element : elements) {
-      for (size_t c = 0; c < out_cols.size(); ++c) {
-        const OutCol& oc = out_cols[c];
-        Column& dst = out.mutable_column(static_cast<int>(c));
-        if (oc.unnest) {
-          dst.AppendInt(element);
-        } else if (oc.source_col >= 0) {
-          dst.AppendFrom(data.column(oc.source_col), row);
-        } else {
-          ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*oc.expr, data, row));
-          dst.Append(v);
-        }
-      }
-    }
+  for (size_t c = 0; c < cols.size(); ++c) {
+    out.mutable_column(static_cast<int>(c)) = std::move(cols[c]);
   }
   input = Input();  // consumed: free it inside op_scope
   op_scope.AddRowsOut(out.num_rows());
@@ -937,7 +898,8 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
   enum class AggKind { kGroupExpr, kCountStar, kCount, kSum, kAvg, kMin, kMax };
   struct ItemPlan {
     AggKind kind;
-    const Expr* arg = nullptr;  // aggregate argument or group expression
+    const Expr* arg = nullptr;  // aggregate argument
+    size_t key = 0;             // kGroupExpr: its GROUP BY position
     std::string name;
   };
   std::vector<ItemPlan> plans;
@@ -970,20 +932,15 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
           "aggregates must be top-level select items: " + e.ToString());
     } else {
       // Must match one of the GROUP BY expressions.
-      bool matched = false;
-      for (const ExprPtr& g : select.group_by) {
-        if (g->ToString() == e.ToString()) {
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
+      auto match = std::find_if(
+          select.group_by.begin(), select.group_by.end(),
+          [&](const ExprPtr& g) { return g->ToString() == e.ToString(); });
+      if (match == select.group_by.end()) {
         return Status::InvalidArgument(
             "non-aggregate select item must appear in GROUP BY: " + e.ToString());
       }
       plan.kind = AggKind::kGroupExpr;
-      plan.arg = &e;
-      ORPHEUS_RETURN_NOT_OK(eval.Bind(const_cast<Expr*>(&e), schema));
+      plan.key = static_cast<size_t>(match - select.group_by.begin());
     }
     plan.name = !item.alias.empty()
                     ? item.alias
@@ -998,49 +955,90 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
     int64_t isum = 0;
     Value min;
     Value max;
-    Value rep;  // representative group expression value
   };
 
-  // Per-batch partial aggregation state. Each batch accumulates its
-  // slice of `sel` into private hash tables; the batches are then
-  // merged below in batch order, which makes the group output order
-  // (first occurrence in row order) and the floating-point rounding of
-  // SUM/AVG independent of the thread count.
+  // GROUP BY keys are typed key columns; GROUP BY key k is columns
+  // [key_begin[k], key_begin[k + 1]). A column reference is one column,
+  // read from its input column through `sel`. A computed key is
+  // evaluated up front into KeyColumnsOf's columns, read by position,
+  // so its columns are the same in every batch.
+  std::deque<Column> computed_keys;  // key_sources points into it
+  std::vector<const Column*> key_sources;
+  std::vector<bool> by_position;
+  std::vector<size_t> key_begin = {0};
+  for (const ExprPtr& g : select.group_by) {
+    if (g->kind == ExprKind::kColumnRef) {
+      key_sources.push_back(&data.column(g->bound_col));
+      by_position.push_back(false);
+    } else {
+      std::vector<Value> values;
+      ORPHEUS_RETURN_NOT_OK(EvalScalarBatched(eval, *g, data, sel, &values));
+      for (Column& col : KeyColumnsOf(values)) {
+        computed_keys.push_back(std::move(col));
+        key_sources.push_back(&computed_keys.back());
+        by_position.push_back(true);
+      }
+    }
+    key_begin.push_back(key_sources.size());
+  }
+  const size_t num_keys = key_sources.size();
+
+  // Per-batch partial aggregation. Each batch numbers its groups in
+  // first-occurrence order (GroupIds over its key columns; with no
+  // GROUP BY there is one group and no hashing), keeps the key row and
+  // row key that opened each, and accumulates its slice of `sel` into
+  // one state per group. The batches are then merged below in batch
+  // order, which makes the group output order (first occurrence in row
+  // order) and the floating-point rounding of SUM/AVG independent of
+  // the thread count.
   struct BatchAgg {
-    std::unordered_map<std::string, size_t> index;
-    std::vector<std::string> keys;              // insertion order
-    std::vector<std::vector<AggState>> groups;  // parallel to keys
+    std::vector<Column> reps;     // key columns, one row per group
+    std::vector<int64_t> rep_keys;
+    std::vector<std::vector<AggState>> groups;  // [group][item]
   };
 
   const size_t nb = NumScanBatches(sel.size());
   std::vector<BatchAgg> batch_aggs(nb);
   auto aggregate_range = [&](size_t begin, size_t end,
                              BatchAgg* agg) -> Status {
-    std::string key;
+    std::vector<uint32_t> ids;  // each row's group
+    if (num_keys > 0) {
+      const std::vector<uint32_t> rows(sel.begin() + begin, sel.begin() + end);
+      std::vector<uint32_t> positions(end - begin);
+      std::iota(positions.begin(), positions.end(), static_cast<uint32_t>(begin));
+      std::vector<Column> cols;
+      for (size_t k = 0; k < num_keys; ++k) {
+        cols.emplace_back(key_sources[k]->type());
+        cols.back().Gather(*key_sources[k], by_position[k] ? positions : rows);
+      }
+      RecordColumns key_cols;
+      for (const Column& col : cols) key_cols.push_back(&col);
+      std::vector<int64_t> keys;
+      AppendRecordKeys(key_cols, rows.size(), &keys);
+      ids = GroupIds({key_cols}, keys, NanMatch::kSameBits);
+      std::vector<uint32_t> opening;  // the row that opened each group
+      for (uint32_t r = 0; r < ids.size(); ++r) {
+        if (ids[r] == opening.size()) opening.push_back(r);
+      }
+      for (const Column& col : cols) {
+        agg->reps.emplace_back(col.type());
+        agg->reps.back().Gather(col, opening);
+      }
+      for (uint32_t r : opening) agg->rep_keys.push_back(keys[r]);
+      agg->groups.assign(opening.size(), std::vector<AggState>(plans.size()));
+    } else {
+      ids.assign(end - begin, 0);
+      agg->groups.assign(1, std::vector<AggState>(plans.size()));
+    }
     for (size_t i = begin; i < end; ++i) {
-      uint32_t row = sel[i];
-      key.clear();
-      for (const ExprPtr& g : select.group_by) {
-        ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*g, data, row));
-        EncodeValue(v, &key);
-      }
-      auto [it, inserted] = agg->index.try_emplace(key, agg->groups.size());
-      if (inserted) {
-        agg->keys.push_back(key);
-        agg->groups.emplace_back(plans.size());
-      }
-      std::vector<AggState>& states = agg->groups[it->second];
+      const uint32_t row = sel[i];
+      std::vector<AggState>& states = agg->groups[ids[i - begin]];
       for (size_t p = 0; p < plans.size(); ++p) {
         const ItemPlan& plan = plans[p];
         AggState& st = states[p];
         switch (plan.kind) {
-          case AggKind::kGroupExpr: {
-            if (st.count == 0) {
-              ORPHEUS_ASSIGN_OR_RETURN(st.rep, eval.Eval(*plan.arg, data, row));
-            }
-            ++st.count;
+          case AggKind::kGroupExpr:
             break;
-          }
           case AggKind::kCountStar:
             ++st.count;
             break;
@@ -1074,52 +1072,55 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
       }));
 
   // Deterministic merge: batches in order, groups in each batch's
-  // first-occurrence order. This reproduces the sequential scan's
-  // group discovery order exactly.
-  std::unordered_map<std::string, size_t> group_index;
-  std::vector<std::vector<AggState>> groups;  // [group][item]
-  for (BatchAgg& agg : batch_aggs) {
-    for (size_t g = 0; g < agg.keys.size(); ++g) {
-      auto [it, inserted] =
-          group_index.try_emplace(std::move(agg.keys[g]), groups.size());
-      if (inserted) {
-        groups.push_back(std::move(agg.groups[g]));
+  // first-occurrence order; GroupIds over the batches' key rows gives
+  // each its group in the sequential scan's discovery order.
+  std::vector<uint32_t> gids(nb, 0);
+  if (num_keys > 0) {
+    std::vector<RecordColumns> parts;
+    std::vector<int64_t> keys;
+    for (const BatchAgg& agg : batch_aggs) {
+      parts.emplace_back();
+      for (const Column& col : agg.reps) parts.back().push_back(&col);
+      keys.insert(keys.end(), agg.rep_keys.begin(), agg.rep_keys.end());
+    }
+    gids = GroupIds(std::move(parts), keys, NanMatch::kSameBits);
+  }
+  std::vector<std::vector<AggState>> groups;    // [group][item]
+  std::vector<std::pair<size_t, size_t>> reps;  // {batch, row} opening each
+  size_t next = 0;
+  for (size_t b = 0; b < nb; ++b) {
+    for (size_t j = 0; j < batch_aggs[b].groups.size(); ++j) {
+      std::vector<AggState>& from = batch_aggs[b].groups[j];
+      const uint32_t g = gids[next++];
+      if (g == groups.size()) {
+        groups.push_back(std::move(from));
+        reps.emplace_back(b, j);
         continue;
       }
-      std::vector<AggState>& into = groups[it->second];
-      const std::vector<AggState>& from = agg.groups[g];
       for (size_t p = 0; p < plans.size(); ++p) {
-        AggState& st = into[p];
+        AggState& st = groups[g][p];
         const AggState& other = from[p];
+        st.count += other.count;
         switch (plans[p].kind) {
-          case AggKind::kGroupExpr:
-            // `rep` stays from the earliest batch that saw the group.
-            st.count += other.count;
-            break;
-          case AggKind::kCountStar:
-          case AggKind::kCount:
-            st.count += other.count;
-            break;
           case AggKind::kSum:
           case AggKind::kAvg:
-            st.count += other.count;
             if (!other.sum_is_int) st.sum_is_int = false;
             st.isum += other.isum;
             st.sum += other.sum;
             break;
           case AggKind::kMin:
-            st.count += other.count;
             if (!other.min.is_null() &&
                 (st.min.is_null() || other.min.Compare(st.min) < 0)) {
               st.min = other.min;
             }
             break;
           case AggKind::kMax:
-            st.count += other.count;
             if (!other.max.is_null() &&
                 (st.max.is_null() || other.max.Compare(st.max) > 0)) {
               st.max = other.max;
             }
+            break;
+          default:
             break;
         }
       }
@@ -1127,15 +1128,14 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
   }
 
   // With no GROUP BY and no input rows, SQL still yields one row.
-  if (select.group_by.empty() && groups.empty()) {
+  if (num_keys == 0 && groups.empty()) {
     groups.emplace_back(plans.size());
   }
 
-  // Produce one output row per group.
+  // One output row per group, each column typed by ColumnOfValues (a
+  // column reference key with no non-NULL value keeps its type).
   auto value_of = [](const ItemPlan& plan, const AggState& st) -> Value {
     switch (plan.kind) {
-      case AggKind::kGroupExpr:
-        return st.rep;
       case AggKind::kCountStar:
       case AggKind::kCount:
         return Value::Int(st.count);
@@ -1149,26 +1149,42 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
         return st.min;
       case AggKind::kMax:
         return st.max;
+      case AggKind::kGroupExpr:
+        break;
     }
     return Value::Null();
   };
 
   Schema out_schema;
+  std::vector<Column> cols;
+  std::vector<Value> values(groups.size());
   for (size_t p = 0; p < plans.size(); ++p) {
-    DataType type = DataType::kInt64;
-    if (!groups.empty()) {
-      type = InferType(value_of(plans[p], groups[0][p]));
+    const ItemPlan& plan = plans[p];
+    DataType all_null =
+        plan.kind == AggKind::kAvg ? DataType::kDouble : DataType::kInt64;
+    if (plan.kind == AggKind::kGroupExpr) {
+      // A key's value is in whichever of its columns is not NULL.
+      all_null = key_sources[key_begin[plan.key]]->type();
+      for (size_t g = 0; g < groups.size(); ++g) {
+        const auto [b, j] = reps[g];
+        values[g] = Value::Null();
+        for (size_t k = key_begin[plan.key]; k < key_begin[plan.key + 1]; ++k) {
+          const Column& rep = batch_aggs[b].reps[k];
+          if (!rep.IsNull(j)) values[g] = rep.Get(j);
+        }
+      }
+    } else {
+      for (size_t g = 0; g < groups.size(); ++g) {
+        values[g] = value_of(plan, groups[g][p]);
+      }
     }
-    if (plans[p].kind == AggKind::kAvg) type = DataType::kDouble;
-    out_schema.AddColumn(plans[p].name, type);
+    ORPHEUS_ASSIGN_OR_RETURN(Column col, ColumnOfValues(values, all_null));
+    out_schema.AddColumn(plan.name, col.type());
+    cols.push_back(std::move(col));
   }
   Chunk out(out_schema);
-  std::vector<Value> row_values(plans.size());
-  for (const std::vector<AggState>& states : groups) {
-    for (size_t p = 0; p < plans.size(); ++p) {
-      row_values[p] = value_of(plans[p], states[p]);
-    }
-    out.AppendRow(row_values);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    out.mutable_column(static_cast<int>(c)) = std::move(cols[c]);
   }
   input = Input();  // consumed: free it inside op_scope
   op_scope.AddBatches(nb);
@@ -1190,16 +1206,16 @@ Status Executor::ApplyHaving(const SelectStmt& select, Chunk* out) {
 }
 
 Status Executor::ApplyDistinct(Chunk* out) {
-  std::unordered_set<std::string> seen;
-  std::vector<bool> keep(out->num_rows());
-  for (size_t row = 0; row < out->num_rows(); ++row) {
-    std::string key;
-    for (int c = 0; c < out->num_columns(); ++c) {
-      EncodeValue(out->Get(row, c), &key);
-    }
-    keep[row] = seen.insert(std::move(key)).second;
-  }
-  out->FilterRows(keep);
+  std::vector<int> all(static_cast<size_t>(out->num_columns()));
+  std::iota(all.begin(), all.end(), 0);
+  const RecordColumns cols = ColumnsOf(*out, all);
+  std::vector<int64_t> keys;
+  AppendRecordKeys(cols, out->num_rows(), &keys);
+  const std::vector<uint32_t> keep =
+      FirstOccurrences({cols}, keys, NanMatch::kSameBits)[0];
+  Chunk distinct(out->schema());
+  distinct.GatherFrom(*out, keep);
+  *out = std::move(distinct);
   return Status::OK();
 }
 

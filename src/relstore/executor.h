@@ -172,9 +172,10 @@ class Executor {
 
   // Joins two inputs on the given equi-key pairs with the configured
   // JoinMethod (falling back to hash when the method's preconditions
-  // don't hold — see docs/QUERY_ENGINE.md). A single INT key is
-  // probed against a FlatJoinTable: a serial hash build, or the inner
-  // base table's index for INL. Probe, key sorts, and the output
+  // don't hold — see docs/QUERY_ENGINE.md). The probe side runs
+  // against a FlatJoinTable: a serial hash build keyed by the INT key
+  // or, for any other keys, by row keys (row_key.h), or the inner base
+  // table's index for INL. Probe, key sorts, and the output
   // materialization run batch-parallel on the pool;
   // per-batch match lists are concatenated in batch order so the
   // output row order matches the serial algorithms exactly. The
@@ -184,10 +185,11 @@ class Executor {
   Result<Input> JoinPair(Input left, Input right,
                          const std::vector<std::pair<const Expr*, const Expr*>>& keys);
 
-  // Grouped/global aggregation over the selected rows. Internally
-  // computes per-batch partial aggregate states and merges them in
-  // batch order (deterministic group order = first occurrence in row
-  // order; deterministic float rounding for any thread count).
+  // Grouped/global aggregation over the selected rows. Each batch
+  // groups its rows by their typed key columns (row_key.h GroupIds)
+  // into partial aggregate states, merged in batch order
+  // (deterministic group order = first occurrence in row order;
+  // deterministic float rounding for any thread count).
   Result<Chunk> Aggregate(const SelectStmt& select, Input input,
                           const std::vector<uint32_t>& sel);
   // Moves, rather than gathers, each direct column referenced once when

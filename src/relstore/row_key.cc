@@ -1,4 +1,4 @@
-#include "core/record.h"
+#include "relstore/row_key.h"
 
 #include <algorithm>
 #include <cmath>
@@ -6,7 +6,7 @@
 #include <functional>
 #include <string_view>
 
-namespace orpheus::core {
+namespace orpheus::rel {
 
 namespace {
 
@@ -32,17 +32,22 @@ inline uint64_t BytesHash(const void* data, size_t len) {
       std::string_view(static_cast<const char*>(data), len));
 }
 
-inline bool DoublesMatch(double p, double q) {
-  return p == q && std::signbit(p) == std::signbit(q);
+inline bool DoublesMatch(double p, double q, NanMatch nans) {
+  return DoubleBits(p) == DoubleBits(q) &&
+         (nans == NanMatch::kSameBits || !std::isnan(p));
+}
+
+size_t RowsOf(const RecordColumns& part) {
+  return part.empty() ? 0 : part[0]->size();
 }
 
 // Clears equal[r] where column `c` of hit r ({part, row within the
 // part}) differs from row r of `y` under RecordsMatch's rules. Values
 // is the columns' typed vector; `same` compares two non-NULL values.
-template <typename T, const std::vector<T>& (rel::Column::*Values)() const,
+template <typename T, const std::vector<T>& (Column::*Values)() const,
           typename Same>
 void VerifyColumn(const std::vector<RecordColumns>& parts, size_t c,
-                  const rel::Column& y, const Same& same,
+                  const Column& y, const Same& same,
                   const std::vector<std::pair<size_t, size_t>>& hits,
                   std::vector<uint8_t>* equal) {
   bool nulls = y.has_null_bitmap();
@@ -54,7 +59,7 @@ void VerifyColumn(const std::vector<RecordColumns>& parts, size_t c,
   for (size_t r = 0; r < hits.size(); ++r) {
     if (!eq[r]) continue;
     const auto [part, i] = hits[r];
-    const rel::Column& x = *parts[part][c];
+    const Column& x = *parts[part][c];
     if (nulls && (x.IsNull(i) || y.IsNull(r))) {
       eq[r] = x.IsNull(i) && y.IsNull(r);
     } else {
@@ -65,7 +70,7 @@ void VerifyColumn(const std::vector<RecordColumns>& parts, size_t c,
 
 // Mixes word(r) into keys[r] for each of n rows; NULL rows mix the tag.
 template <typename WordFn>
-void MixColumn(const rel::Column& col, size_t n, uint64_t* keys,
+void MixColumn(const Column& col, size_t n, uint64_t* keys,
                const WordFn& word) {
   if (!col.has_null_bitmap()) {
     for (size_t r = 0; r < n; ++r) keys[r] = Mix(keys[r], word(r));
@@ -78,7 +83,7 @@ void MixColumn(const rel::Column& col, size_t n, uint64_t* keys,
 
 }  // namespace
 
-RecordColumns ColumnsOf(const rel::Chunk& chunk, const std::vector<int>& cols) {
+RecordColumns ColumnsOf(const Chunk& chunk, const std::vector<int>& cols) {
   RecordColumns out;
   out.reserve(cols.size());
   for (int c : cols) out.push_back(&chunk.column(c));
@@ -88,37 +93,37 @@ RecordColumns ColumnsOf(const rel::Chunk& chunk, const std::vector<int>& cols) {
 void AppendRecordKeys(const RecordColumns& cols, size_t n,
                       std::vector<int64_t>* keys) {
   std::vector<uint64_t> h(n, kKeySeed);
-  for (const rel::Column* col : cols) {
+  for (const Column* col : cols) {
     switch (col->type()) {
-      case rel::DataType::kInt64:
-      case rel::DataType::kBool: {
+      case DataType::kInt64:
+      case DataType::kBool: {
         const int64_t* v = col->ints().data();
         MixColumn(*col, n, h.data(),
                   [v](size_t r) { return static_cast<uint64_t>(v[r]); });
         break;
       }
-      case rel::DataType::kDouble: {
+      case DataType::kDouble: {
         const double* v = col->doubles().data();
         MixColumn(*col, n, h.data(),
                   [v](size_t r) { return DoubleBits(v[r]); });
         break;
       }
-      case rel::DataType::kString: {
+      case DataType::kString: {
         const std::string* v = col->strings().data();
         MixColumn(*col, n, h.data(), [v](size_t r) {
           return static_cast<uint64_t>(BytesHash(v[r].data(), v[r].size()));
         });
         break;
       }
-      case rel::DataType::kIntArray: {
-        const rel::IntArray* v = col->arrays().data();
+      case DataType::kIntArray: {
+        const IntArray* v = col->arrays().data();
         MixColumn(*col, n, h.data(), [v](size_t r) {
           return static_cast<uint64_t>(
               BytesHash(v[r].data(), v[r].size() * sizeof(int64_t)));
         });
         break;
       }
-      case rel::DataType::kNull:
+      case DataType::kNull:
         break;
     }
   }
@@ -127,10 +132,10 @@ void AppendRecordKeys(const RecordColumns& cols, size_t n,
 }
 
 bool RecordsMatch(const RecordColumns& a, size_t row_a,
-                  const RecordColumns& b, size_t row_b) {
+                  const RecordColumns& b, size_t row_b, NanMatch nans) {
   for (size_t i = 0; i < a.size(); ++i) {
-    const rel::Column& x = *a[i];
-    const rel::Column& y = *b[i];
+    const Column& x = *a[i];
+    const Column& y = *b[i];
     const bool x_null = x.IsNull(row_a);
     const bool y_null = y.IsNull(row_b);
     if (x_null || y_null) {
@@ -138,20 +143,22 @@ bool RecordsMatch(const RecordColumns& a, size_t row_a,
       return false;
     }
     switch (x.type()) {
-      case rel::DataType::kInt64:
-      case rel::DataType::kBool:
+      case DataType::kInt64:
+      case DataType::kBool:
         if (x.ints()[row_a] != y.ints()[row_b]) return false;
         break;
-      case rel::DataType::kDouble:
-        if (!DoublesMatch(x.doubles()[row_a], y.doubles()[row_b])) return false;
+      case DataType::kDouble:
+        if (!DoublesMatch(x.doubles()[row_a], y.doubles()[row_b], nans)) {
+          return false;
+        }
         break;
-      case rel::DataType::kString:
+      case DataType::kString:
         if (x.strings()[row_a] != y.strings()[row_b]) return false;
         break;
-      case rel::DataType::kIntArray:
+      case DataType::kIntArray:
         if (x.arrays()[row_a] != y.arrays()[row_b]) return false;
         break;
-      case rel::DataType::kNull:
+      case DataType::kNull:
         break;
     }
   }
@@ -159,12 +166,12 @@ bool RecordsMatch(const RecordColumns& a, size_t row_a,
 }
 
 RecordIndex::RecordIndex(std::vector<RecordColumns> parts,
-                         const std::vector<int64_t>& keys)
-    : parts_(std::move(parts)) {
+                         const std::vector<int64_t>& keys, NanMatch nans)
+    : parts_(std::move(parts)), nans_(nans) {
   uint32_t total = 0;
   for (const RecordColumns& part : parts_) {
     offsets_.push_back(total);
-    total += static_cast<uint32_t>(part.empty() ? 0 : part[0]->size());
+    total += static_cast<uint32_t>(RowsOf(part));
   }
   table_.Build(keys);
 }
@@ -178,7 +185,7 @@ uint32_t RecordIndex::FirstMatchFrom(uint32_t m, const RecordColumns& probe,
                                      size_t row, uint32_t limit) const {
   for (; m != kNone && m < limit; m = table_.Next(m)) {
     auto [part, part_row] = Locate(m);
-    if (RecordsMatch(parts_[part], part_row, probe, row)) return m;
+    if (RecordsMatch(parts_[part], part_row, probe, row, nans_)) return m;
   }
   return kNone;
 }
@@ -197,27 +204,28 @@ std::vector<uint32_t> RecordIndex::FindFirstBatch(
     if (equal[r]) hits[r] = Locate(out[r]);
   }
   for (size_t c = 0; c < probe.size(); ++c) {
-    const rel::Column& y = *probe[c];
+    const Column& y = *probe[c];
     switch (y.type()) {
-      case rel::DataType::kInt64:
-      case rel::DataType::kBool:
-        VerifyColumn<int64_t, &rel::Column::ints>(parts_, c, y, std::equal_to<>(),
-                                                  hits, &equal);
+      case DataType::kInt64:
+      case DataType::kBool:
+        VerifyColumn<int64_t, &Column::ints>(parts_, c, y, std::equal_to<>(),
+                                             hits, &equal);
         break;
-      case rel::DataType::kDouble:
-        VerifyColumn<double, &rel::Column::doubles>(
-            parts_, c, y, [](double p, double q) { return DoublesMatch(p, q); },
+      case DataType::kDouble:
+        VerifyColumn<double, &Column::doubles>(
+            parts_, c, y,
+            [this](double p, double q) { return DoublesMatch(p, q, nans_); },
             hits, &equal);
         break;
-      case rel::DataType::kString:
-        VerifyColumn<std::string, &rel::Column::strings>(
+      case DataType::kString:
+        VerifyColumn<std::string, &Column::strings>(
             parts_, c, y, std::equal_to<>(), hits, &equal);
         break;
-      case rel::DataType::kIntArray:
-        VerifyColumn<rel::IntArray, &rel::Column::arrays>(
-            parts_, c, y, std::equal_to<>(), hits, &equal);
+      case DataType::kIntArray:
+        VerifyColumn<IntArray, &Column::arrays>(parts_, c, y,
+                                                std::equal_to<>(), hits, &equal);
         break;
-      case rel::DataType::kNull:
+      case DataType::kNull:
         break;
     }
   }
@@ -236,16 +244,36 @@ std::pair<size_t, size_t> RecordIndex::Locate(uint32_t i) const {
   return {part, i - offsets_[part]};
 }
 
-std::vector<std::vector<uint32_t>> FirstOccurrences(
-    std::vector<RecordColumns> parts, const std::vector<int64_t>& keys) {
-  RecordIndex index(std::move(parts), keys);
-  std::vector<std::vector<uint32_t>> keep(index.parts().size());
+std::vector<uint32_t> GroupIds(std::vector<RecordColumns> parts,
+                               const std::vector<int64_t>& keys,
+                               NanMatch nans) {
+  RecordIndex index(std::move(parts), keys, nans);
+  std::vector<uint32_t> ids(keys.size());
+  uint32_t groups = 0;
   uint32_t i = 0;
-  for (size_t p = 0; p < index.parts().size(); ++p) {
-    const RecordColumns& part = index.parts()[p];
-    const size_t n = part.empty() ? 0 : part[0]->size();
-    for (size_t r = 0; r < n; ++r, ++i) {
-      if (index.FindFirst(keys[i], part, r, i) == RecordIndex::kNone) {
+  for (const RecordColumns& part : index.parts()) {
+    for (size_t r = 0, n = RowsOf(part); r < n; ++r, ++i) {
+      // A row that heads its key's chain compares with nothing.
+      const uint32_t m = index.FindFirst(keys[i], part, r, i);
+      ids[i] = m == RecordIndex::kNone ? groups++ : ids[m];
+    }
+  }
+  return ids;
+}
+
+std::vector<std::vector<uint32_t>> FirstOccurrences(
+    std::vector<RecordColumns> parts, const std::vector<int64_t>& keys,
+    NanMatch nans) {
+  std::vector<size_t> sizes;
+  for (const RecordColumns& part : parts) sizes.push_back(RowsOf(part));
+  const std::vector<uint32_t> ids = GroupIds(std::move(parts), keys, nans);
+  std::vector<std::vector<uint32_t>> keep(sizes.size());
+  uint32_t groups = 0;
+  size_t i = 0;
+  for (size_t p = 0; p < sizes.size(); ++p) {
+    for (size_t r = 0; r < sizes[p]; ++r) {
+      if (ids[i++] == groups) {
+        ++groups;
         keep[p].push_back(static_cast<uint32_t>(r));
       }
     }
@@ -253,4 +281,4 @@ std::vector<std::vector<uint32_t>> FirstOccurrences(
   return keep;
 }
 
-}  // namespace orpheus::core
+}  // namespace orpheus::rel

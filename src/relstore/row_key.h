@@ -1,13 +1,14 @@
-// Record identity helpers. Records in a CVD are immutable: any change
-// to a record's attributes yields a new record (new rid). The record
-// manager detects reuse by content: rows hash a column at a time into
-// one int64 key each, the keys index a FlatJoinTable, and the rows
-// sharing a key are compared with typed, unboxed column equality.
-// Keys only narrow the search; equality alone decides, so a key
-// collision can never merge two different records.
+// Row keys: the engine's one way to hash and compare rows by content.
+// Rows hash a column at a time into one int64 key each, the keys index
+// a FlatJoinTable, and the rows sharing a key are compared with typed,
+// unboxed column equality. Keys only narrow the search; equality alone
+// decides, so a key collision can never merge two different rows.
+// The executor keys SQL rows (composite or non-INT equi-joins,
+// GROUP BY, DISTINCT); the CVD record manager keys records (commit
+// resolution, primary-key checks, the merging checkout's dedupe).
 
-#ifndef ORPHEUS_CORE_RECORD_H_
-#define ORPHEUS_CORE_RECORD_H_
+#ifndef ORPHEUS_RELSTORE_ROW_KEY_H_
+#define ORPHEUS_RELSTORE_ROW_KEY_H_
 
 #include <cstdint>
 #include <utility>
@@ -16,16 +17,20 @@
 #include "common/flat_join_table.h"
 #include "relstore/chunk.h"
 
-namespace orpheus::core {
+namespace orpheus::rel {
 
-using RecordId = int64_t;
+// The compared columns of one row set, in order. Two sets are compared
+// position by position, so paired columns share a type.
+using RecordColumns = std::vector<const Column*>;
 
-// The compared columns of one row set, in attribute order. Two sets
-// are compared position by position, so paired columns share a type.
-using RecordColumns = std::vector<const rel::Column*>;
+// The one point where SQL keys and record identity differ. Both compare
+// doubles by bit pattern (0.0 and -0.0 differ) and let NULL equal NULL;
+// SQL keys let bit-identical NaNs match (kSameBits), while a NaN record
+// matches nothing, itself included (kNever), so it is never reused.
+enum class NanMatch { kNever, kSameBits };
 
 // `cols` of `chunk`, in the given order.
-RecordColumns ColumnsOf(const rel::Chunk& chunk, const std::vector<int>& cols);
+RecordColumns ColumnsOf(const Chunk& chunk, const std::vector<int>& cols);
 
 // Appends one content key per row (n rows of `cols`) to `keys`. Ints
 // and double bit patterns mix in word-wise, strings and arrays as one
@@ -35,10 +40,10 @@ void AppendRecordKeys(const RecordColumns& cols, size_t n,
                       std::vector<int64_t>* keys);
 
 // True if row `row_a` of `a` equals row `row_b` of `b` on every paired
-// column. NULL equals NULL; doubles are equal when bit-identical and
-// not NaN (so 0.0 differs from -0.0, and NaN from everything).
+// column, under `nans`.
 bool RecordsMatch(const RecordColumns& a, size_t row_a,
-                  const RecordColumns& b, size_t row_b);
+                  const RecordColumns& b, size_t row_b,
+                  NanMatch nans = NanMatch::kNever);
 
 // The rows of several row sets, concatenated in order, indexed by
 // caller-computed content keys.
@@ -49,7 +54,8 @@ class RecordIndex {
   // keys[i] is the key of concatenated row i (one per row of every
   // part); rows equal under RecordsMatch must share a key.
   RecordIndex(std::vector<RecordColumns> parts,
-              const std::vector<int64_t>& keys);
+              const std::vector<int64_t>& keys,
+              NanMatch nans = NanMatch::kNever);
 
   // The first concatenated row before `limit` that equals row `row` of
   // `probe` (whose key is `key`), or kNone.
@@ -77,15 +83,23 @@ class RecordIndex {
   std::vector<RecordColumns> parts_;
   std::vector<uint32_t> offsets_;  // first concatenated row of each part
   FlatJoinTable table_;
+  NanMatch nans_;
 };
 
-// First-occurrence filter over `parts` concatenated in order: for each
-// part, the ascending rows that equal no earlier row. keys[i] is the
-// key of concatenated row i. Any keys are correct as long as equal
-// rows share one (constant keys just make every probe walk one chain).
+// Group ids of the rows of `parts` concatenated in order, numbered in
+// first-occurrence order: equal rows share an id, and the k-th distinct
+// row gets id k. keys[i] is the key of concatenated row i; any keys are
+// correct as long as equal rows share one.
+std::vector<uint32_t> GroupIds(std::vector<RecordColumns> parts,
+                               const std::vector<int64_t>& keys,
+                               NanMatch nans = NanMatch::kNever);
+
+// For each part, its ascending rows that equal no earlier row of the
+// concatenation (the rows that open a group).
 std::vector<std::vector<uint32_t>> FirstOccurrences(
-    std::vector<RecordColumns> parts, const std::vector<int64_t>& keys);
+    std::vector<RecordColumns> parts, const std::vector<int64_t>& keys,
+    NanMatch nans = NanMatch::kNever);
 
-}  // namespace orpheus::core
+}  // namespace orpheus::rel
 
-#endif  // ORPHEUS_CORE_RECORD_H_
+#endif  // ORPHEUS_RELSTORE_ROW_KEY_H_

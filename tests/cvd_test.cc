@@ -23,11 +23,19 @@
 #include "partition/lyresplit.h"
 #include "partition/partition_store.h"
 #include "relstore/database.h"
+#include "relstore/row_key.h"
 #include "storage/io_util.h"
 #include "storage/snapshot.h"
 
 namespace orpheus::core {
 namespace {
+
+using rel::AppendRecordKeys;
+using rel::ColumnsOf;
+using rel::FirstOccurrences;
+using rel::RecordColumns;
+using rel::RecordIndex;
+using rel::RecordsMatch;
 
 rel::Schema ProteinSchema() {
   return rel::Schema({{"protein1", rel::DataType::kString},

@@ -302,5 +302,52 @@ TEST(EngineApiArgs, StrayTokensAreRefused) {
   EXPECT_FALSE(api.Execute(session.get(), "config bob").ok());  // no user bob
 }
 
+// A double-quoted operand is one token with its quotes stripped, so a
+// commit message may hold spaces; the message survives WAL replay.
+TEST(EngineApiArgs, QuotedCommitMessageIsOneToken) {
+  TempDir dir;
+  std::ofstream(dir.path() + "/c.csv") << "k,score\n0,0\n1,0.5\n";
+  const std::string db_dir = dir.path() + "/db";
+  auto messages = [](EngineApi* api) {
+    auto r = api->orpheus()->db()->Execute("SELECT msg FROM c_meta ORDER BY vid");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> out;
+    for (size_t i = 0; r.ok() && i < r.value().num_rows(); ++i) {
+      out.push_back(r.value().Get(i, 0).AsString());
+    }
+    return out;
+  };
+  std::vector<std::string> live;
+  {
+    EngineApi api;
+    auto session = api.NewSession();
+    for (const std::string& line : std::vector<std::string>{
+             "open " + db_dir, "init c -f " + dir.path() + "/c.csv -pk k",
+             "checkout c -v 1 -t w", "commit -t w -m \"two  words\"",
+             "checkout c -v 2 -t w", "commit -t w -m \"one\""}) {
+      SCOPED_TRACE(line);
+      auto result = api.Execute(session.get(), line);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    ASSERT_TRUE(api.Execute(session.get(), "checkout c -v 3 -t w").ok());
+    // Still one message operand: a stray token after the quotes is
+    // refused, as is an unquoted second word.
+    for (const char* line : {"commit -t w -m \"a b\" junk",
+                             "commit -t w -m a b"}) {
+      SCOPED_TRACE(line);
+      EXPECT_EQ(StatusCode::kInvalidArgument,
+                api.Execute(session.get(), line).status().code());
+    }
+    live = messages(&api);
+    ASSERT_EQ(3u, live.size());
+    EXPECT_EQ("two  words", live[1]);
+    EXPECT_EQ("one", live[2]);
+  }
+  EngineApi reopened;
+  auto session = reopened.NewSession();
+  ASSERT_TRUE(reopened.Execute(session.get(), "open " + db_dir).ok());
+  EXPECT_EQ(live, messages(&reopened));
+}
+
 }  // namespace
 }  // namespace orpheus

@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -166,26 +167,31 @@ TEST(ProfileTest, OperatorTimesSumToExecuteStage) {
   MustExecute(&api, session.get(), "checkout js -v 1 -t j2");
   MustExecute(&api, session.get(), "checkout js -v 1 -t j3");
 
+  // One preemption between two operator scopes can open a gap on a
+  // loaded host, so the bound applies to the median of five runs.
   const int prev_threads = ExecThreads();
   for (int threads : {1, 4}) {
     SetExecThreads(threads);
-    MustExecute(&api, session.get(),
-                "run SELECT count(*) FROM j1, j2, j3 "
-                "WHERE j1.k = j2.k AND j2.k = j3.k");
-    std::vector<obs::OpTrace> recent = obs::GlobalTraceLog().Recent();
-    ASSERT_FALSE(recent.empty());
-    const obs::OpTrace& op = recent.back();
-    ASSERT_EQ("run", op.verb);
-    ASSERT_NE(nullptr, op.profile) << "statement recorded no profile";
-    double operator_sum = 0;
-    for (const auto& child : op.profile->children) {
-      operator_sum += child->seconds;
+    std::vector<double> gaps;  // |operator_sum - execute| / execute
+    for (int run = 0; run < 5; ++run) {
+      MustExecute(&api, session.get(),
+                  "run SELECT count(*) FROM j1, j2, j3 "
+                  "WHERE j1.k = j2.k AND j2.k = j3.k");
+      std::vector<obs::OpTrace> recent = obs::GlobalTraceLog().Recent();
+      ASSERT_FALSE(recent.empty());
+      const obs::OpTrace& op = recent.back();
+      ASSERT_EQ("run", op.verb);
+      ASSERT_NE(nullptr, op.profile) << "statement recorded no profile";
+      double operator_sum = 0;
+      for (const auto& child : op.profile->children) {
+        operator_sum += child->seconds;
+      }
+      double execute = op.stage_s[static_cast<int>(obs::TraceStage::kExecute)];
+      ASSERT_GT(execute, 0.0);
+      gaps.push_back(std::fabs(operator_sum - execute) / execute);
     }
-    double execute = op.stage_s[static_cast<int>(obs::TraceStage::kExecute)];
-    ASSERT_GT(execute, 0.0);
-    EXPECT_LE(std::fabs(operator_sum - execute), 0.10 * execute)
-        << "threads=" << threads << " operator_sum=" << operator_sum
-        << " execute=" << execute;
+    std::sort(gaps.begin(), gaps.end());
+    EXPECT_LE(gaps[2], 0.10) << "threads=" << threads << " median gap";
   }
   SetExecThreads(prev_threads);
 }

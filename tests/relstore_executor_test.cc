@@ -713,6 +713,84 @@ TEST_P(InlCountersTest, ExactCountsAndHashJoinOutput) {
 INSTANTIATE_TEST_SUITE_P(ThreadSettings, InlCountersTest,
                          ::testing::Values(1, 4));
 
+// --- Computed column types ---------------------------------------------
+
+// A computed or grouped column whose first row or group is NULL still
+// takes the type of its values: a key column keeps its key's type, and
+// anything else its first non-NULL value's. A value the column cannot
+// hold is an error, never a silent 0.
+TEST(ComputedColumnTypeTest, LeadingNullDoesNotTypeTheColumn) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (g INT, d DOUBLE, s TEXT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, NULL, NULL), (2, 1.5, 'x'), "
+                         "(3, -0.0, 'y'), (4, 0.0, 'y')")
+                  .ok());
+  auto grouped = db.Execute("SELECT s, count(*) FROM t GROUP BY s");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(3u, grouped.value().num_rows());
+  EXPECT_EQ(DataType::kString, grouped.value().schema().column(0).type);
+  EXPECT_TRUE(grouped.value().Get(0, 0).is_null());
+  EXPECT_EQ("x", grouped.value().Get(1, 0).AsString());
+  EXPECT_EQ("y", grouped.value().Get(2, 0).AsString());
+  EXPECT_EQ(2, grouped.value().Get(2, 1).AsInt());
+
+  auto computed = db.Execute("SELECT g, d * 2 FROM t");
+  ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+  EXPECT_EQ(DataType::kDouble, computed.value().schema().column(1).type);
+  EXPECT_TRUE(computed.value().Get(0, 1).is_null());
+  EXPECT_EQ(3.0, computed.value().Get(1, 1).AsDouble());
+
+  ASSERT_TRUE(db.Execute("CREATE TABLE u (g INT, d DOUBLE)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO u VALUES (1, NULL), (2, 1.5), (2, 2.5)").ok());
+  auto agg = db.Execute("SELECT g, min(d), sum(d) FROM u GROUP BY g");
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  ASSERT_EQ(2u, agg.value().num_rows());
+  EXPECT_TRUE(agg.value().Get(0, 1).is_null());
+  EXPECT_TRUE(agg.value().Get(0, 2).is_null());
+  EXPECT_EQ(1.5, agg.value().Get(1, 1).AsDouble());
+  EXPECT_EQ(4.0, agg.value().Get(1, 2).AsDouble());
+
+  // coalesce(s, g) yields INT 1 first, then TEXT: refused.
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("SELECT coalesce(s, g) FROM t").status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("SELECT coalesce(s, g), count(*) FROM t "
+                       "GROUP BY coalesce(s, g)")
+                .status()
+                .code());
+  // A mix of INT and DOUBLE makes a DOUBLE column, in either row order.
+  for (const char* order : {"ASC", "DESC"}) {
+    auto widened = db.Execute(
+        std::string("SELECT coalesce(d, g) FROM t ORDER BY g ") + order);
+    ASSERT_TRUE(widened.ok()) << widened.status().ToString();
+    EXPECT_EQ(DataType::kDouble, widened.value().schema().column(0).type);
+    EXPECT_EQ(1.0, widened.value().Get(order[0] == 'A' ? 0 : 3, 0).AsDouble());
+  }
+}
+
+TEST(ComputedColumnTypeTest, MixedTypeGroupKeyKeepsTypesApart) {
+  // coalesce(d, g) is INT 1 for the rows with a NULL d and DOUBLE 1.0
+  // for the other: two groups, whichever row comes first.
+  for (bool int_first : {true, false}) {
+    Database db;
+    ASSERT_TRUE(db.Execute("CREATE TABLE v (g INT, d DOUBLE)").ok());
+    const char* rows = int_first ? "(1, NULL), (5, 1.0), (1, NULL)"
+                                 : "(5, 1.0), (1, NULL), (1, NULL)";
+    ASSERT_TRUE(db.Execute(std::string("INSERT INTO v VALUES ") + rows).ok());
+    auto grouped = db.Execute(
+        "SELECT coalesce(d, g), count(*) FROM v GROUP BY coalesce(d, g)");
+    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+    const Chunk& out = grouped.value();
+    ASSERT_EQ(2u, out.num_rows()) << int_first;
+    EXPECT_EQ(DataType::kDouble, out.schema().column(0).type);
+    EXPECT_EQ(1.0, out.Get(0, 0).AsDouble());
+    EXPECT_EQ(1.0, out.Get(1, 0).AsDouble());
+    EXPECT_EQ(int_first ? 2 : 1, out.Get(0, 1).AsInt());
+    EXPECT_EQ(int_first ? 1 : 2, out.Get(1, 1).AsInt());
+  }
+}
+
 // --- Error paths -------------------------------------------------------
 
 TEST(ExecutorErrorTest, UnknownTableAndColumn) {

@@ -8,8 +8,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -360,6 +364,195 @@ TEST(JoinNullKeys, NullNeverMatchesKeyZeroInAnyMethod) {
     EXPECT_EQ(r.value().Get(0, 0).AsInt(), 1)
         << "method " << static_cast<int>(method)
         << ": only (1, 10) joins; NULLs must not match key 0";
+  }
+}
+
+// --- SQL key semantics ---------------------------------------------------
+//
+// GROUP BY, DISTINCT and equi-joins key rows the same way: NULL keys
+// never join but form one group and one DISTINCT row; doubles compare
+// by bit pattern, so 0.0 and -0.0 stay apart and bit-identical NaNs
+// are one key; '' is not NULL. A naive reference checks all of it over
+// INT, DOUBLE and TEXT keys spanning several kScanBatchRows batches, at
+// one and four threads. Row 0 holds no NULL, so every key column's
+// first group is non-NULL.
+
+struct KeyRow {
+  int64_t id;
+  std::optional<int64_t> i;
+  std::optional<double> d;
+  std::optional<std::string> s;
+};
+
+uint64_t BitsOf(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// One key cell of the reference: NULL, or the value (doubles by bits).
+using RefCell = std::optional<std::variant<int64_t, uint64_t, std::string>>;
+
+RefCell CellOf(const KeyRow& row, char col) {
+  if (col == 'i' && row.i) return RefCell(*row.i);
+  if (col == 'd' && row.d) return RefCell(BitsOf(*row.d));
+  if (col == 's' && row.s) return RefCell(*row.s);
+  return std::nullopt;
+}
+
+RefCell CellOf(const Value& v) {
+  if (v.is_null()) return std::nullopt;
+  if (v.type() == DataType::kDouble) return RefCell(BitsOf(v.AsDouble()));
+  if (v.type() == DataType::kString) return RefCell(v.AsString());
+  return RefCell(v.AsInt());
+}
+
+std::vector<KeyRow> BuildKeyTable(Database* db, const std::string& name, int n,
+                                  Rng* rng) {
+  EXPECT_TRUE(db->Execute("CREATE TABLE " + name +
+                          " (id INT, i INT, d DOUBLE, s TEXT)")
+                  .ok());
+  Chunk& chunk = db->GetTable(name).value()->mutable_chunk();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<KeyRow> rows;
+  for (int r = 0; r < n; ++r) {
+    KeyRow row{r, {}, {}, {}};
+    const bool nulls = r > 0;
+    if (!nulls || rng->Uniform(15) != 0) {
+      row.i = static_cast<int64_t>(rng->Uniform(8)) - 3;
+    }
+    if (!nulls || rng->Uniform(15) != 0) {
+      switch (rng->Uniform(40)) {
+        case 0: row.d = 0.0; break;
+        case 1: row.d = -0.0; break;
+        case 2: row.d = nan; break;
+        case 3: row.d = -nan; break;
+        default: row.d = static_cast<double>(rng->Uniform(300)) * 0.5;
+      }
+    }
+    if (!nulls || rng->Uniform(15) != 0) {
+      const uint64_t k = rng->Uniform(301);
+      row.s = k == 300 ? "" : "s" + std::to_string(k);
+    }
+    chunk.mutable_column(0).AppendInt(row.id);
+    chunk.mutable_column(1).Append(row.i ? Value::Int(*row.i) : Value::Null());
+    chunk.mutable_column(2).Append(row.d ? Value::Double(*row.d) : Value::Null());
+    chunk.mutable_column(3).Append(row.s ? Value::String(*row.s) : Value::Null());
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(SqlKeySemantics, GroupByDistinctAndJoinsMatchReference) {
+  struct ExecThreadsRestorer {
+    ~ExecThreadsRestorer() { SetExecThreads(0); }
+  } restore_threads;
+  Rng rng(2718);
+  Database db;
+  const std::vector<KeyRow> kt = BuildKeyTable(&db, "kt", 5000, &rng);
+  const std::vector<KeyRow> lt = BuildKeyTable(&db, "lt", 3000, &rng);
+  const std::vector<KeyRow> rt = BuildKeyTable(&db, "rt", 2500, &rng);
+
+  // Groups of `cols` in first-occurrence order: keys, count(*), sum(i).
+  auto reference_groups = [&](const std::string& cols) {
+    std::map<std::vector<RefCell>, size_t> index;
+    std::vector<std::vector<RefCell>> out;
+    std::vector<int64_t> counts;
+    std::vector<std::optional<int64_t>> sums;
+    for (const KeyRow& row : kt) {
+      std::vector<RefCell> key;
+      for (char c : cols) key.push_back(CellOf(row, c));
+      auto [it, inserted] = index.try_emplace(key, out.size());
+      if (inserted) {
+        out.push_back(key);
+        counts.push_back(0);
+        sums.emplace_back();
+      }
+      ++counts[it->second];
+      if (row.i) sums[it->second] = sums[it->second].value_or(0) + *row.i;
+    }
+    for (size_t g = 0; g < out.size(); ++g) {
+      out[g].push_back(RefCell(counts[g]));
+      out[g].push_back(sums[g] ? RefCell(*sums[g]) : RefCell());
+    }
+    return out;
+  };
+  auto engine_rows = [](const Chunk& chunk) {
+    std::vector<std::vector<RefCell>> out;
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      out.emplace_back();
+      for (int c = 0; c < chunk.num_columns(); ++c) {
+        out.back().push_back(CellOf(chunk.Get(r, c)));
+      }
+    }
+    return out;
+  };
+  auto column_list = [](const std::string& cols) {
+    std::string out;
+    for (char c : cols) out += (out.empty() ? "" : ", ") + std::string(1, c);
+    return out;
+  };
+  // Pairs of ids whose keys `cols` are all non-NULL and equal.
+  auto reference_join = [&](const std::string& cols) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const KeyRow& l : lt) {
+      for (const KeyRow& r : rt) {
+        bool match = true;
+        for (char c : cols) {
+          const RefCell a = CellOf(l, c);
+          match = match && a.has_value() && a == CellOf(r, c);
+        }
+        if (match) out.emplace_back(l.id, r.id);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  const std::vector<std::string> join_keys = {"s", "d", "is", "ds"};
+  std::map<std::string, std::vector<std::pair<int64_t, int64_t>>> join_refs;
+  for (const std::string& cols : join_keys) join_refs[cols] = reference_join(cols);
+  for (int threads : {1, 4}) {
+    SetExecThreads(threads);
+    for (const std::string cols : {"i", "d", "s", "ds", "ids"}) {
+      const std::string keys = column_list(cols);
+      const std::vector<std::vector<RefCell>> groups = reference_groups(cols);
+      const std::string group_by =
+          "SELECT " + keys + ", count(*), sum(i) FROM kt GROUP BY " + keys;
+      auto grouped = db.Execute(group_by);
+      ASSERT_TRUE(grouped.ok()) << group_by << ": " << grouped.status().ToString();
+      EXPECT_EQ(groups, engine_rows(grouped.value()))
+          << group_by << " threads " << threads;
+
+      const std::string distinct = "SELECT DISTINCT " + keys + " FROM kt";
+      auto rows = db.Execute(distinct);
+      ASSERT_TRUE(rows.ok()) << distinct << ": " << rows.status().ToString();
+      std::vector<std::vector<RefCell>> expected = groups;
+      for (auto& row : expected) row.resize(cols.size());
+      EXPECT_EQ(expected, engine_rows(rows.value()))
+          << distinct << " threads " << threads;
+    }
+    for (const std::string& cols : join_keys) {
+      std::string where;
+      for (char c : cols) {
+        where += std::string(where.empty() ? "" : " AND ") + "l." + c + " = r." + c;
+      }
+      const std::string join =
+          "SELECT l.id, r.id FROM lt l, rt r WHERE " + where;
+      auto joined = db.Execute(join);
+      ASSERT_TRUE(joined.ok()) << join << ": " << joined.status().ToString();
+      std::vector<std::pair<int64_t, int64_t>> pairs;
+      for (size_t r = 0; r < joined.value().num_rows(); ++r) {
+        pairs.emplace_back(joined.value().Get(r, 0).AsInt(),
+                           joined.value().Get(r, 1).AsInt());
+      }
+      std::sort(pairs.begin(), pairs.end());
+      EXPECT_EQ(join_refs[cols], pairs) << join << " threads " << threads;
+    }
+    // Key columns of different types never match, not even 1 and 1.0.
+    auto mixed = db.Execute("SELECT count(*) FROM lt l, rt r WHERE l.i = r.d");
+    ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+    EXPECT_EQ(0, mixed.value().Get(0, 0).AsInt()) << "threads " << threads;
   }
 }
 
