@@ -99,8 +99,8 @@ BENCHMARK(BM_ParallelScanThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Grouped aggregation over the same table: exercises the per-batch
-// partial-state merge path.
+// Grouped aggregation over the same table: batch-parallel grouping,
+// then one serial typed fold per aggregate.
 void BM_ParallelGroupByThreads(benchmark::State& state) {
   rel::Database& db = ScanDb();
   SetExecThreads(static_cast<int>(state.range(0)));

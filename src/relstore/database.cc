@@ -1,11 +1,50 @@
 #include "relstore/database.h"
 
+#include <numeric>
 #include <utility>
 
 #include "relstore/eval.h"
 #include "relstore/parser.h"
 
 namespace orpheus::rel {
+
+namespace {
+
+Status CannotEnter(DataType type, const ColumnDef& column) {
+  return Status::InvalidArgument(std::string(DataTypeName(type)) +
+                                 " value cannot enter " +
+                                 DataTypeName(column.type) + " column " +
+                                 column.name);
+}
+
+// `v` as a value of `column`: NULL and a value of the column's type as
+// they are, a value Column::ConvertTo widens to it (INT to DOUBLE, INT
+// or DOUBLE to TEXT) widened, anything else refused. INSERT ... SELECT
+// converts its selected columns by the same rule.
+Result<Value> ValueForColumn(const Value& v, const ColumnDef& column) {
+  if (v.is_null() || v.type() == column.type) return v;
+  Column widened(v.type());
+  widened.Append(v);
+  if (!widened.ConvertTo(column.type).ok()) return CannotEnter(v.type(), column);
+  return widened.Get(0);
+}
+
+// The rows of `data` that satisfy `where` (all rows without one), in
+// row order, by the executor's FilterSelection.
+Result<std::vector<uint32_t>> MatchingRows(Executor* executor, Evaluator* eval,
+                                           Expr* where, const Chunk& data) {
+  std::vector<uint32_t> rows;
+  if (where == nullptr) {
+    rows.resize(data.num_rows());
+    std::iota(rows.begin(), rows.end(), 0);
+    return rows;
+  }
+  ORPHEUS_RETURN_NOT_OK(eval->Bind(where, data.schema()));
+  ORPHEUS_RETURN_NOT_OK(executor->FilterSelection(*eval, {where}, data, &rows));
+  return rows;
+}
+
+}  // namespace
 
 Result<Chunk> Database::Execute(std::string_view sql) {
   ORPHEUS_ASSIGN_OR_RETURN(auto stmt, ParseSql(sql));
@@ -190,29 +229,35 @@ Result<Chunk> Database::ExecuteInsert(Statement* stmt) {
     }
   }
 
+  // Every new row is complete and converted to the column types before
+  // the table changes, so a failing statement leaves it as it was.
+  Executor executor(this);
   if (stmt->insert_select != nullptr) {
-    Executor executor(this);
-    ORPHEUS_ASSIGN_OR_RETURN(Chunk rows, executor.RunSelect(*stmt->insert_select));
-    if (rows.num_columns() != static_cast<int>(positions.size())) {
-      return Status::InvalidArgument("INSERT ... SELECT arity mismatch");
-    }
-    Chunk& dst = table->mutable_chunk();
-    size_t n = rows.num_rows();
-    std::vector<uint32_t> all(n);
-    for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
-    if (stmt->columns.empty()) {
-      dst.GatherFrom(rows, all);
-    } else {
+    if (!stmt->columns.empty()) {
       return Status::NotSupported(
           "INSERT ... SELECT with explicit columns is not supported");
     }
+    ORPHEUS_ASSIGN_OR_RETURN(Chunk rows, executor.RunSelect(*stmt->insert_select));
+    if (rows.num_columns() != schema.num_columns()) {
+      return Status::InvalidArgument("INSERT ... SELECT arity mismatch");
+    }
+    for (int c = 0; c < rows.num_columns(); ++c) {
+      Column& col = rows.mutable_column(c);
+      if (!col.ConvertTo(schema.column(c).type).ok()) {
+        return CannotEnter(col.type(), schema.column(c));
+      }
+    }
+    std::vector<uint32_t> all(rows.num_rows());
+    std::iota(all.begin(), all.end(), 0);
+    table->mutable_chunk().GatherFrom(rows, all);
     return Chunk();
   }
 
-  Executor executor(this);
   Evaluator eval(&executor);
   Schema empty;
   Chunk dummy(empty);
+  std::vector<std::vector<Value>> new_rows;
+  new_rows.reserve(stmt->values.size());
   for (std::vector<ExprPtr>& row : stmt->values) {
     if (row.size() != positions.size()) {
       return Status::InvalidArgument("INSERT row arity mismatch");
@@ -221,8 +266,12 @@ Result<Chunk> Database::ExecuteInsert(Statement* stmt) {
     for (size_t i = 0; i < row.size(); ++i) {
       ORPHEUS_RETURN_NOT_OK(eval.Bind(row[i].get(), empty));
       ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*row[i], dummy, 0));
-      values[static_cast<size_t>(positions[i])] = std::move(v);
+      ORPHEUS_ASSIGN_OR_RETURN(values[static_cast<size_t>(positions[i])],
+                               ValueForColumn(v, schema.column(positions[i])));
     }
+    new_rows.push_back(std::move(values));
+  }
+  for (const std::vector<Value>& values : new_rows) {
     ORPHEUS_RETURN_NOT_OK(table->AppendRow(values));
   }
   return Chunk();
@@ -241,32 +290,28 @@ Result<Chunk> Database::ExecuteUpdate(Statement* stmt) {
     target_cols.push_back(pos);
     ORPHEUS_RETURN_NOT_OK(eval.Bind(expr.get(), schema));
   }
-  if (stmt->where != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(eval.Bind(stmt->where.get(), schema));
-  }
+  const Chunk& data = table->data();
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                           MatchingRows(&executor, &eval, stmt->where.get(), data));
 
-  Chunk& data = table->mutable_chunk();
-  int64_t updated = 0;
-  for (size_t row = 0; row < data.num_rows(); ++row) {
-    if (stmt->where != nullptr) {
-      ORPHEUS_ASSIGN_OR_RETURN(bool ok, eval.EvalPredicate(*stmt->where, data, row));
-      if (!ok) continue;
+  // Every assignment is evaluated against the rows as they were and
+  // converted to its column's type before any row is written, so a
+  // failing statement leaves the table as it was.
+  std::vector<std::vector<Value>> new_values(target_cols.size());
+  for (size_t a = 0; a < target_cols.size(); ++a) {
+    ORPHEUS_RETURN_NOT_OK(executor.EvalScalarBatched(
+        eval, *stmt->assignments[a].second, data, rows, &new_values[a]));
+    for (Value& v : new_values[a]) {
+      ORPHEUS_ASSIGN_OR_RETURN(v, ValueForColumn(v, schema.column(target_cols[a])));
     }
-    // Evaluate all assignments against the pre-update row first.
-    std::vector<Value> new_values;
-    new_values.reserve(stmt->assignments.size());
-    for (auto& [col, expr] : stmt->assignments) {
-      ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*expr, data, row));
-      new_values.push_back(std::move(v));
-    }
-    for (size_t a = 0; a < target_cols.size(); ++a) {
-      data.mutable_column(target_cols[a]).Set(row, new_values[a]);
-    }
-    ++updated;
   }
-  stats_.rows_scanned += static_cast<int64_t>(data.num_rows());
+  Chunk& chunk = table->mutable_chunk();
+  for (size_t a = 0; a < target_cols.size(); ++a) {
+    Column& col = chunk.mutable_column(target_cols[a]);
+    for (size_t i = 0; i < rows.size(); ++i) col.Set(rows[i], new_values[a][i]);
+  }
+  stats_.rows_scanned += static_cast<int64_t>(chunk.num_rows());
   stats_.pages_read += table->num_pages();
-  (void)updated;
   return Chunk();
 }
 
@@ -274,20 +319,12 @@ Result<Chunk> Database::ExecuteDelete(Statement* stmt) {
   ORPHEUS_ASSIGN_OR_RETURN(Table * table, GetTable(stmt->table));
   Executor executor(this);
   Evaluator eval(&executor);
-  if (stmt->where != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(eval.Bind(stmt->where.get(), table->schema()));
-  }
-  Chunk& data = table->mutable_chunk();
-  std::vector<bool> keep(data.num_rows(), true);
-  for (size_t row = 0; row < data.num_rows(); ++row) {
-    if (stmt->where == nullptr) {
-      keep[row] = false;
-      continue;
-    }
-    ORPHEUS_ASSIGN_OR_RETURN(bool ok, eval.EvalPredicate(*stmt->where, data, row));
-    keep[row] = !ok;
-  }
-  data.FilterRows(keep);
+  ORPHEUS_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> rows,
+      MatchingRows(&executor, &eval, stmt->where.get(), table->data()));
+  std::vector<bool> keep(table->num_rows(), true);
+  for (uint32_t row : rows) keep[row] = false;
+  table->mutable_chunk().FilterRows(keep);
   stats_.rows_scanned += static_cast<int64_t>(keep.size());
   stats_.pages_read += table->num_pages();
   return Chunk();

@@ -120,6 +120,86 @@ std::vector<Column> KeyColumnsOf(const std::vector<Value>& values) {
   return cols;
 }
 
+enum class AggKind { kGroupExpr, kCountStar, kCount, kSum, kAvg, kMin, kMax };
+
+// One aggregate folded over its argument: element rows[i] of `arg` is
+// the i-th selected row's value, group[i] its group. Rows fold in row
+// order into per-group arrays, NULLs skipped, and a group with no
+// non-NULL value is NULL (count 0). sum of INT is INT, sum of DOUBLE
+// is DOUBLE, avg is DOUBLE; min and max keep each group's winning row
+// (Value::Compare's order, the first of equal values wins) and gather
+// it at the end, so they take the argument's type.
+Result<Column> FoldAggregate(AggKind kind, const Column& arg,
+                             const std::vector<uint32_t>& rows,
+                             const std::vector<uint32_t>& group,
+                             size_t num_groups) {
+  const DataType type = arg.type();
+  const bool summed = kind == AggKind::kSum || kind == AggKind::kAvg;
+  if (summed && type != DataType::kInt64 && type != DataType::kDouble) {
+    return Status::InvalidArgument(
+        std::string(kind == AggKind::kSum ? "sum" : "avg") + " of a " +
+        DataTypeName(type) + " argument");
+  }
+  // Counts each non-NULL value and passes it to fn(g, r), in row order.
+  std::vector<int64_t> counts(num_groups, 0);
+  auto each = [&](const auto& fn) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (arg.IsNull(rows[i])) continue;
+      ++counts[group[i]];
+      fn(group[i], rows[i]);
+    }
+  };
+  Column out(kind == AggKind::kCount  ? DataType::kInt64
+             : kind == AggKind::kAvg ? DataType::kDouble
+                                     : type);
+  out.Reserve(num_groups);
+  if (kind == AggKind::kCount) {
+    each([](uint32_t, uint32_t) {});
+    for (int64_t count : counts) out.AppendInt(count);
+  } else if (summed) {
+    std::vector<int64_t> isums(num_groups, 0);
+    std::vector<double> sums(num_groups, 0.0);
+    bool overflow = false;
+    if (type == DataType::kInt64) {
+      each([&, &v = arg.ints()](uint32_t g, uint32_t r) {
+        overflow |= __builtin_add_overflow(isums[g], v[r], &isums[g]);
+        sums[g] += static_cast<double>(v[r]);
+      });
+    } else {
+      each([&, &v = arg.doubles()](uint32_t g, uint32_t r) { sums[g] += v[r]; });
+    }
+    if (overflow && kind == AggKind::kSum) {
+      return Status::InvalidArgument("sum out of INT range");
+    }
+    for (size_t g = 0; g < num_groups; ++g) {
+      const double n = static_cast<double>(counts[g]);
+      out.Append(counts[g] == 0              ? Value::Null()
+                 : kind == AggKind::kAvg     ? Value::Double(sums[g] / n)
+                 : type == DataType::kInt64 ? Value::Int(isums[g])
+                                             : Value::Double(sums[g]));
+    }
+  } else {
+    constexpr uint32_t kNoRow = UINT32_MAX;
+    std::vector<uint32_t> best(num_groups, kNoRow);
+    auto fold = [&](const auto& v) {
+      each([&](uint32_t g, uint32_t r) {
+        const uint32_t b = best[g];
+        if (b == kNoRow || (kind == AggKind::kMin ? v[r] < v[b] : v[b] < v[r])) {
+          best[g] = r;
+        }
+      });
+    };
+    if (type == DataType::kDouble) fold(arg.doubles());
+    else if (type == DataType::kString) fold(arg.strings());
+    else if (type == DataType::kIntArray) fold(arg.arrays());
+    else fold(arg.ints());  // INT and BOOL
+    for (uint32_t r : best) {
+      r == kNoRow ? out.Append(Value::Null()) : out.AppendFrom(arg, r);
+    }
+  }
+  return out;
+}
+
 // Strips an "alias." qualifier.
 std::string BaseName(const std::string& name) {
   size_t dot = name.rfind('.');
@@ -895,11 +975,9 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
   }
 
   // Classify select items.
-  enum class AggKind { kGroupExpr, kCountStar, kCount, kSum, kAvg, kMin, kMax };
   struct ItemPlan {
     AggKind kind;
-    const Expr* arg = nullptr;  // aggregate argument
-    size_t key = 0;             // kGroupExpr: its GROUP BY position
+    const Expr* arg = nullptr;  // aggregate argument, or the GROUP BY key
     std::string name;
   };
   std::vector<ItemPlan> plans;
@@ -940,7 +1018,7 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
             "non-aggregate select item must appear in GROUP BY: " + e.ToString());
       }
       plan.kind = AggKind::kGroupExpr;
-      plan.key = static_cast<size_t>(match - select.group_by.begin());
+      plan.arg = match->get();
     }
     plan.name = !item.alias.empty()
                     ? item.alias
@@ -948,237 +1026,150 @@ Result<Chunk> Executor::Aggregate(const SelectStmt& select, Input input,
     plans.push_back(std::move(plan));
   }
 
-  struct AggState {
-    int64_t count = 0;
-    double sum = 0;
-    bool sum_is_int = true;
-    int64_t isum = 0;
-    Value min;
-    Value max;
+  // GROUP BY keys and item arguments (an aggregate's argument, a key
+  // item's key) are read as typed columns: a source gives the i-th
+  // selected row element (*rows)[i] of *col. A column reference is its
+  // input column, read through `sel`. Anything computed is evaluated
+  // up front in `sel` order and read by position: a computed key into
+  // KeyColumnsOf's columns, a computed argument into ColumnOfValues'
+  // one column.
+  struct Source {
+    const Column* col = nullptr;
+    const std::vector<uint32_t>* rows = nullptr;
   };
-
-  // GROUP BY keys are typed key columns; GROUP BY key k is columns
-  // [key_begin[k], key_begin[k + 1]). A column reference is one column,
-  // read from its input column through `sel`. A computed key is
-  // evaluated up front into KeyColumnsOf's columns, read by position,
-  // so its columns are the same in every batch.
-  std::deque<Column> computed_keys;  // key_sources points into it
-  std::vector<const Column*> key_sources;
-  std::vector<bool> by_position;
-  std::vector<size_t> key_begin = {0};
+  std::deque<Column> computed;      // computed sources point into it
+  std::vector<uint32_t> positions;  // 0 .. sel.size() - 1
+  auto computed_source = [&](Column col) {
+    if (positions.size() != sel.size()) {
+      positions.resize(sel.size());
+      std::iota(positions.begin(), positions.end(), 0);
+    }
+    computed.push_back(std::move(col));
+    return Source{&computed.back(), &positions};
+  };
+  std::vector<Source> keys;
   for (const ExprPtr& g : select.group_by) {
     if (g->kind == ExprKind::kColumnRef) {
-      key_sources.push_back(&data.column(g->bound_col));
-      by_position.push_back(false);
+      keys.push_back({&data.column(g->bound_col), &sel});
     } else {
       std::vector<Value> values;
       ORPHEUS_RETURN_NOT_OK(EvalScalarBatched(eval, *g, data, sel, &values));
       for (Column& col : KeyColumnsOf(values)) {
-        computed_keys.push_back(std::move(col));
-        key_sources.push_back(&computed_keys.back());
-        by_position.push_back(true);
+        keys.push_back(computed_source(std::move(col)));
       }
     }
-    key_begin.push_back(key_sources.size());
   }
-  const size_t num_keys = key_sources.size();
-
-  // Per-batch partial aggregation. Each batch numbers its groups in
-  // first-occurrence order (GroupIds over its key columns; with no
-  // GROUP BY there is one group and no hashing), keeps the key row and
-  // row key that opened each, and accumulates its slice of `sel` into
-  // one state per group. The batches are then merged below in batch
-  // order, which makes the group output order (first occurrence in row
-  // order) and the floating-point rounding of SUM/AVG independent of
-  // the thread count.
-  struct BatchAgg {
-    std::vector<Column> reps;     // key columns, one row per group
-    std::vector<int64_t> rep_keys;
-    std::vector<std::vector<AggState>> groups;  // [group][item]
-  };
-
-  const size_t nb = NumScanBatches(sel.size());
-  std::vector<BatchAgg> batch_aggs(nb);
-  auto aggregate_range = [&](size_t begin, size_t end,
-                             BatchAgg* agg) -> Status {
-    std::vector<uint32_t> ids;  // each row's group
-    if (num_keys > 0) {
-      const std::vector<uint32_t> rows(sel.begin() + begin, sel.begin() + end);
-      std::vector<uint32_t> positions(end - begin);
-      std::iota(positions.begin(), positions.end(), static_cast<uint32_t>(begin));
-      std::vector<Column> cols;
-      for (size_t k = 0; k < num_keys; ++k) {
-        cols.emplace_back(key_sources[k]->type());
-        cols.back().Gather(*key_sources[k], by_position[k] ? positions : rows);
-      }
-      RecordColumns key_cols;
-      for (const Column& col : cols) key_cols.push_back(&col);
-      std::vector<int64_t> keys;
-      AppendRecordKeys(key_cols, rows.size(), &keys);
-      ids = GroupIds({key_cols}, keys, NanMatch::kSameBits);
-      std::vector<uint32_t> opening;  // the row that opened each group
-      for (uint32_t r = 0; r < ids.size(); ++r) {
-        if (ids[r] == opening.size()) opening.push_back(r);
-      }
-      for (const Column& col : cols) {
-        agg->reps.emplace_back(col.type());
-        agg->reps.back().Gather(col, opening);
-      }
-      for (uint32_t r : opening) agg->rep_keys.push_back(keys[r]);
-      agg->groups.assign(opening.size(), std::vector<AggState>(plans.size()));
+  std::vector<Source> args(plans.size());
+  for (size_t p = 0; p < plans.size(); ++p) {
+    const Expr* arg = plans[p].arg;
+    if (arg == nullptr) continue;
+    if (arg->kind == ExprKind::kColumnRef) {
+      args[p] = {&data.column(arg->bound_col), &sel};
     } else {
-      ids.assign(end - begin, 0);
-      agg->groups.assign(1, std::vector<AggState>(plans.size()));
+      std::vector<Value> values;
+      ORPHEUS_RETURN_NOT_OK(EvalScalarBatched(eval, *arg, data, sel, &values));
+      ORPHEUS_ASSIGN_OR_RETURN(Column col,
+                               ColumnOfValues(values, DataType::kInt64));
+      args[p] = computed_source(std::move(col));
     }
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t row = sel[i];
-      std::vector<AggState>& states = agg->groups[ids[i - begin]];
-      for (size_t p = 0; p < plans.size(); ++p) {
-        const ItemPlan& plan = plans[p];
-        AggState& st = states[p];
-        switch (plan.kind) {
-          case AggKind::kGroupExpr:
-            break;
-          case AggKind::kCountStar:
-            ++st.count;
-            break;
-          default: {
-            ORPHEUS_ASSIGN_OR_RETURN(Value v, eval.Eval(*plan.arg, data, row));
-            if (v.is_null()) break;
-            ++st.count;
-            if (plan.kind == AggKind::kCount) break;
-            if (plan.kind == AggKind::kSum || plan.kind == AggKind::kAvg) {
-              if (v.type() == DataType::kInt64 && st.sum_is_int) {
-                st.isum += v.AsInt();
-              } else {
-                st.sum_is_int = false;
-              }
-              st.sum += v.AsDouble();
-            } else if (plan.kind == AggKind::kMin) {
-              if (st.min.is_null() || v.Compare(st.min) < 0) st.min = v;
-            } else {
-              if (st.max.is_null() || v.Compare(st.max) > 0) st.max = v;
-            }
-            break;
+  }
+
+  // Each selected row's group, numbered in first-occurrence order, and
+  // the position in `sel` of each group's first row. Each batch numbers
+  // its own groups (GroupIds over its key columns) and keeps the key
+  // rows that open them; GroupIds over those key rows, batch after
+  // batch, then numbers the groups of the whole input. So every hash
+  // table is batch-sized and the numbering is the same at every thread
+  // count. With no GROUP BY there is one group and no hashing.
+  const size_t nb = NumScanBatches(sel.size());
+  std::vector<uint32_t> group(sel.size(), 0);
+  std::vector<uint32_t> opening;
+  if (!keys.empty()) {
+    struct BatchGroups {
+      std::vector<Column> reps;  // key columns, one row per group
+      std::vector<int64_t> rep_keys;
+      std::vector<uint32_t> opening;
+    };
+    std::vector<BatchGroups> batches(nb);
+    ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
+        sel.size(), kScanBatchRows,
+        [&](size_t begin, size_t end, size_t b) -> Status {
+          std::vector<Column> cols;
+          for (const Source& key : keys) {
+            cols.emplace_back(key.col->type());
+            cols.back().Gather(*key.col,
+                               std::vector<uint32_t>(key.rows->begin() + begin,
+                                                     key.rows->begin() + end));
           }
-        }
-      }
-    }
-    return Status::OK();
-  };
-  ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
-      sel.size(), kScanBatchRows, [&](size_t begin, size_t end, size_t b) {
-        return aggregate_range(begin, end, &batch_aggs[b]);
-      }));
-
-  // Deterministic merge: batches in order, groups in each batch's
-  // first-occurrence order; GroupIds over the batches' key rows gives
-  // each its group in the sequential scan's discovery order.
-  std::vector<uint32_t> gids(nb, 0);
-  if (num_keys > 0) {
+          RecordColumns key_cols;
+          for (const Column& col : cols) key_cols.push_back(&col);
+          std::vector<int64_t> row_keys;
+          AppendRecordKeys(key_cols, end - begin, &row_keys);
+          const std::vector<uint32_t> ids =
+              GroupIds({key_cols}, row_keys, NanMatch::kSameBits);
+          std::vector<uint32_t> local;  // the row that opened each group
+          for (uint32_t r = 0; r < ids.size(); ++r) {
+            group[begin + r] = ids[r];
+            if (ids[r] == local.size()) local.push_back(r);
+          }
+          BatchGroups& batch = batches[b];
+          for (const Column& col : cols) {
+            batch.reps.emplace_back(col.type());
+            batch.reps.back().Gather(col, local);
+          }
+          for (uint32_t r : local) {
+            batch.rep_keys.push_back(row_keys[r]);
+            batch.opening.push_back(static_cast<uint32_t>(begin + r));
+          }
+          return Status::OK();
+        }));
     std::vector<RecordColumns> parts;
-    std::vector<int64_t> keys;
-    for (const BatchAgg& agg : batch_aggs) {
+    std::vector<int64_t> rep_keys;
+    for (const BatchGroups& batch : batches) {
       parts.emplace_back();
-      for (const Column& col : agg.reps) parts.back().push_back(&col);
-      keys.insert(keys.end(), agg.rep_keys.begin(), agg.rep_keys.end());
+      for (const Column& col : batch.reps) parts.back().push_back(&col);
+      rep_keys.insert(rep_keys.end(), batch.rep_keys.begin(),
+                      batch.rep_keys.end());
     }
-    gids = GroupIds(std::move(parts), keys, NanMatch::kSameBits);
-  }
-  std::vector<std::vector<AggState>> groups;    // [group][item]
-  std::vector<std::pair<size_t, size_t>> reps;  // {batch, row} opening each
-  size_t next = 0;
-  for (size_t b = 0; b < nb; ++b) {
-    for (size_t j = 0; j < batch_aggs[b].groups.size(); ++j) {
-      std::vector<AggState>& from = batch_aggs[b].groups[j];
-      const uint32_t g = gids[next++];
-      if (g == groups.size()) {
-        groups.push_back(std::move(from));
-        reps.emplace_back(b, j);
-        continue;
+    const std::vector<uint32_t> gids =
+        GroupIds(std::move(parts), rep_keys, NanMatch::kSameBits);
+    const uint32_t* batch_gids = gids.data();
+    for (size_t b = 0; b < nb; ++b) {
+      const std::vector<uint32_t>& local = batches[b].opening;
+      for (size_t j = 0; j < local.size(); ++j) {
+        if (batch_gids[j] == opening.size()) opening.push_back(local[j]);
       }
-      for (size_t p = 0; p < plans.size(); ++p) {
-        AggState& st = groups[g][p];
-        const AggState& other = from[p];
-        st.count += other.count;
-        switch (plans[p].kind) {
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            if (!other.sum_is_int) st.sum_is_int = false;
-            st.isum += other.isum;
-            st.sum += other.sum;
-            break;
-          case AggKind::kMin:
-            if (!other.min.is_null() &&
-                (st.min.is_null() || other.min.Compare(st.min) < 0)) {
-              st.min = other.min;
-            }
-            break;
-          case AggKind::kMax:
-            if (!other.max.is_null() &&
-                (st.max.is_null() || other.max.Compare(st.max) > 0)) {
-              st.max = other.max;
-            }
-            break;
-          default:
-            break;
-        }
+      const size_t end = std::min(sel.size(), (b + 1) * kScanBatchRows);
+      for (size_t i = b * kScanBatchRows; i < end; ++i) {
+        group[i] = batch_gids[group[i]];
       }
+      batch_gids += local.size();
     }
   }
+  const size_t num_groups = keys.empty() ? 1 : opening.size();
 
-  // With no GROUP BY and no input rows, SQL still yields one row.
-  if (num_keys == 0 && groups.empty()) {
-    groups.emplace_back(plans.size());
-  }
-
-  // One output row per group, each column typed by ColumnOfValues (a
-  // column reference key with no non-NULL value keeps its type).
-  auto value_of = [](const ItemPlan& plan, const AggState& st) -> Value {
-    switch (plan.kind) {
-      case AggKind::kCountStar:
-      case AggKind::kCount:
-        return Value::Int(st.count);
-      case AggKind::kSum:
-        if (st.count == 0) return Value::Null();
-        return st.sum_is_int ? Value::Int(st.isum) : Value::Double(st.sum);
-      case AggKind::kAvg:
-        if (st.count == 0) return Value::Null();
-        return Value::Double(st.sum / static_cast<double>(st.count));
-      case AggKind::kMin:
-        return st.min;
-      case AggKind::kMax:
-        return st.max;
-      case AggKind::kGroupExpr:
-        break;
-    }
-    return Value::Null();
-  };
-
+  // One output column per item: a key gathered at the groups' opening
+  // rows, an aggregate folded from its argument.
   Schema out_schema;
   std::vector<Column> cols;
-  std::vector<Value> values(groups.size());
   for (size_t p = 0; p < plans.size(); ++p) {
     const ItemPlan& plan = plans[p];
-    DataType all_null =
-        plan.kind == AggKind::kAvg ? DataType::kDouble : DataType::kInt64;
+    Column col(DataType::kInt64);
     if (plan.kind == AggKind::kGroupExpr) {
-      // A key's value is in whichever of its columns is not NULL.
-      all_null = key_sources[key_begin[plan.key]]->type();
-      for (size_t g = 0; g < groups.size(); ++g) {
-        const auto [b, j] = reps[g];
-        values[g] = Value::Null();
-        for (size_t k = key_begin[plan.key]; k < key_begin[plan.key + 1]; ++k) {
-          const Column& rep = batch_aggs[b].reps[k];
-          if (!rep.IsNull(j)) values[g] = rep.Get(j);
-        }
-      }
+      std::vector<uint32_t> at;
+      at.reserve(num_groups);
+      for (uint32_t i : opening) at.push_back((*args[p].rows)[i]);
+      col = Column(args[p].col->type());
+      col.Gather(*args[p].col, at);
+    } else if (plan.kind == AggKind::kCountStar) {
+      std::vector<int64_t> counts(num_groups, 0);
+      for (uint32_t g : group) ++counts[g];
+      for (int64_t count : counts) col.AppendInt(count);
     } else {
-      for (size_t g = 0; g < groups.size(); ++g) {
-        values[g] = value_of(plan, groups[g][p]);
-      }
+      ORPHEUS_ASSIGN_OR_RETURN(
+          col, FoldAggregate(plan.kind, *args[p].col, *args[p].rows, group,
+                             num_groups));
     }
-    ORPHEUS_ASSIGN_OR_RETURN(Column col, ColumnOfValues(values, all_null));
     out_schema.AddColumn(plan.name, col.type());
     cols.push_back(std::move(col));
   }

@@ -7,25 +7,20 @@
 //   -> ORDER BY -> LIMIT.
 //
 // Parallel batched execution. Filter evaluation, computed projections,
-// aggregation, the join probe (hash and index-nested-loop share one
-// loop), merge-join key sorts, and ORDER BY all operate on fixed-size
-// row batches (kScanBatchRows) scheduled across the shared execution
-// pool (common/thread_pool.h, the --threads knob). Batch boundaries
-// depend only on the data, never on the thread count, and per-batch
-// partial results (selection vectors, aggregate states, join match
+// aggregate grouping, the join probe (hash and index-nested-loop share
+// one loop), merge-join key sorts, and ORDER BY all operate on
+// fixed-size row batches (kScanBatchRows) scheduled across the shared
+// execution pool (common/thread_pool.h, the --threads knob). Batch
+// boundaries depend only on the data, never on the thread count, and
+// per-batch partial results (selection vectors, group ids, join match
 // lists) are merged on the calling thread in batch order; the hash
 // build is serial, and its chains list each key's rows in row order;
-// sorts use the deterministic parallel merge sort
-// (ParallelStableSort), whose run/merge tree is likewise fixed by the
-// input size alone. So results are bit-identical for every --threads
-// setting, including the floating-point aggregates. With --threads=1
-// batches run serially in order on the caller.
-// Note the invariant is thread-count independence, not equality with
-// the pre-batching code: inputs up to one batch (most unit tests) are
-// processed exactly as before, but a float SUM/AVG over several
-// batches accumulates per-batch partial sums, whose last-bit rounding
-// can differ from the old row-sequential accumulation — identically
-// at every thread setting.
+// each aggregate folds serially over the rows in row order; sorts use
+// the deterministic parallel merge sort (ParallelStableSort), whose
+// run/merge tree is likewise fixed by the input size alone. So results
+// are bit-identical for every --threads setting, and a floating-point
+// SUM/AVG is the row-order accumulation. With --threads=1 batches run
+// serially in order on the caller.
 // docs/QUERY_ENGINE.md spells the contract out in full.
 //
 // Thread-safety and ownership contracts:
@@ -132,6 +127,22 @@ class Executor {
   // Executes a SELECT (without INTO handling; Database applies INTO).
   Result<Chunk> RunSelect(const SelectStmt& select);
 
+  // Evaluates the conjunction of `conjuncts` (already bound against
+  // data's schema via `eval`) over every row of `data`, appending the
+  // passing row ids to *sel in row order. Batches are fanned out over
+  // the execution pool; on error, the lowest-batch error wins. UPDATE
+  // and DELETE take their rows from it too.
+  Status FilterSelection(const Evaluator& eval,
+                         const std::vector<const Expr*>& conjuncts,
+                         const Chunk& data, std::vector<uint32_t>* sel);
+
+  // Evaluates a bound scalar expression for every selected row into
+  // (*out)[i] (pre-sized by this call), batched over the pool.
+  Status EvalScalarBatched(const Evaluator& eval, const Expr& expr,
+                           const Chunk& data,
+                           const std::vector<uint32_t>& sel,
+                           std::vector<Value>* out);
+
  private:
   // A FROM-clause input: either a view onto a base table's chunk (no
   // copy) or an owned chunk from a subquery / pushed-down filter.
@@ -144,21 +155,6 @@ class Executor {
   };
 
   Result<Input> ResolveTableRef(const TableRef& ref);
-
-  // Evaluates the conjunction of `conjuncts` (already bound against
-  // data's schema via `eval`) over every row of `data`, appending the
-  // passing row ids to *sel in row order. Batches are fanned out over
-  // the execution pool; on error, the lowest-batch error wins.
-  Status FilterSelection(const Evaluator& eval,
-                         const std::vector<const Expr*>& conjuncts,
-                         const Chunk& data, std::vector<uint32_t>* sel);
-
-  // Evaluates a bound scalar expression for every selected row into
-  // (*out)[i] (pre-sized by this call), batched over the pool.
-  Status EvalScalarBatched(const Evaluator& eval, const Expr& expr,
-                           const Chunk& data,
-                           const std::vector<uint32_t>& sel,
-                           std::vector<Value>* out);
 
   // Applies the single-input conjuncts of `where` to each input
   // (predicate pushdown); materializes filtered inputs.
@@ -186,10 +182,11 @@ class Executor {
                          const std::vector<std::pair<const Expr*, const Expr*>>& keys);
 
   // Grouped/global aggregation over the selected rows. Each batch
-  // groups its rows by their typed key columns (row_key.h GroupIds)
-  // into partial aggregate states, merged in batch order
-  // (deterministic group order = first occurrence in row order;
-  // deterministic float rounding for any thread count).
+  // numbers its rows' groups by their typed key columns (row_key.h
+  // GroupIds), and the batches' group-opening rows are numbered again
+  // in batch order (group order = first occurrence in row order). Each
+  // aggregate then folds its argument, read once as a typed column, over
+  // the rows in row order into per-group arrays.
   Result<Chunk> Aggregate(const SelectStmt& select, Input input,
                           const std::vector<uint32_t>& sel);
   // Moves, rather than gathers, each direct column referenced once when

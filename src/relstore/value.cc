@@ -1,7 +1,6 @@
 #include "relstore/value.h"
 
-#include <cmath>
-#include <functional>
+#include <algorithm>
 
 #include "common/str_util.h"
 
@@ -84,36 +83,6 @@ std::string Value::ToString() const {
     }
   }
   return "?";
-}
-
-size_t Value::Hash() const {
-  switch (type_) {
-    case DataType::kNull:
-      return 0;
-    case DataType::kInt64:
-      return std::hash<int64_t>()(int_);
-    case DataType::kBool:
-      return std::hash<int64_t>()(int_);
-    case DataType::kDouble: {
-      // Hash integral doubles like ints so Equals/Hash stay consistent.
-      double d = double_;
-      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
-        return std::hash<int64_t>()(static_cast<int64_t>(d));
-      }
-      return std::hash<double>()(d);
-    }
-    case DataType::kString:
-      return std::hash<std::string>()(string_);
-    case DataType::kIntArray: {
-      size_t h = 1469598103934665603ULL;
-      for (int64_t v : *array_) {
-        h ^= std::hash<int64_t>()(v);
-        h *= 1099511628211ULL;
-      }
-      return h;
-    }
-  }
-  return 0;
 }
 
 }  // namespace orpheus::rel

@@ -88,10 +88,6 @@ class Value {
   // Rendering for result printing and CSV export.
   std::string ToString() const;
 
-  // Hash consistent with Equals (numeric values hash as double when
-  // fractional, as int otherwise).
-  size_t Hash() const;
-
  private:
   DataType type_;
   int64_t int_ = 0;

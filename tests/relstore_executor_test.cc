@@ -791,6 +791,126 @@ TEST(ComputedColumnTypeTest, MixedTypeGroupKeyKeepsTypesApart) {
   }
 }
 
+// --- DML typing and atomicity ----------------------------------------------
+
+// Rows of `table` as text, in storage order ("1|100|1|a", NULL as "NULL").
+std::vector<std::string> TableRows(Database* db, const std::string& table) {
+  auto all = db->Execute("SELECT * FROM " + table);
+  EXPECT_TRUE(all.ok()) << all.status().ToString();
+  std::vector<std::string> out;
+  for (size_t r = 0; r < all.value().num_rows(); ++r) {
+    std::string row;
+    for (int c = 0; c < all.value().num_columns(); ++c) {
+      row += (c > 0 ? "|" : "") + all.value().Get(r, c).ToString();
+    }
+    out.push_back(row);
+  }
+  return out;
+}
+
+// A selected column enters a table column when Column::ConvertTo can
+// widen it (INT to DOUBLE, INT or DOUBLE to TEXT); any other mismatch
+// is refused and the table keeps its rows. A DOUBLE column gathered
+// into an INT one used to read past the end of the source.
+TEST(DmlTypingTest, InsertSelectWidensOrRefusesEachColumn) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE u (x DOUBLE, y TEXT)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO u VALUES (1.5, 'p'), (2.5, 'q'), (NULL, 'r')").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k INT, a INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 10)").ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("INSERT INTO t SELECT x, y FROM u").status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("INSERT INTO t SELECT a, x FROM t, u").status().code());
+  EXPECT_EQ(std::vector<std::string>({"1|10"}), TableRows(&db, "t"));
+
+  ASSERT_TRUE(db.Execute("CREATE TABLE w (d DOUBLE, s TEXT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO w SELECT k, a FROM t").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO w SELECT x, x FROM u").ok());
+  auto w = db.Execute("SELECT d, s FROM w");
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ(DataType::kDouble, w.value().Get(0, 0).type());
+  EXPECT_EQ(DataType::kString, w.value().Get(0, 1).type());
+  EXPECT_EQ(std::vector<std::string>(
+                {"1|10", "1.5|1.5", "2.5|2.5", "NULL|NULL"}),
+            TableRows(&db, "w"));
+}
+
+// VALUES and SET values enter their columns by the same rule.
+TEST(DmlTypingTest, ValuesEnterColumnsByTheWideningRule) {
+  Database db;
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE t (k INT, a INT, d DOUBLE, s TEXT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 100, 1.0, 'a'), "
+                         "(2, 200, 2.0, 'b'), (3, 300, 3.0, 'c')")
+                  .ok());
+  const std::vector<std::string> before = TableRows(&db, "t");
+  // 4.75 cannot enter INT column a.
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("INSERT INTO t VALUES (4, 4.75, 7, 8)").status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("UPDATE t SET a = d").status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("UPDATE t SET a = 'oops'").status().code());
+  EXPECT_EQ(before, TableRows(&db, "t"));
+
+  // INT widens to DOUBLE and to TEXT.
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (4, 4, 7, 8)").ok());
+  ASSERT_TRUE(db.Execute("UPDATE t SET s = d * 2 WHERE k = 1").ok());
+  ASSERT_TRUE(db.Execute("UPDATE t SET d = k, a = NULL WHERE k >= 3").ok());
+  EXPECT_EQ(std::vector<std::string>(
+                {"1|100|1|2", "2|200|2|b", "3|NULL|3|c", "4|NULL|4|8"}),
+            TableRows(&db, "t"));
+  auto types = db.Execute("SELECT d, s FROM t WHERE k = 4");
+  ASSERT_TRUE(types.ok());
+  EXPECT_EQ(DataType::kDouble, types.value().Get(0, 0).type());
+  EXPECT_EQ(DataType::kString, types.value().Get(0, 1).type());
+}
+
+// A statement that fails on one row changes no row: UPDATE evaluates
+// every assignment and INSERT every VALUES row before writing any.
+TEST(DmlTypingTest, FailingStatementLeavesTheTableUnchanged) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k INT, a INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)").ok());
+  const std::vector<std::string> before = TableRows(&db, "t");
+  // Fails at k = 2, after row 1 would have been written.
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("UPDATE t SET a = 100 / (k - 2) + 1000").status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("UPDATE t SET k = k + 10, a = 1 / (a - 3) WHERE k > 1")
+                .status()
+                .code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("INSERT INTO t VALUES (5, 50), (6, 1 / 0)").status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            db.Execute("DELETE FROM t WHERE 1 / (k - 3) > 0").status().code());
+  EXPECT_EQ(before, TableRows(&db, "t"));
+
+  // WHERE selects the rows through the executor's filter, across
+  // several scan batches.
+  ASSERT_TRUE(db.Execute("DELETE FROM t").ok());
+  std::string values;
+  for (int k = 0; k < 5000; ++k) {
+    values += (k > 0 ? ", (" : "(") + std::to_string(k) + ", 0)";
+  }
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES " + values).ok());
+  ASSERT_TRUE(db.Execute("UPDATE t SET a = k * 2 WHERE k % 3 = 0").ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM t WHERE k % 5 = 0").ok());
+  auto r = db.Execute("SELECT count(*), sum(a) FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  int64_t count = 0;
+  int64_t sum = 0;
+  for (int k = 0; k < 5000; ++k) {
+    if (k % 5 == 0) continue;
+    ++count;
+    sum += k % 3 == 0 ? 2 * k : 0;
+  }
+  EXPECT_EQ(count, r.value().Get(0, 0).AsInt());
+  EXPECT_EQ(sum, r.value().Get(0, 1).AsInt());
+}
+
 // --- Error paths -------------------------------------------------------
 
 TEST(ExecutorErrorTest, UnknownTableAndColumn) {
@@ -811,6 +931,14 @@ TEST(ExecutorErrorTest, ArityMismatch) {
 TEST(ExecutorErrorTest, DivisionByZero) {
   Database db;
   EXPECT_FALSE(db.Execute("SELECT 1 / 0").ok());
+}
+
+TEST(ExecutorErrorTest, SumOutOfIntRange) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (9223372036854775807), (1)").ok());
+  EXPECT_EQ(db.Execute("SELECT sum(a) FROM t").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExecutorErrorTest, IntoExistingTable) {

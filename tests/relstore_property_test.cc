@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <variant>
@@ -553,6 +554,195 @@ TEST(SqlKeySemantics, GroupByDistinctAndJoinsMatchReference) {
     auto mixed = db.Execute("SELECT count(*) FROM lt l, rt r WHERE l.i = r.d");
     ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
     EXPECT_EQ(0, mixed.value().Get(0, 0).AsInt()) << "threads " << threads;
+  }
+}
+
+// --- Aggregates ------------------------------------------------------------
+//
+// count, sum, avg, min and max equal a naive fold over the rows in row
+// order, with and without GROUP BY, exactly: doubles by bit pattern, so
+// a DOUBLE sum is the serial row-order sum and a NaN decides min and
+// max as Value::Compare does (a NaN neither wins nor loses). The table
+// spans three kScanBatchRows batches; its arguments hold NULLs, and the
+// DOUBLE column NaN, -0.0 and 0.0.
+
+struct AggRow {
+  std::optional<int64_t> g;
+  std::optional<int64_t> i;
+  std::optional<double> d;
+  std::optional<std::string> s;
+};
+
+// The cells of one argument, in row order, as SQL values.
+using AggArg = std::vector<Value>;
+
+// The reference row-order fold of `fn` over the rows of each group.
+Value ReferenceFold(const std::string& fn, const AggArg& arg,
+                    const std::vector<size_t>& rows) {
+  int64_t count = 0;
+  int64_t isum = 0;
+  double dsum = 0.0;
+  Value best;
+  for (size_t r : rows) {
+    const Value& v = arg[r];
+    if (fn == "count(*)") ++count;
+    if (v.is_null()) continue;
+    if (fn != "count(*)") ++count;
+    if (v.type() == DataType::kInt64) isum += v.AsInt();
+    if (v.IsNumeric()) dsum += v.AsDouble();
+    if (best.is_null() || (fn == "min" && v.Compare(best) < 0) ||
+        (fn == "max" && v.Compare(best) > 0)) {
+      best = v;
+    }
+  }
+  if (fn == "count(*)" || fn == "count") return Value::Int(count);
+  if (count == 0) return Value::Null();
+  if (fn == "avg") return Value::Double(dsum / static_cast<double>(count));
+  if (fn == "sum") {
+    return best.type() == DataType::kInt64 ? Value::Int(isum)
+                                           : Value::Double(dsum);
+  }
+  return best;
+}
+
+TEST(AggregateReference, FoldsMatchRowOrderReference) {
+  struct ExecThreadsRestorer {
+    ~ExecThreadsRestorer() { SetExecThreads(0); }
+  } restore_threads;
+  Rng rng(31337);
+  Database db;
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE at (g INT, i INT, d DOUBLE, s TEXT)").ok());
+  Chunk& chunk = db.GetTable("at").value()->mutable_chunk();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int n = 3 * static_cast<int>(kScanBatchRows) - 100;
+  std::vector<AggRow> rows;
+  for (int r = 0; r < n; ++r) {
+    AggRow row;
+    // Row 0 has a key but NULL arguments, so `d * 2` starts with NULL.
+    if (r == 0 || rng.Uniform(30) != 0) {
+      row.g = static_cast<int64_t>(rng.Uniform(40));
+    }
+    if (r > 0 && rng.Uniform(10) != 0) {
+      row.i = static_cast<int64_t>(rng.Uniform(2001)) - 1000;
+    }
+    if (r > 0 && rng.Uniform(10) != 0) {
+      switch (rng.Uniform(30)) {
+        case 0: row.d = 0.0; break;
+        case 1: row.d = -0.0; break;
+        case 2: row.d = nan; break;
+        default: row.d = (rng.NextDouble() - 0.5) * 1e3;
+      }
+    }
+    if (r > 0 && rng.Uniform(10) != 0) {
+      row.s = "s" + std::to_string(rng.Uniform(500));
+    }
+    chunk.mutable_column(0).Append(row.g ? Value::Int(*row.g) : Value::Null());
+    chunk.mutable_column(1).Append(row.i ? Value::Int(*row.i) : Value::Null());
+    chunk.mutable_column(2).Append(row.d ? Value::Double(*row.d) : Value::Null());
+    chunk.mutable_column(3).Append(row.s ? Value::String(*row.s) : Value::Null());
+    rows.push_back(std::move(row));
+  }
+
+  // Argument cells per argument expression, in row order.
+  std::map<std::string, AggArg> args;
+  for (const AggRow& row : rows) {
+    args["i"].push_back(row.i ? Value::Int(*row.i) : Value::Null());
+    args["d"].push_back(row.d ? Value::Double(*row.d) : Value::Null());
+    args["s"].push_back(row.s ? Value::String(*row.s) : Value::Null());
+    args["d * 2"].push_back(row.d ? Value::Double(*row.d * 2) : Value::Null());
+  }
+  // Groups of g in first-occurrence order (NULL is one group).
+  std::vector<std::optional<int64_t>> keys;
+  std::vector<std::vector<size_t>> members;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    auto it = std::find(keys.begin(), keys.end(), rows[r].g);
+    if (it == keys.end()) {
+      keys.push_back(rows[r].g);
+      members.emplace_back();
+      it = keys.end() - 1;
+    }
+    members[static_cast<size_t>(it - keys.begin())].push_back(r);
+  }
+  std::vector<size_t> all(rows.size());
+  std::iota(all.begin(), all.end(), 0);
+
+  for (int threads : {1, 4}) {
+    SetExecThreads(threads);
+    for (const auto& [arg, cells] : args) {
+      std::vector<std::string> fns = {"count(*)", "count", "min", "max"};
+      if (arg != "s") fns.insert(fns.end(), {"sum", "avg"});
+      std::string items;
+      for (const std::string& fn : fns) {
+        items += ", " + (fn == "count(*)" ? fn : fn + "(" + arg + ")");
+      }
+      for (bool grouped : {false, true}) {
+        const std::string query =
+            grouped ? "SELECT g" + items + " FROM at GROUP BY g"
+                    : "SELECT " + items.substr(2) + " FROM at";
+        auto result = db.Execute(query);
+        ASSERT_TRUE(result.ok()) << query << ": " << result.status().ToString();
+        const Chunk& out = result.value();
+        const std::vector<std::vector<size_t>> groups =
+            grouped ? members : std::vector<std::vector<size_t>>{all};
+        ASSERT_EQ(groups.size(), out.num_rows()) << query;
+        const int first = grouped ? 1 : 0;
+        for (size_t g = 0; g < groups.size(); ++g) {
+          if (grouped) {
+            EXPECT_TRUE(BitsEqual(
+                keys[g] ? Value::Int(*keys[g]) : Value::Null(), out.Get(g, 0)))
+                << query << " group " << g;
+          }
+          for (size_t f = 0; f < fns.size(); ++f) {
+            const Value expect = ReferenceFold(fns[f], cells, groups[g]);
+            const Value actual = out.Get(g, first + static_cast<int>(f));
+            EXPECT_TRUE(BitsEqual(expect, actual))
+                << query << " threads " << threads << " group " << g << " "
+                << fns[f] << ": " << expect.ToString() << " vs "
+                << actual.ToString();
+          }
+        }
+      }
+    }
+  }
+}
+
+// sum and avg take INT or DOUBLE arguments; TEXT and BOOL are refused,
+// never summed as 0, with and without GROUP BY.
+TEST(AggregateReference, SumAndAvgRefuseNonNumericArguments) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE u (x DOUBLE, y TEXT)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO u VALUES (1.5, 'p'), (2.5, 'q'), (NULL, 'r')").ok());
+  for (const char* fn : {"sum", "avg"}) {
+    for (const char* arg : {"y", "x > 2"}) {
+      for (const char* group_by : {"", " GROUP BY y"}) {
+        const std::string query = std::string("SELECT ") + fn + "(" + arg +
+                                  ") FROM u" + group_by;
+        EXPECT_EQ(StatusCode::kInvalidArgument, db.Execute(query).status().code())
+            << query;
+      }
+    }
+  }
+}
+
+// A group with no non-NULL value is NULL in a column of the argument's
+// type (DOUBLE for avg), so a SELECT INTO keeps the argument's type.
+TEST(AggregateReference, NullResultsKeepTheArgumentType) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE u (x DOUBLE, y TEXT, k INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO u VALUES (1.5, 'p', 1)").ok());
+  auto r = db.Execute(
+      "SELECT sum(x), min(x), max(y), avg(k), sum(k) FROM u WHERE k < 0");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::vector<DataType> types = {DataType::kDouble, DataType::kDouble,
+                                       DataType::kString, DataType::kDouble,
+                                       DataType::kInt64};
+  ASSERT_EQ(1u, r.value().num_rows());
+  for (int c = 0; c < 5; ++c) {
+    EXPECT_TRUE(r.value().Get(0, c).is_null()) << c;
+    EXPECT_EQ(types[static_cast<size_t>(c)], r.value().schema().column(c).type)
+        << c;
   }
 }
 

@@ -59,11 +59,6 @@ TEST(ValueTest, ArrayEqualityAndOrder) {
   EXPECT_EQ(a.ToString(), "{1,2,3}");
 }
 
-TEST(ValueTest, HashConsistentWithEquals) {
-  EXPECT_EQ(Value::Int(5).Hash(), Value::Double(5.0).Hash());
-  EXPECT_EQ(Value::Array({1, 2}).Hash(), Value::Array({1, 2}).Hash());
-}
-
 TEST(ColumnTest, AppendAndGet) {
   Column col(DataType::kInt64);
   col.AppendInt(10);
